@@ -10,11 +10,14 @@ even count is the mean of the two middle values.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import logging
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -113,6 +116,11 @@ def suite_name_order() -> list[str]:
     return [spec.name for spec in standard_agg_suite()]
 
 
+def union_spec(specs: Sequence[AggregationSpec]) -> AggregationSpec:
+    """The functions any of `specs` uses, in canonical order."""
+    return AggregationSpec(tuple({f for spec in specs for f in spec.functions}))
+
+
 @dataclass(frozen=True)
 class SelectionSpec:
     mode: str = "all"
@@ -138,6 +146,10 @@ class LabeledDataset:
     rows: list[ClassEmbedding]
     feature_width: int
     labels: list[str]  # ordered distinct labels
+    # Aggregation functions whose equal-width column blocks make up each
+    # row, in canonical order; empty when the layout is unknown (read back
+    # from a CSV or built by hand).
+    functions: tuple[str, ...] = ()
 
     def feature_matrix(self) -> np.ndarray:
         return np.stack([r.values for r in self.rows]) if self.rows else np.zeros((0, 0))
@@ -240,9 +252,12 @@ def build_dataset_suite(
     per_class_cap: int = 2000,
     seed: int = 0,
     jobs: int = 1,
-) -> tuple[list[LabeledDataset], BuildStats]:
-    """Embed a corpus laid out as corpus/<label>/**/*.java, once per file,
-    producing one dataset per aggregation spec over the same file sample.
+) -> tuple[LabeledDataset, BuildStats]:
+    """Embed a corpus laid out as corpus/<label>/**/*.java, once per file.
+
+    Each row holds the blocks of every function the aggregations use
+    (their union, in canonical order), aggregated once per file; a spec's
+    dataset is a column selection of it (see write_dataset_csv).
 
     Files are walked in sorted path order and the per-class downsampling is
     seeded, so parallelism cannot change the result.
@@ -253,9 +268,10 @@ def build_dataset_suite(
     labels = sorted(d.name for d in corpus_dir.iterdir() if d.is_dir())
     if not labels:
         raise EmptyClass(f"{corpus_dir}: no label subdirectories")
+    union = union_spec(aggregations)
 
     stats = BuildStats()
-    rows_per_agg: list[list[ClassEmbedding]] = [[] for _ in aggregations]
+    rows: list[ClassEmbedding] = []
 
     def embed_one(item: tuple[str, Path]) -> tuple[str, list[np.ndarray] | None]:
         label, path = item
@@ -263,7 +279,7 @@ def build_dataset_suite(
         try:
             unit = parse_file(path.read_text(encoding="utf-8"), path=rel)
             selected = select_methods(method_vectors(unit, model), selection, salt=rel)
-        except ParseError as exc:
+        except (ParseError, UnicodeDecodeError) as exc:
             logger.warning("skipping %s: %s", rel, exc)
             return rel, None
         except NoMethods:
@@ -280,7 +296,7 @@ def build_dataset_suite(
         else:
             results = [embed_one(item) for item in work]
 
-        label_rows: list[list[ClassEmbedding]] = [[] for _ in aggregations]
+        label_rows: list[ClassEmbedding] = []
         for rel, selected in results:
             stats.files += 1
             if selected is None:
@@ -289,30 +305,26 @@ def build_dataset_suite(
             if not selected:
                 stats.skipped_empty += 1
                 continue
-            for agg_idx, agg in enumerate(aggregations):
-                label_rows[agg_idx].append(
-                    ClassEmbedding(
-                        values=aggregate_vectors(selected, agg),
-                        label=label,
-                        source_path=rel,
-                    )
+            label_rows.append(
+                ClassEmbedding(
+                    values=aggregate_vectors(selected, union),
+                    label=label,
+                    source_path=rel,
                 )
-        if not label_rows[0]:
+            )
+        if not label_rows:
             raise EmptyClass(f"label {label!r} yielded zero embeddable files")
-        keep = _cap_indices(len(label_rows[0]), per_class_cap, seed, label)
+        keep = _cap_indices(len(label_rows), per_class_cap, seed, label)
         stats.rows_per_label[label] = len(keep)
-        for agg_idx in range(len(aggregations)):
-            rows_per_agg[agg_idx].extend(label_rows[agg_idx][i] for i in keep)
+        rows.extend(label_rows[i] for i in keep)
 
-    datasets = [
-        LabeledDataset(
-            rows=rows,
-            feature_width=len(agg.functions) * model.config.d_code,
-            labels=labels,
-        )
-        for agg, rows in zip(aggregations, rows_per_agg)
-    ]
-    return datasets, stats
+    dataset = LabeledDataset(
+        rows=rows,
+        feature_width=len(union.functions) * model.config.d_code,
+        labels=labels,
+        functions=union.functions,
+    )
+    return dataset, stats
 
 
 def build_dataset(
@@ -324,10 +336,9 @@ def build_dataset(
     seed: int = 0,
     jobs: int = 1,
 ) -> tuple[LabeledDataset, BuildStats]:
-    datasets, stats = build_dataset_suite(
+    return build_dataset_suite(
         corpus_dir, model, selection, [aggregation], per_class_cap, seed, jobs
     )
-    return datasets[0], stats
 
 
 def build_pair_dataset(
@@ -340,7 +351,10 @@ def build_pair_dataset(
     seed: int = 0,
 ) -> tuple[LabeledDataset, BuildStats]:
     """Differenced pair dataset from a manifest of label<TAB>pathA<TAB>pathB
-    lines; paths are relative to corpus_root."""
+    lines; paths are relative to corpus_root. Each row is the difference of
+    the two files' blocks of `aggregation`, so with the union of several
+    specs it holds each spec's row as a column selection, as in
+    build_dataset_suite."""
     corpus_root = Path(corpus_root)
     stats = BuildStats()
     per_label: dict[str, list[ClassEmbedding]] = {}
@@ -365,7 +379,7 @@ def build_pair_dataset(
                 unit_b = parse_file(
                     (corpus_root / rel_b).read_text(encoding="utf-8"), path=rel_b
                 )
-            except (ParseError, OSError) as exc:
+            except (ParseError, OSError, UnicodeDecodeError) as exc:
                 logger.warning("skipping pair %s|%s: %s", rel_a, rel_b, exc)
                 stats.skipped_parse += 1
                 continue
@@ -392,7 +406,12 @@ def build_pair_dataset(
 
     width = len(aggregation.functions) * model.config.d_code
     return (
-        LabeledDataset(rows=all_rows, feature_width=width, labels=labels_in_order),
+        LabeledDataset(
+            rows=all_rows,
+            feature_width=width,
+            labels=labels_in_order,
+            functions=aggregation.functions,
+        ),
         stats,
     )
 
@@ -400,13 +419,54 @@ def build_pair_dataset(
 # --- dataset CSV --------------------------------------------------------------
 
 
-def write_dataset_csv(dataset: LabeledDataset, path: str | Path) -> None:
-    """RFC-4180 CSV with header f0..f{w-1},label."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"f{i}" for i in range(dataset.feature_width)] + ["label"])
+def write_dataset_csv(
+    dataset: LabeledDataset,
+    *paths: str | Path,
+    specs: Sequence[AggregationSpec] | None = None,
+) -> None:
+    """RFC-4180 CSV with header f0..f{w-1},label.
+
+    Without `specs`, the whole dataset goes to the one path. With `specs`,
+    paths[i] gets the columns of specs[i]: the dataset's blocks of the
+    functions that spec names. Each (row, function) block is formatted
+    once however many files use it, and the files are written row by row
+    together, so only one row's text is held at a time. Floats are written
+    as repr(float), labels quoted as csv.writer quotes them.
+    """
+    n_blocks = len(dataset.functions) or 1
+    width = dataset.feature_width // n_blocks
+    if specs is None:
+        picks = [list(range(n_blocks))]
+    else:
+        picks = [[dataset.functions.index(f) for f in spec.functions] for spec in specs]
+    if len(picks) != len(paths):
+        raise ValueError(f"{len(paths)} paths for {len(picks)} column selections")
+    quoted: dict[str, str] = {}
+
+    with ExitStack() as stack:
+        files = [
+            stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+            for path in paths
+        ]
+        for fh, pick in zip(files, picks):
+            fh.write(",".join([f"f{i}" for i in range(len(pick) * width)] + ["label"]) + "\n")
         for row in dataset.rows:
-            writer.writerow([repr(float(x)) for x in row.values] + [row.label])
+            texts = [
+                ",".join(map(repr, row.values[k * width : (k + 1) * width].tolist()))
+                for k in range(n_blocks)
+            ]
+            if row.label not in quoted:
+                quoted[row.label] = _csv_field(row.label)
+            label = quoted[row.label]
+            for fh, pick in zip(files, picks):
+                fh.write(",".join([texts[k] for k in pick] + [label]) + "\n")
+
+
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes it as a field after the first in a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(["", text])
+    return buf.getvalue()[1:-1]
 
 
 def read_dataset_csv(path: str | Path) -> LabeledDataset:

@@ -26,6 +26,7 @@ from .aggregate import (
     read_dataset_csv,
     standard_agg_suite,
     suite_name_order,
+    union_spec,
     write_dataset_csv,
 )
 from .config import (
@@ -107,7 +108,7 @@ def _parse_corpus(
         rel = path.relative_to(corpus).as_posix()
         try:
             return parse_file(path.read_text(encoding="utf-8"), path=rel)
-        except ParseError as exc:
+        except (ParseError, UnicodeDecodeError) as exc:
             logger.warning("skipping %s: %s", rel, exc)
             return None
 
@@ -286,34 +287,27 @@ def cmd_embed(args) -> int:
     checkpoint_hash = sha256_file(args.model)
     corpus = Path(args.corpus)
 
-    outputs = []
     if args.pairs:
-        stats = None
-        for agg in aggregations:
-            dataset, stats = build_pair_dataset(
-                args.pairs, corpus, model, selection, agg,
-                per_class_cap=per_class_cap, seed=seed,
-            )
-            out = _suite_csv_path(args.out, agg.name) if use_suite else Path(args.out)
-            write_dataset_csv(dataset, out)
-            _write_embed_manifest(
-                out, args, agg.name, selection, per_class_cap, seed, stats,
-                checkpoint_hash, pairs=str(args.pairs),
-            )
-            outputs.append(str(out))
+        dataset, stats = build_pair_dataset(
+            args.pairs, corpus, model, selection, union_spec(aggregations),
+            per_class_cap=per_class_cap, seed=seed,
+        )
     else:
-        datasets, stats = build_dataset_suite(
+        dataset, stats = build_dataset_suite(
             corpus, model, selection, aggregations,
             per_class_cap=per_class_cap, seed=seed, jobs=jobs,
         )
-        for agg, dataset in zip(aggregations, datasets):
-            out = _suite_csv_path(args.out, agg.name) if use_suite else Path(args.out)
-            write_dataset_csv(dataset, out)
-            _write_embed_manifest(
-                out, args, agg.name, selection, per_class_cap, seed, stats,
-                checkpoint_hash,
-            )
-            outputs.append(str(out))
+    outs = [
+        _suite_csv_path(args.out, agg.name) if use_suite else Path(args.out)
+        for agg in aggregations
+    ]
+    write_dataset_csv(dataset, *outs, specs=aggregations)
+    for agg, out in zip(aggregations, outs):
+        _write_embed_manifest(
+            out, args, agg.name, selection, per_class_cap, seed, stats,
+            checkpoint_hash, pairs=str(args.pairs) if args.pairs else "",
+        )
+    outputs = [str(out) for out in outs]
 
     if args.methods_csv:
         units, _ = _parse_corpus(corpus, jobs)
@@ -329,7 +323,7 @@ def cmd_embed(args) -> int:
 
     print(
         json.dumps(
-            {"outputs": outputs, "counts": stats.as_dict() if stats else {}},
+            {"outputs": outputs, "counts": stats.as_dict()},
             sort_keys=True,
         )
     )
@@ -358,7 +352,7 @@ def _write_embed_manifest(
             "seed": seed,
             "model": str(args.model),
         },
-        counts=stats.as_dict() if stats else {},
+        counts=stats.as_dict(),
         checkpoint_hash=checkpoint_hash,
     ).write(manifest_path_for(out))
 

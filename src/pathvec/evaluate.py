@@ -167,7 +167,11 @@ def train_linear(
 
     weights = np.zeros((len(classes), X.shape[1]))
     biases = np.zeros(len(classes))
-    for i, cls in enumerate(classes):
+    # With two classes and no other label in y, class 1's targets are the
+    # negation of class 0's; the objective is symmetric under y -> -y,
+    # w -> -w, so its fit is exactly the negated first one.
+    binary = len(classes) == 2 and bool(np.isin(y_arr, classes).all())
+    for i, cls in enumerate(classes[:1] if binary else classes):
         ybin = np.where(y_arr == cls, 1.0, -1.0)
         w = _fit_squared_hinge(X_fit, ybin, config.c, config.tol, config.max_iterations)
         if config.bias:
@@ -175,6 +179,8 @@ def train_linear(
             biases[i] = w[-1]
         else:
             weights[i] = w
+    if binary:
+        weights[1], biases[1] = -weights[0], -biases[0]
     return LinearModel(classes=list(classes), weights=weights, biases=biases)
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 
 UP = "↑"
@@ -99,3 +102,14 @@ def numeric_gradients(params, batch, loss_fn, h=1e-6):
             it.iternext()
         grads[key] = num
     return grads
+
+
+def csv_module_dataset_bytes(dataset):
+    """A dataset written row by row through csv.writer: header
+    f0..f{w-1},label, repr(float) of every value, then the label."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"f{i}" for i in range(dataset.feature_width)] + ["label"])
+    for row in dataset.rows:
+        writer.writerow([repr(float(x)) for x in row.values] + [row.label])
+    return buf.getvalue().encode("utf-8")

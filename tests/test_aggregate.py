@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fixtures_java as fx
-from oracles import scalar_aggregate
+from oracles import csv_module_dataset_bytes, scalar_aggregate
 from pathvec.aggregate import (
     AggregationSpec,
     EmptyClass,
@@ -11,6 +11,7 @@ from pathvec.aggregate import (
     SelectionSpec,
     aggregate_vectors,
     build_dataset,
+    build_dataset_suite,
     build_pair_dataset,
     embed_file,
     embed_pair_difference,
@@ -18,6 +19,7 @@ from pathvec.aggregate import (
     read_dataset_csv,
     select_methods,
     standard_agg_suite,
+    union_spec,
     write_dataset_csv,
 )
 from pathvec.java import parse_file
@@ -62,6 +64,14 @@ def test_spec_validation():
         AggregationSpec(("mean", "mean"))
     with pytest.raises(ValueError):
         AggregationSpec(("mode",))
+
+
+def test_union_spec_is_canonical():
+    union = union_spec([AggregationSpec(("stddev",)), AggregationSpec(("mean", "min"))])
+    assert union.functions == ("min", "mean", "stddev")
+    assert union_spec(standard_agg_suite()).functions == (
+        "min", "max", "sum", "mean", "median", "stddev"
+    )
 
 
 def test_parse_aggregation_name():
@@ -340,11 +350,12 @@ def test_build_dataset_skips_bad_files_and_rejects_empty_label(tmp_path):
     corpus = _write_corpus(tmp_path / "corpus")
     (corpus / "alpha" / "broken.java").write_text("class X {", encoding="utf-8")
     (corpus / "alpha" / "methodless.java").write_text("class Y { }", encoding="utf-8")
+    (corpus / "beta" / "latin1.java").write_bytes(b"class Z { int f() { return 0; } } // \xff")
     model = _toy_model(MODEL_SOURCES)
     dataset, stats = build_dataset(
         corpus, model, SelectionSpec("all"), AggregationSpec(("mean",))
     )
-    assert stats.skipped_parse == 1
+    assert stats.skipped_parse == 2
     assert stats.skipped_empty == 1
     assert len(dataset.rows) == 6
 
@@ -373,6 +384,43 @@ def test_pair_dataset_from_manifest(tmp_path):
     assert np.all(identical.values == 0.0)
 
 
+def test_pair_dataset_skips_non_utf8_file(tmp_path):
+    corpus = _write_corpus(tmp_path / "corpus")
+    (corpus / "alpha" / "latin1.java").write_bytes(b"class Z { } // \xff")
+    manifest = tmp_path / "pairs.tsv"
+    manifest.write_text(
+        "bad\talpha/latin1.java\talpha/file0.java\n"
+        "no\talpha/file0.java\tbeta/file1.java\n",
+        encoding="utf-8",
+    )
+    model = _toy_model(MODEL_SOURCES)
+    dataset, stats = build_pair_dataset(
+        manifest, corpus, model, SelectionSpec("all"), AggregationSpec(("mean",))
+    )
+    assert stats.skipped_parse == 1
+    assert dataset.labels == ["no"]
+
+
+def test_pair_union_columns_equal_per_spec_differences(tmp_path):
+    corpus = _write_corpus(tmp_path / "corpus")
+    manifest = tmp_path / "pairs.tsv"
+    manifest.write_text(
+        "no\talpha/file0.java\tbeta/file1.java\n"
+        "yes\tbeta/file2.java\tbeta/file0.java\n",
+        encoding="utf-8",
+    )
+    model = _toy_model(MODEL_SOURCES)
+    suite = standard_agg_suite()
+    union, _ = build_pair_dataset(
+        manifest, corpus, model, SelectionSpec("all"), union_spec(suite)
+    )
+    paths = [tmp_path / f"{spec.name}.csv" for spec in suite]
+    write_dataset_csv(union, *paths, specs=suite)
+    for spec, path in zip(suite, paths):
+        single, _ = build_pair_dataset(manifest, corpus, model, SelectionSpec("all"), spec)
+        assert path.read_bytes() == csv_module_dataset_bytes(single)
+
+
 # --- CSV -----------------------------------------------------------------------------
 
 
@@ -390,6 +438,51 @@ def test_dataset_csv_round_trip(tmp_path):
     assert loaded.labels == dataset.labels
     assert loaded.feature_width == dataset.feature_width
     assert np.allclose(loaded.feature_matrix(), dataset.feature_matrix(), atol=0)
+
+
+def test_suite_csvs_match_per_spec_datasets(tmp_path):
+    corpus = _write_corpus(tmp_path / "corpus")
+    model = _toy_model(MODEL_SOURCES)
+    suite = standard_agg_suite()
+    dataset, _ = build_dataset_suite(corpus, model, SelectionSpec("all"), suite, seed=3)
+    assert dataset.functions == union_spec(suite).functions
+    paths = [tmp_path / f"{spec.name}.csv" for spec in suite]
+    write_dataset_csv(dataset, *paths, specs=suite)
+    for spec, path in zip(suite, paths):
+        single, _ = build_dataset(corpus, model, SelectionSpec("all"), spec, seed=3)
+        assert path.read_bytes() == csv_module_dataset_bytes(single)
+
+
+@pytest.mark.parametrize(
+    "label", ['odd,"label"', "comma,only", 'quote"only', "line\nbreak", "tab\tand space ", ""]
+)
+def test_dataset_csv_matches_csv_module(tmp_path, label):
+    from pathvec.aggregate import ClassEmbedding, LabeledDataset
+
+    values = [np.array([0.1, -0.0, 1e-300, 3.0]), np.array([np.inf, 2.5, -7.25, 1 / 3])]
+    dataset = LabeledDataset(
+        rows=[ClassEmbedding(v, label, "x") for v in values],
+        feature_width=4,
+        labels=[label],
+    )
+    path = tmp_path / "data.csv"
+    write_dataset_csv(dataset, path)
+    assert path.read_bytes() == csv_module_dataset_bytes(dataset)
+
+
+def test_dataset_csv_rejects_paths_specs_mismatch(tmp_path):
+    from pathvec.aggregate import ClassEmbedding, LabeledDataset
+
+    dataset = LabeledDataset(
+        rows=[ClassEmbedding(np.array([1.0, 2.0]), "a", "x")],
+        feature_width=2,
+        labels=["a"],
+        functions=("min", "max"),
+    )
+    with pytest.raises(ValueError):
+        write_dataset_csv(dataset, tmp_path / "a.csv", tmp_path / "b.csv")
+    with pytest.raises(ValueError):
+        write_dataset_csv(dataset, tmp_path / "a.csv", specs=standard_agg_suite()[:2])
 
 
 def test_dataset_csv_quotes_labels_with_commas(tmp_path):

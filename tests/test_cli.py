@@ -6,6 +6,8 @@ import pytest
 
 import fixtures_java as fx
 import synth
+from oracles import csv_module_dataset_bytes
+from pathvec.aggregate import read_dataset_csv
 from pathvec.cli import main
 from pathvec.config import manifest_path_for, read_manifest
 from pathvec.model import load_checkpoint
@@ -232,6 +234,110 @@ def test_cli_embed_suite_emits_23_csvs(pipeline, tmp_path, capsys):
     assert "data.mean.csv" in names
     assert "data.minMean.csv" in names
     assert "data.minMaxSumMeanMedStd.csv" in names
+
+
+def _embed(pipeline, corpus, out, *extra):
+    argv = ["embed", "--corpus", str(corpus), "--model", str(pipeline["ckpt"]),
+            "--out", str(out), "--seed", "5", *extra]
+    assert main(argv) == 0
+
+
+@pytest.fixture(scope="module")
+def pair_manifest(pipeline):
+    files = sorted(pipeline["corpus"].rglob("*.java"))
+    rels = [f.relative_to(pipeline["corpus"]).as_posix() for f in files]
+    manifest = pipeline["root"] / "suite_pairs.tsv"
+    manifest.write_text(
+        "".join(
+            f"{'same' if i % 2 else 'other'}\t{rels[i]}\t{rels[(i * 5 + 1) % len(rels)]}\n"
+            for i in range(len(rels))
+        ),
+        encoding="utf-8",
+    )
+    return manifest
+
+
+@pytest.fixture(scope="module")
+def suite_runs(pipeline, pair_manifest, tmp_path_factory):
+    """embed --suite, plain and over pairs, on the pipeline corpus."""
+    root = tmp_path_factory.mktemp("suite_runs")
+    _embed(pipeline, pipeline["corpus"], root / "data.csv", "--suite")
+    _embed(pipeline, pipeline["corpus"], root / "pairs.csv", "--suite",
+           "--pairs", str(pair_manifest))
+    return root
+
+
+@pytest.mark.parametrize("spec", ["mean", "minMean", "minMaxSumMeanMedStd"])
+def test_cli_embed_suite_csv_matches_single_spec(pipeline, suite_runs, tmp_path, spec):
+    single = tmp_path / "single.csv"
+    _embed(pipeline, pipeline["corpus"], single, "--agg", spec)
+    assert (suite_runs / f"data.{spec}.csv").read_bytes() == single.read_bytes()
+
+
+@pytest.mark.parametrize("spec", ["mean", "minMean", "minMaxSumMeanMedStd"])
+def test_cli_embed_suite_pairs_csv_matches_single_spec(
+    pipeline, pair_manifest, suite_runs, tmp_path, spec
+):
+    single = tmp_path / "single.csv"
+    _embed(pipeline, pipeline["corpus"], single, "--agg", spec, "--pairs", str(pair_manifest))
+    suite_csv = suite_runs / f"pairs.{spec}.csv"
+    assert suite_csv.read_bytes() == single.read_bytes()
+    manifest = read_manifest(manifest_path_for(suite_csv))
+    assert manifest["config"]["pairs"] == str(pair_manifest)
+    assert manifest["config"]["aggregation"] == spec
+
+
+def test_cli_embed_suite_quotes_label_directory_names(pipeline, tmp_path):
+    corpus = tmp_path / "corpus"
+    odd = 'odd,"label"'
+    for label, name in (("loops", odd), ("chains", "plain")):
+        (corpus / name).mkdir(parents=True)
+        for src in sorted((pipeline["corpus"] / label).glob("*.java")):
+            (corpus / name / src.name).write_bytes(src.read_bytes())
+    out = tmp_path / "suite" / "data.csv"
+    out.parent.mkdir()
+    _embed(pipeline, corpus, out, "--suite")
+    single = tmp_path / "single.csv"
+    _embed(pipeline, corpus, single, "--agg", "minMean")
+    suite_csv = out.with_name("data.minMean.csv")
+    assert suite_csv.read_bytes() == single.read_bytes()
+    loaded = read_dataset_csv(suite_csv)
+    assert loaded.labels == [odd, "plain"]
+    assert suite_csv.read_bytes() == csv_module_dataset_bytes(loaded)
+    assert ',"odd,""label"""\n' in suite_csv.read_text(encoding="utf-8")
+
+
+def _corpus_with_non_utf8_file(pipeline, root):
+    corpus = root / "corpus"
+    (corpus / "loops").mkdir(parents=True)
+    valid = sorted((pipeline["corpus"] / "loops").glob("*.java"))[0]
+    (corpus / "loops" / "valid.java").write_bytes(valid.read_bytes())
+    (corpus / "loops" / "latin1.java").write_bytes(
+        b"class Latin { int f(int x) { return x; } } // caf\xe9 \xff\n"
+    )
+    return corpus
+
+
+def test_cli_extract_skips_non_utf8_file(pipeline, tmp_path, capsys):
+    corpus = _corpus_with_non_utf8_file(pipeline, tmp_path)
+    code, stdout, _ = run(
+        capsys, "extract", "--corpus", str(corpus), "--out", str(tmp_path / "d.txt")
+    )
+    assert code == 0
+    stats = json.loads(stdout.strip())
+    assert stats["files"] == 2 and stats["skipped_files"] == 1
+
+
+def test_cli_embed_skips_non_utf8_file(pipeline, tmp_path, capsys):
+    corpus = _corpus_with_non_utf8_file(pipeline, tmp_path)
+    code, stdout, _ = run(
+        capsys, "embed", "--corpus", str(corpus), "--model", str(pipeline["ckpt"]),
+        "--out", str(tmp_path / "d.csv"), "--agg", "mean",
+    )
+    assert code == 0
+    counts = json.loads(stdout.strip())["counts"]
+    assert counts["files"] == 2 and counts["skipped_parse"] == 1
+    assert counts["rows_per_label"] == {"loops": 1}
 
 
 def test_cli_embed_methods_csv(pipeline, tmp_path, capsys):

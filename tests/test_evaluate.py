@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pathvec import evaluate
 from pathvec.aggregate import ClassEmbedding, LabeledDataset
 from pathvec.evaluate import (
     ClassifierConfig,
@@ -12,6 +13,7 @@ from pathvec.evaluate import (
     MismatchedFolds,
     TooFewRows,
     ZeroVector,
+    _fit_squared_hinge,
     cross_validate,
     kappa,
     name_prediction_f1,
@@ -76,6 +78,56 @@ def test_multiclass_separable():
     y = ["a", "b", "c"] * 5
     model = train_linear(X, y)
     assert model.predict(X) == y
+
+
+def _per_class_fits(X, y, classes, config=ClassifierConfig()):
+    """One squared-hinge fit per class, the plain one-vs-rest loop."""
+    X_fit = np.hstack([X, np.ones((X.shape[0], 1))])
+    y_arr = np.asarray(y)
+    return [
+        _fit_squared_hinge(X_fit, np.where(y_arr == cls, 1.0, -1.0),
+                           config.c, config.tol, config.max_iterations)
+        for cls in classes
+    ]
+
+
+def _counting_fits(monkeypatch):
+    calls = []
+
+    def fit(*args):
+        calls.append(args)
+        return _fit_squared_hinge(*args)
+
+    monkeypatch.setattr(evaluate, "_fit_squared_hinge", fit)
+    return calls
+
+
+@pytest.mark.parametrize("width", [3, 40])
+def test_binary_fit_equals_per_class_loop_bit_for_bit(width, monkeypatch):
+    rng = np.random.default_rng(width)
+    X = np.vstack([rng.normal(-0.5, 1.0, size=(30, width)),
+                   rng.normal(0.5, 1.0, size=(25, width))])
+    y = ["a"] * 30 + ["b"] * 25
+    calls = _counting_fits(monkeypatch)
+    model = train_linear(X, y, classes=["a", "b"])
+    assert len(calls) == 1
+    fits = _per_class_fits(X, y, ["a", "b"])
+    assert np.array_equal(model.weights, np.stack([w[:-1] for w in fits]))
+    assert np.array_equal(model.biases, np.array([w[-1] for w in fits]))
+
+
+def test_label_outside_two_classes_fits_each_class(monkeypatch):
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(30, 4))
+    y = ["a"] * 10 + ["b"] * 10 + ["other"] * 10
+    calls = _counting_fits(monkeypatch)
+    model = train_linear(X, y, classes=["a", "b"])
+    assert len(calls) == 2
+    fits = _per_class_fits(X, y, ["a", "b"])
+    assert np.array_equal(model.weights, np.stack([w[:-1] for w in fits]))
+    assert np.array_equal(model.biases, np.array([w[-1] for w in fits]))
+    # both fits see "other" as negative, so they are not each other's negation
+    assert not np.array_equal(model.weights[1], -model.weights[0])
 
 
 # --- stratified folds ------------------------------------------------------------
