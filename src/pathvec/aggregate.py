@@ -1,5 +1,5 @@
 """Selection and column-wise aggregation of method embeddings into
-file-level vectors, plus labeled dataset assembly.
+file-level vectors, plus labeled dataset assembly from parsed units.
 
 Aggregation functions run per column over the selected method vectors and
 their outputs are concatenated in canonical order (min, max, sum, mean,
@@ -13,15 +13,14 @@ import csv
 import io
 import itertools
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .java import ParseError, SourceUnit, parse_file
+from .java import SourceUnit
 from .model import TrainedModel
 from .pathctx import extract_unit_samples
 from .util import derive_seed
@@ -53,7 +52,7 @@ class NoMethods(Exception):
 
 
 class EmptyClass(Exception):
-    """A label directory produced no dataset rows."""
+    """A label directory, or a whole pair manifest, produced no dataset rows."""
 
 
 @dataclass(frozen=True)
@@ -191,36 +190,6 @@ def method_vectors(unit: SourceUnit, model: TrainedModel) -> list[tuple[np.ndarr
     return [(model.embed_sample(s), s.line_count) for s in samples]
 
 
-def embed_file(
-    unit: SourceUnit,
-    model: TrainedModel,
-    selection: SelectionSpec,
-    aggregation: AggregationSpec,
-    label: str = "",
-) -> ClassEmbedding:
-    """Embed every method of a unit, select, aggregate into one vector."""
-    selected = select_methods(method_vectors(unit, model), selection, salt=unit.path)
-    values = aggregate_vectors(selected, aggregation)
-    return ClassEmbedding(values=values, label=label, source_path=unit.path)
-
-
-def embed_pair_difference(
-    unit_a: SourceUnit,
-    unit_b: SourceUnit,
-    model: TrainedModel,
-    selection: SelectionSpec,
-    aggregation: AggregationSpec,
-    label: str = "",
-) -> ClassEmbedding:
-    emb_a = embed_file(unit_a, model, selection, aggregation)
-    emb_b = embed_file(unit_b, model, selection, aggregation)
-    return ClassEmbedding(
-        values=emb_a.values - emb_b.values,
-        label=label,
-        source_path=f"{unit_a.path}|{unit_b.path}",
-    )
-
-
 @dataclass
 class BuildStats:
     files: int = 0
@@ -245,75 +214,55 @@ def _cap_indices(n: int, cap: int, seed: int, label: str) -> list[int]:
 
 
 def build_dataset_suite(
-    corpus_dir: str | Path,
+    items: Iterable[tuple[str, Sequence[SourceUnit | None]]],
     model: TrainedModel,
     selection: SelectionSpec,
-    aggregations: list[AggregationSpec],
+    aggregations: Sequence[AggregationSpec],
     per_class_cap: int = 2000,
     seed: int = 0,
-    jobs: int = 1,
 ) -> tuple[LabeledDataset, BuildStats]:
-    """Embed a corpus laid out as corpus/<label>/**/*.java, once per file.
+    """One dataset row per (label, units) item.
 
-    Each row holds the blocks of every function the aggregations use
-    (their union, in canonical order), aggregated once per file; a spec's
-    dataset is a column selection of it (see write_dataset_csv).
+    One unit gives the file's row; two units (a, b) give the difference
+    a - b of their rows. A row holds the blocks of every function the
+    aggregations use (their union, in canonical order), aggregated once
+    per file; a spec's dataset is a column selection of it (see
+    write_dataset_csv). An item with a unit of None (unreadable or
+    unparseable) or with a file that has no embeddable method is skipped
+    and counted.
 
-    Files are walked in sorted path order and the per-class downsampling is
-    seeded, so parallelism cannot change the result.
+    Labels keep the order in which they first yield a row; a label that
+    yields none is left out, and callers decide whether that is an
+    error. Rows of a label are sorted by source path and downsampled
+    with a seed, so the result does not depend on item order within a
+    label.
     """
-    corpus_dir = Path(corpus_dir)
-    if not corpus_dir.is_dir():
-        raise FileNotFoundError(f"corpus directory not found: {corpus_dir}")
-    labels = sorted(d.name for d in corpus_dir.iterdir() if d.is_dir())
-    if not labels:
-        raise EmptyClass(f"{corpus_dir}: no label subdirectories")
     union = union_spec(aggregations)
-
     stats = BuildStats()
-    rows: list[ClassEmbedding] = []
+    per_label: dict[str, list[ClassEmbedding]] = {}
 
-    def embed_one(item: tuple[str, Path]) -> tuple[str, list[np.ndarray] | None]:
-        label, path = item
-        rel = path.relative_to(corpus_dir).as_posix()
+    def file_row(unit: SourceUnit) -> np.ndarray:
+        selected = select_methods(method_vectors(unit, model), selection, salt=unit.path)
+        return aggregate_vectors(selected, union)
+
+    for label, units in items:
+        stats.files += 1
+        if any(unit is None for unit in units):
+            stats.skipped_parse += 1
+            continue
         try:
-            unit = parse_file(path.read_text(encoding="utf-8"), path=rel)
-            selected = select_methods(method_vectors(unit, model), selection, salt=rel)
-        except (ParseError, UnicodeDecodeError) as exc:
-            logger.warning("skipping %s: %s", rel, exc)
-            return rel, None
-        except NoMethods:
-            logger.warning("skipping %s: no embeddable methods", rel)
-            return rel, []
-        return rel, selected
+            blocks = [file_row(unit) for unit in units]
+        except NoMethods as exc:
+            logger.warning("skipping %s", exc)
+            stats.skipped_empty += 1
+            continue
+        values = blocks[0] if len(blocks) == 1 else blocks[0] - blocks[1]
+        source = "|".join(unit.path for unit in units)
+        per_label.setdefault(label, []).append(ClassEmbedding(values, label, source))
 
-    for label in labels:
-        files = sorted((corpus_dir / label).rglob("*.java"), key=lambda p: p.as_posix())
-        work = [(label, path) for path in files]
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(embed_one, work))
-        else:
-            results = [embed_one(item) for item in work]
-
-        label_rows: list[ClassEmbedding] = []
-        for rel, selected in results:
-            stats.files += 1
-            if selected is None:
-                stats.skipped_parse += 1
-                continue
-            if not selected:
-                stats.skipped_empty += 1
-                continue
-            label_rows.append(
-                ClassEmbedding(
-                    values=aggregate_vectors(selected, union),
-                    label=label,
-                    source_path=rel,
-                )
-            )
-        if not label_rows:
-            raise EmptyClass(f"label {label!r} yielded zero embeddable files")
+    rows: list[ClassEmbedding] = []
+    for label, label_rows in per_label.items():
+        label_rows.sort(key=lambda r: r.source_path)
         keep = _cap_indices(len(label_rows), per_class_cap, seed, label)
         stats.rows_per_label[label] = len(keep)
         rows.extend(label_rows[i] for i in keep)
@@ -321,99 +270,10 @@ def build_dataset_suite(
     dataset = LabeledDataset(
         rows=rows,
         feature_width=len(union.functions) * model.config.d_code,
-        labels=labels,
+        labels=list(per_label),
         functions=union.functions,
     )
     return dataset, stats
-
-
-def build_dataset(
-    corpus_dir: str | Path,
-    model: TrainedModel,
-    selection: SelectionSpec,
-    aggregation: AggregationSpec,
-    per_class_cap: int = 2000,
-    seed: int = 0,
-    jobs: int = 1,
-) -> tuple[LabeledDataset, BuildStats]:
-    return build_dataset_suite(
-        corpus_dir, model, selection, [aggregation], per_class_cap, seed, jobs
-    )
-
-
-def build_pair_dataset(
-    manifest_path: str | Path,
-    corpus_root: str | Path,
-    model: TrainedModel,
-    selection: SelectionSpec,
-    aggregation: AggregationSpec,
-    per_class_cap: int = 2000,
-    seed: int = 0,
-) -> tuple[LabeledDataset, BuildStats]:
-    """Differenced pair dataset from a manifest of label<TAB>pathA<TAB>pathB
-    lines; paths are relative to corpus_root. Each row is the difference of
-    the two files' blocks of `aggregation`, so with the union of several
-    specs it holds each spec's row as a column selection, as in
-    build_dataset_suite."""
-    corpus_root = Path(corpus_root)
-    stats = BuildStats()
-    per_label: dict[str, list[ClassEmbedding]] = {}
-    labels_in_order: list[str] = []
-
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(
-                    f"{manifest_path}:{lineno}: expected 3 tab-separated fields"
-                )
-            label, rel_a, rel_b = parts
-            stats.files += 1
-            try:
-                unit_a = parse_file(
-                    (corpus_root / rel_a).read_text(encoding="utf-8"), path=rel_a
-                )
-                unit_b = parse_file(
-                    (corpus_root / rel_b).read_text(encoding="utf-8"), path=rel_b
-                )
-            except (ParseError, OSError, UnicodeDecodeError) as exc:
-                logger.warning("skipping pair %s|%s: %s", rel_a, rel_b, exc)
-                stats.skipped_parse += 1
-                continue
-            try:
-                row = embed_pair_difference(
-                    unit_a, unit_b, model, selection, aggregation, label=label
-                )
-            except NoMethods:
-                stats.skipped_empty += 1
-                continue
-            if label not in per_label:
-                per_label[label] = []
-                labels_in_order.append(label)
-            per_label[label].append(row)
-
-    if not labels_in_order:
-        raise EmptyClass("pair manifest yielded zero usable pairs")
-    all_rows: list[ClassEmbedding] = []
-    for label in labels_in_order:
-        rows = sorted(per_label[label], key=lambda r: r.source_path)
-        keep = _cap_indices(len(rows), per_class_cap, seed, label)
-        stats.rows_per_label[label] = len(keep)
-        all_rows.extend(rows[i] for i in keep)
-
-    width = len(aggregation.functions) * model.config.d_code
-    return (
-        LabeledDataset(
-            rows=all_rows,
-            feature_width=width,
-            labels=labels_in_order,
-            functions=aggregation.functions,
-        ),
-        stats,
-    )
 
 
 # --- dataset CSV --------------------------------------------------------------

@@ -20,10 +20,6 @@ from . import __version__
 class PipelineConfig:
     """Defaults for every stage; commands read the slice they need."""
 
-    corpus: str = ""
-    work_dir: str = ""
-    checkpoint: str = ""
-    obfuscation: str = "none"  # none | type | random
     random_length: int = 8
     max_len: int = 8  # 0 = unlimited
     max_width: int = 2  # 0 = unlimited

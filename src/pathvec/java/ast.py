@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from .lexer import BINARY_PRECEDENCE
+
 UNK_TYPE = "unk"
 
 # Closed node-kind vocabulary of the supported subset.
@@ -155,27 +157,6 @@ def isomorphic_up_to_leaf_tokens(a: AstNode, b: AstNode) -> bool:
 # re-inserts the minimum set required by precedence. Sources without
 # redundant parentheses round-trip token-for-token.
 
-_BINARY_PREC = {
-    "||": 3,
-    "&&": 4,
-    "|": 5,
-    "^": 6,
-    "&": 7,
-    "==": 8,
-    "!=": 8,
-    "<": 9,
-    ">": 9,
-    "<=": 9,
-    ">=": 9,
-    "<<": 10,
-    ">>": 10,
-    ">>>": 10,
-    "+": 11,
-    "-": 11,
-    "*": 12,
-    "/": 12,
-    "%": 12,
-}
 _PREC_ASSIGN = 1
 _PREC_TERNARY = 2
 _PREC_UNARY = 13
@@ -190,7 +171,7 @@ def _prec(node: AstNode) -> int:
     if kind == "ConditionalExpr":
         return _PREC_TERNARY
     if kind == "BinaryExpr":
-        return _BINARY_PREC[node.op()]
+        return BINARY_PRECEDENCE[node.op()]
     if kind == "UnaryExpr":
         return _PREC_POSTFIX if (node.meta or {}).get("postfix") else _PREC_UNARY
     if kind in ("MethodCallExpr", "FieldAccessExpr"):
@@ -371,7 +352,7 @@ def _emit(node: AstNode, out: list[str]) -> None:
         _emit_expr(node.children[2], out, _PREC_TERNARY)
         return
     if kind == "BinaryExpr":
-        prec = _BINARY_PREC[node.op()]
+        prec = BINARY_PRECEDENCE[node.op()]
         _emit_expr(node.children[0], out, prec)
         out.append(node.op())
         _emit_expr(node.children[1], out, prec + 1)

@@ -32,6 +32,15 @@ PRIMITIVE_TYPES = frozenset(
     {"boolean", "byte", "char", "double", "float", "int", "long", "short"}
 )
 
+# Binary operators by precedence, loosest first; assignment, the ternary,
+# unary and postfix operators bind outside this range (see ast._prec).
+BINARY_PRECEDENCE = {
+    "||": 3, "&&": 4, "|": 5, "^": 6, "&": 7,
+    "==": 8, "!=": 8, "<": 9, ">": 9, "<=": 9, ">=": 9,
+    "<<": 10, ">>": 10, ">>>": 10,
+    "+": 11, "-": 11, "*": 12, "/": 12, "%": 12,
+}
+
 # Longest first so e.g. ">>>=" wins over ">".
 PUNCTUATION = (
     ">>>=",

@@ -13,7 +13,7 @@ raises ParseError; batch drivers log and skip the file.
 from __future__ import annotations
 
 from .ast import AstNode, ClassDecl, MethodDecl, SourceUnit
-from .lexer import PRIMITIVE_TYPES, ParseError, Token, tokenize
+from .lexer import BINARY_PRECEDENCE, PRIMITIVE_TYPES, ParseError, Token, tokenize
 
 _MODIFIERS = frozenset(
     {"public", "private", "protected", "static", "final", "abstract",
@@ -22,12 +22,6 @@ _MODIFIERS = frozenset(
 _ASSIGN_OPS = frozenset(
     {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="}
 )
-_BINARY_OPS = {
-    "||": 3, "&&": 4, "|": 5, "^": 6, "&": 7,
-    "==": 8, "!=": 8, "<": 9, ">": 9, "<=": 9, ">=": 9,
-    "<<": 10, ">>": 10, ">>>": 10,
-    "+": 11, "-": 11, "*": 12, "/": 12, "%": 12,
-}
 _UNSUPPORTED_STMT = frozenset(
     {"try", "switch", "do", "throw", "break", "continue", "synchronized",
      "assert", "super"}
@@ -556,7 +550,7 @@ class _Parser:
             tok = self.cur()
             if tok.kind != "punct":
                 return left
-            prec = _BINARY_OPS.get(tok.text, -1)
+            prec = BINARY_PRECEDENCE.get(tok.text, -1)
             if prec < min_prec or prec < 0:
                 return left
             op = self.advance().text

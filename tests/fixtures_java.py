@@ -221,3 +221,10 @@ LAMBDA_REJECT = "class L { void m() { r = () -> 1; } }"
 INNER_CLASS_REJECT = "class O { class I { } }"
 ANNOTATION_REJECT = "class A { @Override void m() { x = 1; } }"
 MALFORMED_REJECT = "class B { void m() { if (x { } } }"
+
+# Valid subset Java that nests deeper than the recursive parser (200
+# parentheses) or the recursive scope resolver (a 1200-term sum) can follow.
+DEEP_PARENS = (
+    "class Nest { int deep(int a) { return " + "(" * 200 + "a" + ")" * 200 + "; } }"
+)
+LONG_SUM = "class Sum { int wide(int a) { return " + " + ".join(["a"] * 1200) + "; } }"

@@ -22,7 +22,7 @@ from pathvec.aggregate import (
     AggregationSpec,
     SelectionSpec,
     aggregate_vectors,
-    embed_pair_difference,
+    build_dataset_suite,
     read_dataset_csv,
     standard_agg_suite,
 )
@@ -212,14 +212,15 @@ def test_criterion_5_aggregation_suite():
         vocab = build_vocabulary([x for sub in samples for x in sub], min_count=1)
         config = ModelConfig(d_emb=6, seed=3)
         model = TrainedModel(config, ExtractionConfig(), init_params(config, vocab), vocab)
-        diff = embed_pair_difference(
+        pair = (
             parse_file(fx.FIG4_ORIGINAL, "same.java"),
             parse_file(fx.FIG4_ORIGINAL, "same.java"),
-            model,
-            SelectionSpec("all"),
-            AggregationSpec(("mean", "stddev")),
         )
-        assert np.all(diff.values == 0.0)
+        dataset, _ = build_dataset_suite(
+            [("same", pair)], model, SelectionSpec("all"), [AggregationSpec(("mean", "stddev"))]
+        )
+        assert len(dataset.rows) == 1
+        assert np.all(dataset.rows[0].values == 0.0)
 
 
 def test_criterion_6_metrics():

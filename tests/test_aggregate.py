@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,15 +8,11 @@ import fixtures_java as fx
 from oracles import csv_module_dataset_bytes, scalar_aggregate
 from pathvec.aggregate import (
     AggregationSpec,
-    EmptyClass,
     NoMethods,
     SelectionSpec,
     aggregate_vectors,
-    build_dataset,
     build_dataset_suite,
-    build_pair_dataset,
-    embed_file,
-    embed_pair_difference,
+    method_vectors,
     parse_aggregation_name,
     read_dataset_csv,
     select_methods,
@@ -22,8 +20,9 @@ from pathvec.aggregate import (
     union_spec,
     write_dataset_csv,
 )
+from pathvec.cli import main
 from pathvec.java import parse_file
-from pathvec.model import ModelConfig, TrainedModel, init_params
+from pathvec.model import ModelConfig, TrainedModel, init_params, save_checkpoint
 from pathvec.pathctx import ExtractionConfig, build_vocabulary, extract_unit_samples
 
 
@@ -209,12 +208,28 @@ def _toy_model(sources, d_emb=4, seed=5):
 MODEL_SOURCES = [fx.FIG1_FACTORIAL, fx.FIG3_DONE, fx.FIG4_ORIGINAL, fx.FIXTURE_METHODS]
 
 
+def _build(items, model, *specs, **kwargs):
+    """build_dataset_suite with select-all over `specs` (default: mean)."""
+    return build_dataset_suite(
+        items, model, SelectionSpec("all"), list(specs) or [AggregationSpec(("mean",))],
+        **kwargs,
+    )
+
+
+def _row(model, spec, *units):
+    """The row of one file, or the difference row of a pair of files."""
+    dataset, _ = _build([("x", units)], model, spec)
+    assert len(dataset.rows) == 1
+    return dataset.rows[0]
+
+
 def test_embed_file_singleton_mean_equals_method_vector():
     model = _toy_model(MODEL_SOURCES)
     unit = parse_file(fx.FIG1_FACTORIAL, "f.java")
-    emb = embed_file(unit, model, SelectionSpec("all"), AggregationSpec(("mean",)))
+    emb = _row(model, AggregationSpec(("mean",)), unit)
     sample = extract_unit_samples(unit, model.extraction)[0]
     assert np.array_equal(emb.values, model.embed_sample(sample))
+    assert emb.source_path == "f.java"
 
 
 def test_embed_file_deterministic():
@@ -222,8 +237,8 @@ def test_embed_file_deterministic():
     unit_a = parse_file(fx.FIG4_ORIGINAL, "h.java")
     unit_b = parse_file(fx.FIG4_ORIGINAL, "h.java")
     spec = AggregationSpec(("min", "mean"))
-    emb_a = embed_file(unit_a, model, SelectionSpec("all"), spec)
-    emb_b = embed_file(unit_b, model, SelectionSpec("all"), spec)
+    emb_a = _row(model, spec, unit_a)
+    emb_b = _row(model, spec, unit_b)
     assert np.array_equal(emb_a.values, emb_b.values)
 
 
@@ -232,26 +247,28 @@ def test_embed_file_order_free_with_select_all():
     source_ba = "class A { int two(int y) { return y * 3; } int one(int x) { return x + 1; } }"
     model = _toy_model(MODEL_SOURCES + [source_ab])
     spec = AggregationSpec(("min", "max", "sum", "mean", "median", "stddev"))
-    emb_ab = embed_file(parse_file(source_ab, "ab.java"), model, SelectionSpec("all"), spec)
-    emb_ba = embed_file(parse_file(source_ba, "ab.java"), model, SelectionSpec("all"), spec)
+    emb_ab = _row(model, spec, parse_file(source_ab, "ab.java"))
+    emb_ba = _row(model, spec, parse_file(source_ba, "ab.java"))
     assert np.allclose(emb_ab.values, emb_ba.values, atol=1e-12)
 
 
 def test_embed_file_no_methods():
     model = _toy_model(MODEL_SOURCES)
+    unit = parse_file("class A { }", "a.java")
     with pytest.raises(NoMethods):
-        embed_file(parse_file("class A { }", "a.java"), model,
-                   SelectionSpec("all"), AggregationSpec(("mean",)))
+        method_vectors(unit, model)
+    dataset, stats = _build([("x", (unit,))], model)
+    assert dataset.rows == [] and dataset.labels == []
+    assert stats.skipped_empty == 1 and stats.files == 1
 
 
 def test_pair_difference_identical_is_exact_zero():
     model = _toy_model(MODEL_SOURCES)
     unit_a = parse_file(fx.FIG4_ORIGINAL, "same.java")
     unit_b = parse_file(fx.FIG4_ORIGINAL, "same.java")
-    diff = embed_pair_difference(
-        unit_a, unit_b, model, SelectionSpec("all"), AggregationSpec(("mean",))
-    )
+    diff = _row(model, AggregationSpec(("mean",)), unit_a, unit_b)
     assert np.all(diff.values == 0.0)
+    assert diff.source_path == "same.java|same.java"
 
 
 def test_pair_difference_antisymmetric():
@@ -259,8 +276,8 @@ def test_pair_difference_antisymmetric():
     unit_a = parse_file(fx.FIG4_ORIGINAL, "a.java")
     unit_b = parse_file(fx.FIG1_FACTORIAL, "b.java")
     spec = AggregationSpec(("mean",))
-    ab = embed_pair_difference(unit_a, unit_b, model, SelectionSpec("all"), spec)
-    ba = embed_pair_difference(unit_b, unit_a, model, SelectionSpec("all"), spec)
+    ab = _row(model, spec, unit_a, unit_b)
+    ba = _row(model, spec, unit_b, unit_a)
     assert np.array_equal(ab.values, -ba.values)
 
 
@@ -271,7 +288,7 @@ def test_pair_difference_mean_shift_oracle():
     spec = AggregationSpec(("mean",))
     unit_one = parse_file(one, "one.java")
     unit_two = parse_file(two, "two.java")
-    diff = embed_pair_difference(unit_two, unit_one, model, SelectionSpec("all"), spec)
+    diff = _row(model, spec, unit_two, unit_one)
     vec_one = model.embed_sample(extract_unit_samples(unit_one, model.extraction)[0])
     samples_two = extract_unit_samples(unit_two, model.extraction)
     vecs_two = [model.embed_sample(s) for s in samples_two]
@@ -281,30 +298,53 @@ def test_pair_difference_mean_shift_oracle():
 
 # --- dataset building ---------------------------------------------------------------
 
+CORPUS_SOURCES = {"alpha": fx.FIG1_FACTORIAL, "beta": fx.FIG4_ORIGINAL}
+
+
+def _file_source(label, i):
+    # vary a literal so files are distinct
+    return CORPUS_SOURCES[label].replace("0", str(i))
+
+
+def _unit(label, i):
+    return parse_file(_file_source(label, i), f"{label}/file{i}.java")
+
+
+def _corpus_items(per_label=3):
+    """(label, (unit,)) items of a corpus/<label>/file<i>.java layout."""
+    return [(label, (_unit(label, i),)) for label in CORPUS_SOURCES for i in range(per_label)]
+
 
 def _write_corpus(root, per_label=3):
-    sources = {
-        "alpha": fx.FIG1_FACTORIAL,
-        "beta": fx.FIG4_ORIGINAL,
-    }
-    for label, source in sources.items():
+    for label in CORPUS_SOURCES:
         directory = root / label
         directory.mkdir(parents=True)
         for i in range(per_label):
-            # vary a literal so files are distinct
-            (directory / f"file{i}.java").write_text(
-                source.replace("0", str(i)), encoding="utf-8"
-            )
+            (directory / f"file{i}.java").write_text(_file_source(label, i), encoding="utf-8")
     return root
 
 
-def test_build_dataset_shapes(tmp_path):
-    corpus = _write_corpus(tmp_path / "corpus")
+@pytest.fixture
+def toy_checkpoint(tmp_path):
+    path = tmp_path / "toy.ckpt"
+    save_checkpoint(path, _toy_model(MODEL_SOURCES))
+    return path
+
+
+def _embed(capsys, corpus, checkpoint, out, *flags):
+    """Run `pathvec embed`; (exit code, parsed summary or None, stderr)."""
+    code = main([
+        "embed", "--corpus", str(corpus), "--model", str(checkpoint), "--out", str(out),
+        "--agg", "mean", *flags,
+    ])
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out.strip().splitlines()[-1]) if code == 0 else None
+    return code, summary, captured.err
+
+
+def test_build_dataset_shapes():
     model = _toy_model(MODEL_SOURCES)
-    dataset, stats = build_dataset(
-        corpus, model, SelectionSpec("all"), AggregationSpec(("mean",)),
-        per_class_cap=2000, seed=1,
-    )
+    dataset, stats = _build(_corpus_items(), model, per_class_cap=2000, seed=1)
     assert dataset.labels == ["alpha", "beta"]
     assert len(dataset.rows) == 6
     assert dataset.feature_width == model.config.d_code
@@ -312,61 +352,63 @@ def test_build_dataset_shapes(tmp_path):
     assert stats.rows_per_label == {"alpha": 3, "beta": 3}
 
 
-def test_build_dataset_cap(tmp_path):
-    corpus = _write_corpus(tmp_path / "corpus", per_label=7)
+def test_build_dataset_cap():
     model = _toy_model(MODEL_SOURCES)
-    dataset, stats = build_dataset(
-        corpus, model, SelectionSpec("all"), AggregationSpec(("mean",)),
-        per_class_cap=4, seed=1,
-    )
+    dataset, stats = _build(_corpus_items(per_label=7), model, per_class_cap=4, seed=1)
     assert stats.rows_per_label == {"alpha": 4, "beta": 4}
     assert len(dataset.rows) == 8
 
 
-def test_build_dataset_deterministic(tmp_path):
-    corpus = _write_corpus(tmp_path / "corpus", per_label=6)
+def test_build_dataset_deterministic():
     model = _toy_model(MODEL_SOURCES)
     kwargs = dict(per_class_cap=3, seed=9)
-    ds_a, _ = build_dataset(corpus, model, SelectionSpec("all"),
-                            AggregationSpec(("mean",)), **kwargs)
-    ds_b, _ = build_dataset(corpus, model, SelectionSpec("all"),
-                            AggregationSpec(("mean",)), **kwargs)
-    assert [r.source_path for r in ds_a.rows] == [r.source_path for r in ds_b.rows]
-    assert np.array_equal(ds_a.feature_matrix(), ds_b.feature_matrix())
+    items = _corpus_items(per_label=6)
+    ds_a, _ = _build(items, model, **kwargs)
+    ds_b, _ = _build(items, model, **kwargs)
+    # rows of a label are sorted before the cap, so item order does not matter
+    ds_c, _ = _build(items[::-1][6:] + items[::-1][:6], model, **kwargs)
+    for other in (ds_b, ds_c):
+        assert [r.source_path for r in ds_a.rows] == [r.source_path for r in other.rows]
+        assert np.array_equal(ds_a.feature_matrix(), other.feature_matrix())
 
 
-def test_build_dataset_jobs_match_serial(tmp_path):
+def test_build_dataset_jobs_match_serial(tmp_path, toy_checkpoint, capsys):
     corpus = _write_corpus(tmp_path / "corpus", per_label=5)
-    model = _toy_model(MODEL_SOURCES)
-    serial, _ = build_dataset(corpus, model, SelectionSpec("all"),
-                              AggregationSpec(("mean",)), seed=2)
-    parallel, _ = build_dataset(corpus, model, SelectionSpec("all"),
-                                AggregationSpec(("mean",)), seed=2, jobs=4)
-    assert np.array_equal(serial.feature_matrix(), parallel.feature_matrix())
-    assert [r.source_path for r in serial.rows] == [r.source_path for r in parallel.rows]
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    assert _embed(capsys, corpus, toy_checkpoint, serial, "--seed", "2", "--jobs", "1")[0] == 0
+    assert _embed(capsys, corpus, toy_checkpoint, parallel, "--seed", "2", "--jobs", "4")[0] == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+    assert len(serial.read_text(encoding="utf-8").splitlines()) == 1 + 10
 
 
-def test_build_dataset_skips_bad_files_and_rejects_empty_label(tmp_path):
+def test_build_dataset_skips_bad_files_and_rejects_empty_label(
+    tmp_path, toy_checkpoint, capsys
+):
     corpus = _write_corpus(tmp_path / "corpus")
     (corpus / "alpha" / "broken.java").write_text("class X {", encoding="utf-8")
     (corpus / "alpha" / "methodless.java").write_text("class Y { }", encoding="utf-8")
     (corpus / "beta" / "latin1.java").write_bytes(b"class Z { int f() { return 0; } } // \xff")
+    out = tmp_path / "data.csv"
+    code, summary, _ = _embed(capsys, corpus, toy_checkpoint, out)
+    assert code == 0
+    assert summary["counts"]["skipped_parse"] == 2
+    assert summary["counts"]["skipped_empty"] == 1
+    assert len(read_dataset_csv(out).rows) == 6
+
+    # the builder counts a unit that could not be read as a parse skip
     model = _toy_model(MODEL_SOURCES)
-    dataset, stats = build_dataset(
-        corpus, model, SelectionSpec("all"), AggregationSpec(("mean",))
-    )
-    assert stats.skipped_parse == 2
-    assert stats.skipped_empty == 1
-    assert len(dataset.rows) == 6
+    _, stats = _build(_corpus_items() + [("alpha", (None,))], model)
+    assert stats.skipped_parse == 1 and stats.files == 7
 
     empty = tmp_path / "empty_corpus"
     (empty / "solo").mkdir(parents=True)
     (empty / "solo" / "nothing.java").write_text("class Z { }", encoding="utf-8")
-    with pytest.raises(EmptyClass):
-        build_dataset(empty, model, SelectionSpec("all"), AggregationSpec(("mean",)))
+    code, _, stderr = _embed(capsys, empty, toy_checkpoint, tmp_path / "empty.csv")
+    assert code == 1
+    assert "label 'solo' yielded zero embeddable files" in stderr
 
 
-def test_pair_dataset_from_manifest(tmp_path):
+def test_pair_dataset_from_manifest(tmp_path, toy_checkpoint, capsys):
     corpus = _write_corpus(tmp_path / "corpus")
     manifest = tmp_path / "pairs.tsv"
     manifest.write_text(
@@ -374,17 +416,17 @@ def test_pair_dataset_from_manifest(tmp_path):
         "no\talpha/file0.java\tbeta/file1.java\n",
         encoding="utf-8",
     )
-    model = _toy_model(MODEL_SOURCES)
-    dataset, stats = build_pair_dataset(
-        manifest, corpus, model, SelectionSpec("all"), AggregationSpec(("mean",))
-    )
+    out = tmp_path / "pairs.csv"
+    code, _, _ = _embed(capsys, corpus, toy_checkpoint, out, "--pairs", str(manifest))
+    assert code == 0
+    dataset = read_dataset_csv(out)
     assert dataset.labels == ["yes", "no"]
     assert len(dataset.rows) == 2
     identical = next(r for r in dataset.rows if r.label == "yes")
     assert np.all(identical.values == 0.0)
 
 
-def test_pair_dataset_skips_non_utf8_file(tmp_path):
+def test_pair_dataset_skips_non_utf8_file(tmp_path, toy_checkpoint, capsys):
     corpus = _write_corpus(tmp_path / "corpus")
     (corpus / "alpha" / "latin1.java").write_bytes(b"class Z { } // \xff")
     manifest = tmp_path / "pairs.tsv"
@@ -393,31 +435,32 @@ def test_pair_dataset_skips_non_utf8_file(tmp_path):
         "no\talpha/file0.java\tbeta/file1.java\n",
         encoding="utf-8",
     )
-    model = _toy_model(MODEL_SOURCES)
-    dataset, stats = build_pair_dataset(
-        manifest, corpus, model, SelectionSpec("all"), AggregationSpec(("mean",))
-    )
-    assert stats.skipped_parse == 1
-    assert dataset.labels == ["no"]
+    out = tmp_path / "pairs.csv"
+    code, summary, _ = _embed(capsys, corpus, toy_checkpoint, out, "--pairs", str(manifest))
+    assert code == 0
+    assert summary["counts"]["skipped_parse"] == 1
+    assert read_dataset_csv(out).labels == ["no"]
+
+    # a manifest of which no pair is usable is an error
+    manifest.write_text("bad\talpha/latin1.java\talpha/file0.java\n", encoding="utf-8")
+    code, _, stderr = _embed(capsys, corpus, toy_checkpoint, out, "--pairs", str(manifest))
+    assert code == 1
+    assert "zero usable pairs" in stderr
 
 
 def test_pair_union_columns_equal_per_spec_differences(tmp_path):
-    corpus = _write_corpus(tmp_path / "corpus")
-    manifest = tmp_path / "pairs.tsv"
-    manifest.write_text(
-        "no\talpha/file0.java\tbeta/file1.java\n"
-        "yes\tbeta/file2.java\tbeta/file0.java\n",
-        encoding="utf-8",
-    )
+    items = [
+        ("no", (_unit("alpha", 0), _unit("beta", 1))),
+        ("yes", (_unit("beta", 2), _unit("beta", 0))),
+    ]
     model = _toy_model(MODEL_SOURCES)
     suite = standard_agg_suite()
-    union, _ = build_pair_dataset(
-        manifest, corpus, model, SelectionSpec("all"), union_spec(suite)
-    )
+    union, _ = _build(items, model, *suite)
+    assert union.functions == union_spec(suite).functions
     paths = [tmp_path / f"{spec.name}.csv" for spec in suite]
     write_dataset_csv(union, *paths, specs=suite)
     for spec, path in zip(suite, paths):
-        single, _ = build_pair_dataset(manifest, corpus, model, SelectionSpec("all"), spec)
+        single, _ = _build(items, model, spec)
         assert path.read_bytes() == csv_module_dataset_bytes(single)
 
 
@@ -425,11 +468,8 @@ def test_pair_union_columns_equal_per_spec_differences(tmp_path):
 
 
 def test_dataset_csv_round_trip(tmp_path):
-    corpus = _write_corpus(tmp_path / "corpus")
     model = _toy_model(MODEL_SOURCES)
-    dataset, _ = build_dataset(
-        corpus, model, SelectionSpec("all"), AggregationSpec(("mean", "stddev"))
-    )
+    dataset, _ = _build(_corpus_items(), model, AggregationSpec(("mean", "stddev")))
     path = tmp_path / "data.csv"
     write_dataset_csv(dataset, path)
     header = path.read_text(encoding="utf-8").splitlines()[0]
@@ -441,15 +481,15 @@ def test_dataset_csv_round_trip(tmp_path):
 
 
 def test_suite_csvs_match_per_spec_datasets(tmp_path):
-    corpus = _write_corpus(tmp_path / "corpus")
     model = _toy_model(MODEL_SOURCES)
     suite = standard_agg_suite()
-    dataset, _ = build_dataset_suite(corpus, model, SelectionSpec("all"), suite, seed=3)
+    items = _corpus_items()
+    dataset, _ = _build(items, model, *suite, seed=3)
     assert dataset.functions == union_spec(suite).functions
     paths = [tmp_path / f"{spec.name}.csv" for spec in suite]
     write_dataset_csv(dataset, *paths, specs=suite)
     for spec, path in zip(suite, paths):
-        single, _ = build_dataset(corpus, model, SelectionSpec("all"), spec, seed=3)
+        single, _ = _build(items, model, spec, seed=3)
         assert path.read_bytes() == csv_module_dataset_bytes(single)
 
 

@@ -1,14 +1,16 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fixtures_java as fx
 import synth
 from oracles import csv_module_dataset_bytes
 from pathvec.aggregate import read_dataset_csv
-from pathvec.cli import main
+from pathvec.cli import _read_units, main
 from pathvec.config import manifest_path_for, read_manifest
 from pathvec.model import load_checkpoint
 from pathvec.pathctx import DOWN, UP
@@ -95,6 +97,18 @@ def test_cli_obfuscate_reads_config_file(tmp_path, capsys):
     run(capsys, "obfuscate", "--in", str(src), "--out", str(out_flag),
         "--mode", "random", "--seed", "7", "--len", "6")
     assert (out_conf / "A.java").read_bytes() == (out_flag / "A.java").read_bytes()
+
+
+@pytest.mark.parametrize("key", ["corpus", "work_dir", "checkpoint", "obfuscation"])
+def test_cli_config_rejects_unread_keys(tmp_path, capsys, key):
+    src = tmp_path / "src"
+    src.mkdir()
+    conf = tmp_path / "pathvec.conf"
+    conf.write_text(f"{key} = x\n", encoding="utf-8")
+    code, _, stderr = run(capsys, "obfuscate", "--in", str(src), "--out", str(tmp_path / "o"),
+                          "--mode", "type", "--config", str(conf))
+    assert code == 1
+    assert f"unknown config key {key!r}" in stderr
 
 
 # --- extract ---------------------------------------------------------------------
@@ -326,6 +340,69 @@ def test_cli_extract_skips_non_utf8_file(pipeline, tmp_path, capsys):
     assert code == 0
     stats = json.loads(stdout.strip())
     assert stats["files"] == 2 and stats["skipped_files"] == 1
+
+
+_NESTED_SOURCES = st.integers(0, 1000).map(
+    lambda n: f"class N {{ int f(int a) {{ return {'(' * n}a{')' * n}; }} }}".encode()
+)
+_FILE_BYTES = st.one_of(
+    st.binary(max_size=120),
+    st.text(max_size=120).map(str.encode),
+    _NESTED_SOURCES,
+    st.sampled_from([fx.FIG1_FACTORIAL.encode(), fx.LONG_SUM.encode(), b"class A { } // \xff"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_FILE_BYTES, max_size=12))
+def test_read_units_yields_one_result_per_file_in_order(contents):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        rels = []
+        for i, data in enumerate(contents):
+            rel = f"d{i % 3}/f{i}.java"
+            (root / rel).parent.mkdir(exist_ok=True)
+            (root / rel).write_bytes(data)
+            rels.append(rel)
+        rels.insert(len(rels) // 2, "missing.java")  # unreadable
+        results = {
+            jobs: [(rel, unit and (unit.path, unit.text))
+                   for rel, unit in _read_units(root, rels, jobs)]
+            for jobs in (1, 4)
+        }
+    assert results[1] == results[4]
+    assert [rel for rel, _ in results[1]] == rels
+    units = dict(results[1])
+    assert units.pop("missing.java") is None
+    for (rel, unit), data in zip(units.items(), contents):
+        assert unit is None or unit[0] == rel
+        if data == fx.FIG1_FACTORIAL.encode():
+            assert unit is not None
+        if not _is_utf8(data):
+            assert unit is None
+
+
+def _is_utf8(data):
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def test_cli_extract_skips_too_deeply_nested_files(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "Nest.java").write_text(fx.DEEP_PARENS, encoding="utf-8")
+    (corpus / "Sum.java").write_text(fx.LONG_SUM, encoding="utf-8")
+    (corpus / "Valid.java").write_text(fx.FIG1_FACTORIAL, encoding="utf-8")
+    code, stdout, stderr = run(
+        capsys, "extract", "--corpus", str(corpus), "--out", str(tmp_path / "d.txt")
+    )
+    assert code == 0, stderr
+    stats = json.loads(stdout.strip())
+    assert stats["files"] == 3 and stats["skipped_files"] == 2
+    assert stats["methods_dumped"] == 1
 
 
 def test_cli_embed_skips_non_utf8_file(pipeline, tmp_path, capsys):

@@ -186,6 +186,20 @@ def test_obfuscate_tree_counts(tmp_path):
     assert "param_string_1" in (dst / "a.java").read_text()
 
 
+def test_obfuscate_tree_skips_too_deeply_nested_file(tmp_path):
+    src = tmp_path / "in"
+    src.mkdir()
+    (src / "Nest.java").write_text(fx.DEEP_PARENS, encoding="utf-8")
+    (src / "Sum.java").write_text(fx.LONG_SUM, encoding="utf-8")
+    (src / "Holder.java").write_text(fx.FIG4_ORIGINAL, encoding="utf-8")
+    report = obfuscate_tree(src, tmp_path / "out", ObfuscationScheme("random", seed=1))
+    assert report["processed"] == 1
+    assert report["skipped"] == 2
+    # an unparseable file is mirrored byte for byte
+    assert (tmp_path / "out" / "Nest.java").read_text(encoding="utf-8") == fx.DEEP_PARENS
+    assert (tmp_path / "out" / "Sum.java").read_text(encoding="utf-8") == fx.LONG_SUM
+
+
 def test_obfuscate_tree_empty(tmp_path):
     src = tmp_path / "empty"
     src.mkdir()
