@@ -67,18 +67,6 @@ class AstNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def walk(self) -> Iterator["AstNode"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-    def leaves(self) -> Iterator["AstNode"]:
-        if not self.children:
-            yield self
-        else:
-            for child in self.children:
-                yield from child.leaves()
-
     def op(self) -> str:
         return (self.meta or {})["op"]
 

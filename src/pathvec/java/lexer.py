@@ -41,7 +41,8 @@ BINARY_PRECEDENCE = {
     "+": 11, "-": 11, "*": 12, "/": 12, "%": 12,
 }
 
-# Longest first so e.g. ">>>=" wins over ">".
+# Longest first so e.g. ">>>=" wins over ">": the alternation below tries
+# them in this order.
 PUNCTUATION = (
     ">>>=",
     ">>>", "<<=", ">>=", "...",
@@ -51,6 +52,7 @@ PUNCTUATION = (
     "?", ":", ";", ",", ".", "(", ")", "{", "}", "[", "]", "@",
 )
 
+_PUNCT_RE = re.compile("|".join(map(re.escape, PUNCTUATION)))
 _IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 _HEX_RE = re.compile(r"0[xX][0-9a-fA-F_]+[lL]?")
 _FLOAT_RE = re.compile(
@@ -147,13 +149,11 @@ def tokenize(text: str) -> list[Token]:
             i = m.end()
             continue
 
-        for punct in PUNCTUATION:
-            if text.startswith(punct, i):
-                tokens.append(Token("punct", punct, line, col, i, i + len(punct)))
-                i += len(punct)
-                break
-        else:
+        m = _PUNCT_RE.match(text, i)
+        if not m:
             raise err(f"unexpected character {ch!r}")
+        tokens.append(Token("punct", m.group(), line, col, i, m.end()))
+        i = m.end()
 
     tokens.append(Token("eof", "", line, 1, n, n))
     return tokens

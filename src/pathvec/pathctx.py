@@ -2,9 +2,13 @@
 
 A path-context is the triplet (start leaf token, node-kind path with
 direction markers, end leaf token). One context is produced per unordered
-leaf pair of a method body, the earlier leaf in source order first, so a
-body with L leaves yields L*(L-1)/2 candidates before length/width
-filtering.
+leaf pair of a method body whose path has at most max_len edges and whose
+two branches leave their top node (the apex) through children at most
+max_width apart, the earlier leaf in source order first. Extraction
+enumerates only those pairs, apex by apex, so its work grows with the
+contexts kept rather than with the square of the leaf count. Leaf tokens
+are sanitized for the dump format when they are extracted, so the dump,
+train, embed and xobf see the same tokens.
 """
 
 from __future__ import annotations
@@ -77,56 +81,59 @@ def extract_contexts(
     max_len: int | None = 8,
     max_width: int | None = 2,
 ) -> list[PathContext]:
-    """All leaf-to-leaf path-contexts of a method body, source order first."""
-    body = method.body
-    leaves = list(body.leaves())
-    if len(leaves) < 2:
-        raise EmptyMethod(f"method {method.name!r} has {len(leaves)} leaves")
+    """The leaf-to-leaf path-contexts of a method body within both limits.
 
-    parent: dict[int, AstNode] = {}
-    child_pos: dict[int, int] = {}
+    One bottom-up pass: each subtree hands its parent an entry per leaf that
+    can still pair (leaf index, edges up to the subtree root, the path from
+    the leaf up to that root, the path from it down to the leaf, the token
+    as the dump writes it), and each internal node pairs only the entries of children at
+    most ``max_width`` apart whose paths through it fit ``max_len``.
+    Contexts come out by (earlier leaf, later leaf) in source order.
+    """
+    body = method.body
+    order = []  # pre-order, so leaves appear in source order
     stack = [body]
     while stack:
         node = stack.pop()
-        for pos, child in enumerate(node.children):
-            parent[id(child)] = node
-            child_pos[id(child)] = pos
-            stack.append(child)
+        order.append(node)
+        stack.extend(reversed(node.children))
+    leaf_index = {id(n): i for i, n in enumerate(n for n in order if not n.children)}
+    if len(leaf_index) < 2:
+        raise EmptyMethod(f"method {method.name!r} has {len(leaf_index)} leaves")
+    # A path has at most len(order) - 1 edges, so len(order) stands in for "no limit".
+    max_len = len(order) if max_len is None else max_len
+    max_width = len(order) if max_width is None else max_width
 
-    def chain(leaf: AstNode) -> list[AstNode]:
-        nodes = [leaf]
-        while id(nodes[-1]) in parent:
-            nodes.append(parent[id(nodes[-1])])
-        return nodes
-
-    chains = [chain(leaf) for leaf in leaves]
-    contexts: list[PathContext] = []
-    for i in range(len(leaves)):
-        chain_a = chains[i]
-        ids_a = {id(n): k for k, n in enumerate(chain_a)}
-        for j in range(i + 1, len(leaves)):
-            chain_b = chains[j]
-            for up_b, node in enumerate(chain_b):
-                if id(node) in ids_a:
-                    up_a = ids_a[id(node)]
-                    break
-            length = up_a + up_b
-            if max_len is not None and length > max_len:
-                continue
-            width = abs(child_pos[id(chain_a[up_a - 1])] - child_pos[id(chain_b[up_b - 1])])
-            if max_width is not None and width > max_width:
-                continue
-            pieces = [chain_a[0].kind]
-            for node in chain_a[1 : up_a + 1]:
-                pieces.append(UP)
-                pieces.append(node.kind)
-            for node in reversed(chain_b[:up_b]):
-                pieces.append(DOWN)
-                pieces.append(node.kind)
-            contexts.append(
-                PathContext(chain_a[0].token or "", "".join(pieces), chain_b[0].token or "")
-            )
-    return contexts
+    # Contexts by their earlier leaf. Apexes above a leaf are met bottom-up,
+    # and each pairs it with later leaves in source order, so each list is
+    # already ordered by the later leaf.
+    by_first: list[list[PathContext]] = [[] for _ in leaf_index]
+    entries: dict[int, list[tuple]] = {}
+    for node in reversed(order):  # every node after all of its descendants
+        if not node.children:
+            token = sanitize_token(node.token or "")
+            entries[id(node)] = [(leaf_index[id(node)], 0, node.kind, "", token)]
+            continue
+        below = [entries.pop(id(child)) for child in node.children]
+        for p, left in enumerate(below):
+            for q in range(p + 1, min(len(below), p + max_width + 1)):
+                right = below[q]
+                middle = UP + node.kind + DOWN + node.children[q].kind
+                for i, depth_a, up, _, start in left:
+                    room = max_len - 2 - depth_a
+                    out = by_first[i]
+                    for _, depth_b, _, down, end in right:
+                        if depth_b <= room:
+                            out.append(PathContext(start, up + middle + down, end))
+        if node is not body:
+            step_up = UP + node.kind
+            entries[id(node)] = [
+                (i, depth + 1, up + step_up, DOWN + child.kind + down, token)
+                for child, items in zip(node.children, below)
+                for i, depth, up, down, token in items
+                if depth + 3 <= max_len  # can still pair at an ancestor
+            ]
+    return [ctx for contexts in by_first for ctx in contexts]
 
 
 def cap_contexts(
@@ -271,7 +278,9 @@ def build_vocabulary(samples: list[MethodSample], min_count: int = 1) -> Vocabul
 #
 # One method per line: "targetName ctx ctx ..." with ctx =
 # "startToken,pathString,endToken". Commas and whitespace inside tokens
-# become '_' at dump time.
+# become '_': extract_contexts does it to every leaf token, so in-memory
+# samples match what the dump reads back, and the writer does it again
+# (idempotently) so that no sample can break the format.
 
 
 def sanitize_token(token: str) -> str:

@@ -7,8 +7,29 @@ import io
 
 import numpy as np
 
+from pathvec.java.lexer import KEYWORDS, PUNCTUATION
+
 UP = "↑"
 DOWN = "↓"
+
+
+def walk(node):
+    """Every node of a tree in pre-order, without recursion."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
+def leaves(node):
+    """The leaves of a tree in source order."""
+    return (n for n in walk(node) if not n.children)
+
+
+def dump_token(token):
+    """A leaf token as the dump writes it: commas and whitespace become '_'."""
+    return "".join("_" if ch == "," or ch.isspace() else ch for ch in token) or "_"
 
 
 def root_to_leaf_paths(node, prefix=()):
@@ -26,6 +47,7 @@ def brute_force_contexts(body, max_len=None, max_width=None):
 
     Deliberately a different algorithm from the production extractor:
     computes the lowest common ancestor as the longest common chain prefix.
+    Triplets come in source order of (earlier leaf, later leaf).
     """
     chains = list(root_to_leaf_paths(body))
     triplets = []
@@ -41,7 +63,9 @@ def brute_force_contexts(body, max_len=None, max_width=None):
             length = len(up_nodes) + len(down_nodes)
             if max_len is not None and length > max_len:
                 continue
-            width = abs(lca.children.index(a[k]) - lca.children.index(b[k]))
+            # by identity: equal-looking siblings (two `a` leaves) are distinct
+            pos = {id(child): p for p, child in enumerate(lca.children)}
+            width = abs(pos[id(a[k])] - pos[id(b[k])])
             if max_width is not None and width > max_width:
                 continue
             path = up_nodes[0].kind
@@ -49,7 +73,7 @@ def brute_force_contexts(body, max_len=None, max_width=None):
                 path += UP + node.kind
             for node in down_nodes:
                 path += DOWN + node.kind
-            triplets.append((a[-1].token, path, b[-1].token))
+            triplets.append((dump_token(a[-1].token), path, dump_token(b[-1].token)))
     return triplets
 
 
@@ -113,3 +137,64 @@ def csv_module_dataset_bytes(dataset):
     for row in dataset.rows:
         writer.writerow([repr(float(x)) for x in row.values] + [row.label])
     return buf.getvalue().encode("utf-8")
+
+
+def startswith_punct(text, i):
+    """The punctuation token at text[i], found by trying every PUNCTUATION
+    string with str.startswith in table order (longest first), or None."""
+    for punct in PUNCTUATION:
+        if text.startswith(punct, i):
+            return punct
+    return None
+
+
+def startswith_tokens(text):
+    """(kind, text, line, col, start, end) of every token of a text made of
+    spaces, newlines, comments, identifiers, decimal integers and
+    punctuation, ending with the eof token. Punctuation is found with
+    startswith_punct. Raises ValueError on an unterminated block comment
+    or a character outside that alphabet."""
+    out = []
+    i, line, line_start, n = 0, 1, 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            line_start = i
+            continue
+        if ch == " ":
+            i += 1
+            continue
+        if text.startswith("//", i):
+            end = text.find("\n", i)
+            i = n if end < 0 else end
+            continue
+        if text.startswith("/*", i):
+            close = text.find("*/", i + 2)
+            if close < 0:
+                raise ValueError("unterminated block comment")
+            if "\n" in text[i:close]:
+                line += text.count("\n", i, close)
+                line_start = text.rfind("\n", i, close) + 1
+            i = close + 2
+            continue
+        j = i + 1
+        if ch.isascii() and (ch.isalpha() or ch in "_$"):
+            while j < n and text[j].isascii() and (text[j].isalnum() or text[j] in "_$"):
+                j += 1
+            kind = "keyword" if text[i:j] in KEYWORDS else "ident"
+        elif ch in "0123456789":
+            while j < n and text[j] in "0123456789":
+                j += 1
+            kind = "int"
+        else:
+            punct = startswith_punct(text, i)
+            if punct is None:
+                raise ValueError(f"unexpected character {ch!r}")
+            j = i + len(punct)
+            kind = "punct"
+        out.append((kind, text[i:j], line, i - line_start + 1, i, j))
+        i = j
+    out.append(("eof", "", line, 1, n, n))
+    return out

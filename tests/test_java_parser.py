@@ -1,9 +1,12 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 import fixtures_java as fx
+from oracles import leaves, startswith_punct, startswith_tokens, walk
 from pathvec.java import ParseError, parse_file, resolve_bindings, tokenize
+from pathvec.java.lexer import PUNCTUATION
 from pathvec.java.ast import UNK_TYPE, node_tokens, structurally_equal
 
 
@@ -26,12 +29,12 @@ def test_assign_example_ast_shape():
 def test_factorial_structure():
     unit = parse_file(fx.FIG1_FACTORIAL)
     method = next(unit.methods())
-    leaf_tokens = [leaf.token for leaf in method.body.leaves()]
+    leaf_tokens = [leaf.token for leaf in leaves(method.body)]
     assert {"n", "0", "1"} <= set(leaf_tokens)
     if_stmt = method.body.children[0]
     assert if_stmt.kind == "IfStmt"
     assert len(if_stmt.children) == 3  # cond, then, else
-    calls = [n for n in method.body.walk() if n.kind == "MethodCallExpr"]
+    calls = [n for n in walk(method.body) if n.kind == "MethodCallExpr"]
     assert len(calls) == 1
     assert calls[0].children[0].token == "f"  # recursive call
 
@@ -100,7 +103,7 @@ def test_this_access_to_undeclared_field_gets_unk():
 
 def test_name_multiset_invariant(fixture_unit):
     name_leaves = Counter(
-        n.token for n in fixture_unit.root.walk() if n.kind == "NameExpr"
+        n.token for n in walk(fixture_unit.root) if n.kind == "NameExpr"
     )
     attributed = Counter()
     for binding in fixture_unit.bindings:
@@ -112,12 +115,12 @@ def test_name_multiset_invariant(fixture_unit):
 
 
 def test_every_leaf_iff_token(fixture_unit):
-    for node in fixture_unit.root.walk():
+    for node in walk(fixture_unit.root):
         assert (not node.children) == (node.token is not None)
 
 
 def test_child_spans_within_parent(fixture_unit):
-    for node in fixture_unit.root.walk():
+    for node in walk(fixture_unit.root):
         for child in node.children:
             assert node.span[0] <= child.span[0] <= child.span[1] <= node.span[1]
 
@@ -198,3 +201,61 @@ def test_array_and_qualified_types():
     unit = parse_file("class A { int[] xs; java.util.Date when; void m() { } }")
     types = {b.name: b.declared_type for b in unit.bindings}
     assert types == {"xs": "int[]", "when": "java.util.Date"}
+
+
+# --- punctuation lexing ----------------------------------------------------
+
+
+def _token_tuples(text):
+    return [(t.kind, t.text, t.line, t.col, t.start, t.end) for t in tokenize(text)]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [fx.FIG1_FACTORIAL, fx.FIG4_ORIGINAL, fx.FIXTURE_METHODS, fx.ASSIGN_X7,
+     fx.GENERIC_REJECT, fx.LAMBDA_REJECT, fx.ANNOTATION_REJECT],
+)
+def test_punctuation_tokens_match_startswith_oracle_on_fixtures(source):
+    tokens = tokenize(source)
+    puncts = [t for t in tokens if t.kind == "punct"]
+    assert puncts
+    for tok in puncts:
+        assert tok.text == startswith_punct(source, tok.start)
+        assert tok.end == tok.start + len(tok.text)
+
+
+def test_punctuation_stream_matches_startswith_oracle():
+    text = "a>>>=b>>>c<<=d>>=e...f->g==h!=i<=j>=k&&l||m++n--o\n+=-=*=/=%=&=|=^=<<>>@x?y:z;"
+    assert _token_tuples(text) == startswith_tokens(text)
+    assert [t.text for t in tokenize(">>>>==")[:-1]] == [">>>", ">=", "="]
+
+
+@pytest.mark.parametrize("ch", ["#", "`", "\\"])
+def test_character_outside_punctuation_is_parse_error(ch):
+    with pytest.raises(ParseError):
+        tokenize(f"x {ch} y")
+
+
+_PUNCT_CHARS = "".join(sorted(set("".join(PUNCTUATION))))
+
+_punct_heavy_text = st.lists(
+    st.one_of(
+        st.text(alphabet=_PUNCT_CHARS, min_size=1, max_size=8),
+        st.from_regex(r"[A-Za-z_$][A-Za-z0-9_$]{0,4}", fullmatch=True),
+        st.sampled_from(["int", "return", "this"]),
+        st.from_regex(r"[0-9]{1,3}", fullmatch=True).map(lambda s: f" {s} "),
+        st.sampled_from([" ", "\n", "  \n ", "// note\n", "/* a\n b */"]),
+    ),
+    max_size=40,
+).map("".join)
+
+
+@given(_punct_heavy_text)
+def test_punctuation_heavy_text_matches_startswith_oracle(text):
+    try:
+        expected = startswith_tokens(text)
+    except ValueError:
+        with pytest.raises(ParseError):
+            tokenize(text)
+        return
+    assert _token_tuples(text) == expected

@@ -1,10 +1,14 @@
+from itertools import product
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import fixtures_java as fx
-from oracles import brute_force_contexts
+from oracles import brute_force_contexts, leaves
+from pathvec.cli import _read_units
 from pathvec.java import parse_file
+from pathvec.java.ast import AstNode, MethodDecl
 from pathvec.pathctx import (
     DOWN,
     UP,
@@ -49,15 +53,15 @@ def test_empty_method_raises():
 
 def test_count_law_and_oracle_agreement_on_fixture_methods():
     unit = parse_file(fx.FIXTURE_METHODS)
-    methods = [m for m in unit.methods() if sum(1 for _ in m.body.leaves()) >= 2]
+    methods = [m for m in unit.methods() if sum(1 for _ in leaves(m.body)) >= 2]
     assert len(methods) >= 20
     for method in methods:
-        n_leaves = sum(1 for _ in method.body.leaves())
+        n_leaves = sum(1 for _ in leaves(method.body))
         contexts = extract_contexts(method, None, None)
         assert len(contexts) == n_leaves * (n_leaves - 1) // 2
         expected = brute_force_contexts(method.body)
         got = [(c.start_token, c.path, c.end_token) for c in contexts]
-        assert sorted(got) == sorted(expected)
+        assert got == expected
 
 
 @pytest.mark.parametrize("max_len,max_width", [(2, 1), (4, 2), (6, 3), (8, 2)])
@@ -70,7 +74,68 @@ def test_filtered_extraction_matches_oracle(max_len, max_width):
             continue
         expected = brute_force_contexts(method.body, max_len, max_width)
         got = [(c.start_token, c.path, c.end_token) for c in contexts]
-        assert sorted(got) == sorted(expected)
+        assert got == expected
+
+
+FLAT_BLOCK = """\
+class F {
+    int flat(int a, int b) {
+        int c = a + b;
+        a = c * 2;
+        b = a - c;
+        c = b % 3;
+        a = f(b, c);
+        return a + b + c;
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("max_len,max_width", [(None, 0), (None, 1), (None, 2), (8, 2), (6, 3)])
+def test_flat_block_width_pruning_at_the_body_apex(max_len, max_width):
+    method = _first_method(FLAT_BLOCK)
+    assert len(method.body.children) > 3
+    got = [(c.start_token, c.path, c.end_token) for c in extract_contexts(method, max_len, max_width)]
+    assert got == brute_force_contexts(method.body, max_len, max_width)
+    # the limit drops pairs of statements too far apart in the body
+    assert len(got) < len(extract_contexts(method, max_len, None))
+
+
+_KINDS = ("BlockStmt", "ExpressionStmt", "BinaryExpr", "AssignExpr")
+_LEAF_TOKENS = ("a", "b", "7", '"x, y"', "c d")
+
+
+def _build_tree(shape):
+    """A fresh AstNode tree from (kind, token) leaves and (kind, [shapes])."""
+    kind, rest = shape
+    if isinstance(rest, str):
+        return AstNode(kind, rest)
+    return AstNode(kind, None, [_build_tree(child) for child in rest])
+
+
+_trees = st.recursive(
+    st.tuples(
+        st.sampled_from(("NameExpr", "IntegerLiteralExpr", "StringLiteralExpr")),
+        st.sampled_from(_LEAF_TOKENS),
+    ),
+    lambda children: st.tuples(st.sampled_from(_KINDS), st.lists(children, min_size=1, max_size=5)),
+    max_leaves=24,
+).map(_build_tree)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees)
+def test_extraction_equals_oracle_in_order_on_random_trees(body):
+    method = MethodDecl("m", [], body, 1, body)
+    n_leaves = sum(1 for _ in leaves(body))
+    for max_len, max_width in product((None, 0, 1, 2, 3, 8), (None, 0, 1, 2, 3)):
+        expected = brute_force_contexts(body, max_len, max_width)
+        if n_leaves < 2:
+            with pytest.raises(EmptyMethod):
+                extract_contexts(method, max_len, max_width)
+            continue
+        got = extract_contexts(method, max_len, max_width)
+        assert [(c.start_token, c.path, c.end_token) for c in got] == expected
 
 
 def _reverse_path(path: str) -> str:
@@ -97,9 +162,9 @@ def test_path_symmetry_via_reversal():
 
 def test_source_order_canonicalization():
     method = _first_method(fx.FIG1_FACTORIAL)
-    leaves = [leaf.token for leaf in method.body.leaves()]
+    leaf_tokens = [leaf.token for leaf in leaves(method.body)]
     positions = {}
-    for idx, token in enumerate(leaves):
+    for idx, token in enumerate(leaf_tokens):
         positions.setdefault(token, []).append(idx)
     contexts = extract_contexts(method, None, None)
     # start token's first possible position never after end token's last
@@ -276,6 +341,39 @@ def test_dump_sanitizes_commas_and_spaces(tmp_path):
     write_context_dump(samples, out)
     loaded = read_context_dump(out)
     assert len(loaded[0].contexts) == len(samples[0].contexts)
+
+
+def test_dump_tokens_equal_in_memory_tokens(tmp_path):
+    source = 'class A { String m() { String s = "x, y"; return s + tail; } }'
+    samples = _samples_from(source, max_len=None, max_width=None)
+    out = tmp_path / "dump.txt"
+    write_context_dump(samples, out)
+    loaded = read_context_dump(out)
+    assert loaded[0].contexts == samples[0].contexts
+    tokens = {c.start_token for c in samples[0].contexts} | {c.end_token for c in samples[0].contexts}
+    assert '"x__y"' in tokens
+    vocab = build_vocabulary(loaded, min_count=1)  # what train sees
+    seen_at_embed = vocab.index_sample(samples[0])  # what embed and xobf see
+    seen_at_train = vocab.index_sample(loaded[0])
+    assert np.array_equal(seen_at_embed.starts, seen_at_train.starts)
+    assert np.array_equal(seen_at_embed.ends, seen_at_train.ends)
+    assert vocab.token_id('"x__y"') != vocab.unk_id
+
+
+def test_extraction_of_a_long_sum_runs_deep_in_the_callers_stack(tmp_path):
+    source = "class Sum { int wide(int a) { return " + " + ".join(["a"] * 986) + "; } }"
+    (tmp_path / "Sum.java").write_text(source, encoding="utf-8")
+    [(_, unit)] = list(_read_units(tmp_path, ["Sum.java"]))  # parses on a pool thread
+    assert unit is not None
+
+    def deeper(frames):
+        if frames:
+            return deeper(frames - 1)
+        return extract_unit_samples(unit, ExtractionConfig())
+
+    samples = deeper(60)
+    assert len(samples) == 1
+    assert len(samples[0].contexts) == 200
 
 
 def test_extract_unit_samples_caps_and_skips():
