@@ -13,6 +13,7 @@ import json
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -62,6 +63,7 @@ from .obfuscate import ObfuscationError, ObfuscationScheme, obfuscate_tree, obfu
 from .pathctx import (
     ExtractionConfig,
     build_vocabulary,
+    count_distinct,
     extract_unit_samples,
     read_context_dump,
     write_context_dump,
@@ -191,15 +193,15 @@ def cmd_extract(args) -> int:
         raise EmptyClass(f"{args.corpus}: no extractable methods")
     write_context_dump(samples, args.out)
 
-    vocab = build_vocabulary(samples, min_count=1)
+    tokens, paths, targets = count_distinct(samples)
     stats = {
         "files": len(files),
         "skipped_files": skipped_files,
         "methods": methods_total,
         "methods_dumped": len(samples),
-        "distinct_tokens": vocab.n_tokens - 2,
-        "distinct_paths": vocab.n_paths - 2,
-        "distinct_targets": vocab.n_targets - 2,
+        "distinct_tokens": tokens,
+        "distinct_paths": paths,
+        "distinct_targets": targets,
     }
     RunManifest(
         stage="extract",
@@ -297,7 +299,7 @@ def cmd_train(args) -> int:
                 "seed": extraction.seed,
             },
         },
-        counts=summary,
+        counts={**summary, "history": [asdict(stats) for stats in result.history]},
         checkpoint_hash=sha256_file(args.out),
     ).write(manifest_path_for(args.out))
     print(json.dumps(summary, sort_keys=True))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -156,69 +157,135 @@ def predict_name(
     return [(vocab.id_to_target[i], float(probs[i])) for i in order]
 
 
+# Consecutive samples are stacked into runs of at most this many contexts, so
+# that a run's (contexts x d_code) temporaries stay in cache; a longer sample
+# is a run by itself.
+RUN_CONTEXTS = 512
+
+
+def _runs(batch: list[IndexedSample]) -> list[list[IndexedSample]]:
+    """Cut a batch into consecutive runs of whole samples of at most
+    RUN_CONTEXTS contexts in total."""
+    runs: list[list[IndexedSample]] = []
+    size = 0
+    for sample in batch:
+        n = len(sample)
+        if n == 0:
+            raise EmptyBag("sample has no contexts")
+        if not runs or size + n > RUN_CONTEXTS:
+            runs.append([])
+            size = 0
+        runs[-1].append(sample)
+        size += n
+    return runs
+
+
+def _scatter_rows(
+    table: np.ndarray, index: np.ndarray, rows: np.ndarray, source: np.ndarray
+) -> None:
+    """table[index[i]] += rows[source[i]] for every i: one stable sort and one
+    sum per distinct index, in place of np.add.at's per-element loop."""
+    order = np.argsort(index, kind="stable")
+    index = index[order]
+    firsts = np.flatnonzero(np.r_[True, index[1:] != index[:-1]])
+    table[index[firsts]] += np.add.reduceat(rows[source[order]], firsts, axis=0)
+
+
 def loss_and_grads(
     params: ModelParams,
     batch: list[IndexedSample],
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy over the batch plus exact gradients."""
+    """Mean cross-entropy over the batch plus exact gradients.
+
+    The contexts of consecutive samples are stacked into runs (see
+    RUN_CONTEXTS); each run takes one gather, three matrix products, a
+    segment softmax over its samples and one sorted scatter per embedding
+    table. Dropout masks are drawn per run in context order, the same
+    stream as one draw per sample.
+    """
     if not batch:
         raise ValueError("empty batch")
-    d = params.token_emb.shape[1]
+    runs = _runs(batch)
+    if dropout_rate > 0.0 and rng is None:
+        raise ValueError("dropout requires an rng")
+    d, dc = params.token_emb.shape[1], params.d_code
     grads = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
     total_loss = 0.0
     scale = 1.0 / len(batch)
+    # Run-sized work arrays, reused by every run: fresh ones per run would
+    # cost page faults that outweigh the arithmetic.
+    rows_max = max(sum(len(sample) for sample in run) for run in runs)
+    E_buf, raw_buf, H_buf, G_buf = (
+        np.empty((rows_max, width)) for width in (3 * d, dc, dc, dc)
+    )
 
-    for sample in batch:
-        if len(sample) == 0:
-            raise EmptyBag("sample has no contexts")
-        E = np.concatenate(
-            [
-                params.token_emb[sample.starts],
-                params.path_emb[sample.paths],
-                params.token_emb[sample.ends],
-            ],
-            axis=1,
-        )
-        H_raw = np.tanh(E @ params.transform.T)
+    for run in runs:
+        counts = np.array([len(sample) for sample in run])
+        n = int(counts.sum())
+        offsets = np.r_[0, np.cumsum(counts[:-1])]
+        rows = np.arange(len(run))
+        owner = np.repeat(rows, counts)  # sample row of each context
+        targets = np.array([sample.target_id for sample in run])
+        starts = np.concatenate([sample.starts for sample in run])
+        paths = np.concatenate([sample.paths for sample in run])
+        ends = np.concatenate([sample.ends for sample in run])
+
+        E = E_buf[:n]
+        E[:, :d] = params.token_emb[starts]
+        E[:, d : 2 * d] = params.path_emb[paths]
+        E[:, 2 * d :] = params.token_emb[ends]
+        H_raw = np.matmul(E, params.transform.T, out=raw_buf[:n])
+        np.tanh(H_raw, out=H_raw)
         if dropout_rate > 0.0:
-            if rng is None:
-                raise ValueError("dropout requires an rng")
-            mask = (rng.random(H_raw.shape) >= dropout_rate) / (1.0 - dropout_rate)
-            H = H_raw * mask
+            mask = (rng.random((n, dc)) >= dropout_rate) / (1.0 - dropout_rate)
+            H = np.multiply(H_raw, mask, out=H_buf[:n])
         else:
             mask = None
             H = H_raw
 
+        # softmax of the attention logits over each sample's segment
         e = H @ params.attention
-        alpha = _softmax(e)
-        v = alpha @ H
-        scores = params.target_emb @ v
-        shifted = scores - np.max(scores)
-        logsumexp = float(np.log(np.sum(np.exp(shifted))) + np.max(scores))
-        total_loss += (logsumexp - float(scores[sample.target_id])) * scale
+        alpha = np.exp(e - np.maximum.reduceat(e, offsets)[owner])
+        alpha /= np.add.reduceat(alpha, offsets)[owner]
+        weighted = np.multiply(H, alpha[:, None], out=G_buf[:n])
+        V = np.add.reduceat(weighted, offsets, axis=0)  # code vectors
+        scores = V @ params.target_emb.T
+        top = scores.max(axis=1)
+        exp_shifted = np.exp(scores - top[:, None])
+        sum_exp = exp_shifted.sum(axis=1)
+        picked = scores[rows, targets]
+        for term in ((np.log(sum_exp) + top - picked) * scale).tolist():
+            total_loss += term  # in batch order, as the per-sample sum
 
-        probs = np.exp(shifted) / np.sum(np.exp(shifted))
-        ds = probs.copy()
-        ds[sample.target_id] -= 1.0
+        ds = exp_shifted / sum_exp[:, None]
+        ds[rows, targets] -= 1.0
         ds *= scale
+        grads["target_emb"] += ds.T @ V
+        # dL/dv of each context's sample; owner is in range, and mode="clip"
+        # lets take write straight into the work array
+        G = np.take(ds @ params.target_emb, owner, axis=0, out=G_buf[:n], mode="clip")
 
-        grads["target_emb"] += np.outer(ds, v)
-        g = params.target_emb.T @ ds  # dL/dv
-
-        q = H @ g
-        de = alpha * (q - float(alpha @ q))
-        dH = alpha[:, None] * g[None, :] + de[:, None] * params.attention[None, :]
+        q = np.einsum("ij,ij->i", H, G)
+        de = alpha * (q - np.add.reduceat(alpha * q, offsets)[owner])
         grads["attention"] += H.T @ de
+        # H is not read again: H_buf (and, below, H_raw) become scratch
+        dH = np.multiply(G, alpha[:, None], out=G)
+        dH += np.multiply(de[:, None], params.attention, out=H_buf[:n])
         if mask is not None:
-            dH = dH * mask
-        dU = dH * (1.0 - H_raw * H_raw)
+            dH *= mask
+        slope = np.multiply(H_raw, H_raw, out=H_raw)
+        dU = np.multiply(dH, np.subtract(1.0, slope, out=slope), out=dH)
         grads["transform"] += dU.T @ E
-        dE = dU @ params.transform
-        np.add.at(grads["token_emb"], sample.starts, dE[:, :d])
-        np.add.at(grads["path_emb"], sample.paths, dE[:, d : 2 * d])
-        np.add.at(grads["token_emb"], sample.ends, dE[:, 2 * d :])
+        # row 3i + k of dE is the gradient of context i's start (k = 0),
+        # path (k = 1) or end (k = 2) embedding
+        dE = np.matmul(dU, params.transform, out=E).reshape(3 * n, d)
+        i3 = 3 * np.arange(n)
+        _scatter_rows(
+            grads["token_emb"], np.concatenate([starts, ends]), dE, np.r_[i3, i3 + 2]
+        )
+        _scatter_rows(grads["path_emb"], paths, dE, i3 + 1)
 
     return total_loss, grads
 
@@ -261,6 +328,33 @@ def _validate(
     return float(np.mean(losses)), hits / len(samples), metrics.f1
 
 
+def adam_update(
+    p: np.ndarray,
+    g: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    scratch: np.ndarray,
+    step: int,
+    config: ModelConfig,
+) -> None:
+    """One Adam step on p, in place. Updates the moments m and v and
+    overwrites scratch and the gradient g; each value is computed by the same
+    operations, in the same order, as
+
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+        p -= lr * (m / (1-b1**step)) / (sqrt(v / (1-b2**step)) + eps)
+    """
+    b1, b2, eps = config.adam_beta1, config.adam_beta2, 1e-8
+    m *= b1
+    m += np.multiply(g, 1 - b1, out=scratch)
+    v *= b2
+    v += np.multiply(np.multiply(g, 1 - b2, out=scratch), g, out=scratch)
+    m_hat = np.divide(m, 1 - b1**step, out=scratch)
+    v_hat = np.divide(v, 1 - b2**step, out=g)
+    denom = np.add(np.sqrt(v_hat, out=v_hat), eps, out=v_hat)
+    p -= np.divide(np.multiply(m_hat, config.learning_rate, out=m_hat), denom, out=m_hat)
+
+
 def train(
     config: ModelConfig, samples: list[MethodSample], vocab: Vocabulary
 ) -> TrainResult:
@@ -293,8 +387,8 @@ def train(
 
     adam_m = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
     adam_v = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
+    scratch = {k: np.empty_like(v) for k, v in params.as_dict().items()}
     step = 0
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, 1e-8
 
     for epoch in range(1, config.epochs + 1):
         perm = rng.permutation(len(tr))
@@ -307,12 +401,9 @@ def train(
             epoch_losses.append(loss)
             step += 1
             for key, p in params.as_dict().items():
-                g = grads[key]
-                adam_m[key] = b1 * adam_m[key] + (1 - b1) * g
-                adam_v[key] = b2 * adam_v[key] + (1 - b2) * g * g
-                m_hat = adam_m[key] / (1 - b1**step)
-                v_hat = adam_v[key] / (1 - b2**step)
-                p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+                adam_update(
+                    p, grads[key], adam_m[key], adam_v[key], scratch[key], step, config
+                )
 
         val_loss, val_top1, val_f1 = _validate(params, val, vocab)
         history.append(
@@ -385,7 +476,11 @@ def _vocab_from_lists(data: dict) -> Vocabulary:
 
 
 def save_checkpoint(path: str | Path, model: TrainedModel) -> None:
-    """Self-describing binary: magic, JSON header, float32 LE tensors."""
+    """Self-describing binary: magic, JSON header, float32 LE tensors.
+
+    Written to a temporary file in the same directory and renamed over
+    path, so path holds either the old checkpoint or the whole new one."""
+    path = Path(path)
     tensors = model.params.as_dict()
     header = {
         "format": 1,
@@ -395,40 +490,63 @@ def save_checkpoint(path: str | Path, model: TrainedModel) -> None:
         "tensors": [{"name": k, "shape": list(v.shape)} for k, v in tensors.items()],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for value in tensors.values():
-            fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for value in tensors.values():
+                fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> TrainedModel:
+    """Read a checkpoint written by save_checkpoint. A file that is not one,
+    or whose header, tensor bytes or length do not agree, raises ValueError
+    naming it."""
     raw = Path(path).read_bytes()
     if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path} is not a pathvec checkpoint")
-    offset = len(CHECKPOINT_MAGIC)
-    (header_len,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
-    header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
+    offset = len(CHECKPOINT_MAGIC) + 4
+    if len(raw) < offset:
+        raise ValueError(f"{path}: checkpoint ends inside its header length")
+    (header_len,) = struct.unpack_from("<I", raw, offset - 4)
+    if len(raw) < offset + header_len:
+        raise ValueError(f"{path}: checkpoint ends inside its {header_len}-byte header")
+    try:
+        header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or JSON
+        raise ValueError(f"{path}: unreadable checkpoint header: {exc}") from exc
     offset += header_len
     if header.get("format") != 1:
-        raise ValueError(f"unsupported checkpoint format {header.get('format')}")
+        raise ValueError(f"{path}: unsupported checkpoint format {header.get('format')}")
 
     arrays = {}
     for spec in header["tensors"]:
         shape = tuple(spec["shape"])
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        if len(raw) < offset + count * 4:
+            raise ValueError(
+                f"{path}: checkpoint ends inside tensor {spec['name']!r} of shape {shape}"
+            )
         data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
         offset += count * 4
         arrays[spec["name"]] = data.reshape(shape).astype(np.float64)
+    if offset != len(raw):
+        raise ValueError(f"{path}: {len(raw) - offset} bytes trail the checkpoint tensors")
 
-    return TrainedModel(
-        config=ModelConfig(**header["model"]),
-        extraction=ExtractionConfig(**header["extraction"]),
-        params=ModelParams(**arrays),
-        vocab=_vocab_from_lists(header["vocab"]),
-    )
+    try:
+        return TrainedModel(
+            config=ModelConfig(**header["model"]),
+            extraction=ExtractionConfig(**header["extraction"]),
+            params=ModelParams(**arrays),
+            vocab=_vocab_from_lists(header["vocab"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: checkpoint header does not describe a model: {exc}") from exc
 
 
 def write_embedding_csv(

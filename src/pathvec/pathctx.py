@@ -274,13 +274,25 @@ def build_vocabulary(samples: list[MethodSample], min_count: int = 1) -> Vocabul
     return vocab
 
 
+def count_distinct(samples: list[MethodSample]) -> tuple[int, int, int]:
+    """Distinct tokens, paths and targets of the samples, leaving out the
+    reserved <unk> and <pad>: the entries build_vocabulary(samples, 1)
+    would add after them, without building it."""
+    reserved = {UNK_TOKEN, PAD_TOKEN}
+    tokens = {ctx.start_token for sample in samples for ctx in sample.contexts}
+    tokens.update(ctx.end_token for sample in samples for ctx in sample.contexts)
+    paths = {ctx.path for sample in samples for ctx in sample.contexts}
+    targets = {sample.target_name for sample in samples}
+    return len(tokens - reserved), len(paths - reserved), len(targets - reserved)
+
+
 # --- dump interchange format -------------------------------------------------
 #
 # One method per line: "targetName ctx ctx ..." with ctx =
 # "startToken,pathString,endToken". Commas and whitespace inside tokens
 # become '_': extract_contexts does it to every leaf token, so in-memory
-# samples match what the dump reads back, and the writer does it again
-# (idempotently) so that no sample can break the format.
+# samples match what the dump reads back, and the writer sanitizes any line
+# that is not already clean, so that no sample can break the format.
 
 
 def sanitize_token(token: str) -> str:
@@ -288,8 +300,29 @@ def sanitize_token(token: str) -> str:
 
 
 def format_dump_line(sample: MethodSample) -> str:
+    contexts = sample.contexts
+    line = " ".join(
+        [sample.target_name, *[f"{c.start_token},{c.path},{c.end_token}" for c in contexts]]
+    )
+    # Extracted and read-back samples are already clean, so the joined line is
+    # the answer unless a field holds a separator or other whitespace, or is
+    # empty; only then sanitize field by field. The separators are the line's
+    # only spaces and commas when the counts hold, and isprintable() rejects
+    # every whitespace character but the space (and some that need no
+    # sanitizing, which only costs the slow path).
+    if (
+        line.count(" ") == len(contexts)
+        and line.count(",") == 2 * len(contexts)
+        and line.isprintable()
+        and line[:1] not in ("", " ")
+        and line[-1] != ","
+        and " ," not in line
+        and ",," not in line
+        and ", " not in line
+    ):
+        return line
     parts = [sanitize_token(sample.target_name)]
-    for ctx in sample.contexts:
+    for ctx in contexts:
         parts.append(
             f"{sanitize_token(ctx.start_token)},{sanitize_token(ctx.path)},{sanitize_token(ctx.end_token)}"
         )

@@ -8,6 +8,8 @@ import io
 import numpy as np
 
 from pathvec.java.lexer import KEYWORDS, PUNCTUATION
+from pathvec.model import EmptyBag
+from pathvec.pathctx import sanitize_token
 
 UP = "↑"
 DOWN = "↓"
@@ -30,6 +32,17 @@ def leaves(node):
 def dump_token(token):
     """A leaf token as the dump writes it: commas and whitespace become '_'."""
     return "".join("_" if ch == "," or ch.isspace() else ch for ch in token) or "_"
+
+
+def format_dump_line_reference(sample):
+    """A sample's dump line, sanitizing every field: the writer that
+    format_dump_line's clean-line shortcut must agree with."""
+    parts = [sanitize_token(sample.target_name)]
+    for ctx in sample.contexts:
+        parts.append(
+            f"{sanitize_token(ctx.start_token)},{sanitize_token(ctx.path)},{sanitize_token(ctx.end_token)}"
+        )
+    return " ".join(parts)
 
 
 def root_to_leaf_paths(node, prefix=()):
@@ -198,3 +211,83 @@ def startswith_tokens(text):
         i = j
     out.append(("eof", "", line, 1, n, n))
     return out
+
+
+def _softmax(x):
+    shifted = x - np.max(x)
+    e = np.exp(shifted)
+    return e / e.sum()
+
+
+def loss_and_grads_reference(params, batch, dropout_rate=0.0, rng=None):
+    """Mean cross-entropy over the batch plus exact gradients, one sample at
+    a time: the per-sample loop the stacked model.loss_and_grads replaced.
+    Dropout draws one mask per sample, in batch order."""
+    if not batch:
+        raise ValueError("empty batch")
+    d = params.token_emb.shape[1]
+    grads = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
+    total_loss = 0.0
+    scale = 1.0 / len(batch)
+
+    for sample in batch:
+        if len(sample) == 0:
+            raise EmptyBag("sample has no contexts")
+        E = np.concatenate(
+            [
+                params.token_emb[sample.starts],
+                params.path_emb[sample.paths],
+                params.token_emb[sample.ends],
+            ],
+            axis=1,
+        )
+        H_raw = np.tanh(E @ params.transform.T)
+        if dropout_rate > 0.0:
+            if rng is None:
+                raise ValueError("dropout requires an rng")
+            mask = (rng.random(H_raw.shape) >= dropout_rate) / (1.0 - dropout_rate)
+            H = H_raw * mask
+        else:
+            mask = None
+            H = H_raw
+
+        e = H @ params.attention
+        alpha = _softmax(e)
+        v = alpha @ H
+        scores = params.target_emb @ v
+        shifted = scores - np.max(scores)
+        logsumexp = float(np.log(np.sum(np.exp(shifted))) + np.max(scores))
+        total_loss += (logsumexp - float(scores[sample.target_id])) * scale
+
+        probs = np.exp(shifted) / np.sum(np.exp(shifted))
+        ds = probs.copy()
+        ds[sample.target_id] -= 1.0
+        ds *= scale
+
+        grads["target_emb"] += np.outer(ds, v)
+        g = params.target_emb.T @ ds  # dL/dv
+
+        q = H @ g
+        de = alpha * (q - float(alpha @ q))
+        dH = alpha[:, None] * g[None, :] + de[:, None] * params.attention[None, :]
+        grads["attention"] += H.T @ de
+        if mask is not None:
+            dH = dH * mask
+        dU = dH * (1.0 - H_raw * H_raw)
+        grads["transform"] += dU.T @ E
+        dE = dU @ params.transform
+        np.add.at(grads["token_emb"], sample.starts, dE[:, :d])
+        np.add.at(grads["path_emb"], sample.paths, dE[:, d : 2 * d])
+        np.add.at(grads["token_emb"], sample.ends, dE[:, 2 * d :])
+
+    return total_loss, grads
+
+
+def adam_update_reference(p, g, m, v, step, lr, b1, b2, eps=1e-8):
+    """One Adam step written with fresh arrays, as train did before its update
+    ran in place. Returns the new (p, m, v)."""
+    m = b1 * m + (1 - b1) * g
+    v = b2 * v + (1 - b2) * g * g
+    m_hat = m / (1 - b1**step)
+    v_hat = v / (1 - b2**step)
+    return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v

@@ -13,7 +13,7 @@ from pathvec.aggregate import read_dataset_csv
 from pathvec.cli import _read_units, main
 from pathvec.config import manifest_path_for, read_manifest
 from pathvec.model import load_checkpoint
-from pathvec.pathctx import DOWN, UP
+from pathvec.pathctx import DOWN, UP, build_vocabulary, read_context_dump
 
 
 def run(capsys, *argv):
@@ -130,6 +130,11 @@ def test_cli_extract_dump_lines(tmp_path, capsys):
     stats = json.loads(stdout.strip().splitlines()[-1])
     assert stats["methods_dumped"] == 2
     assert manifest_path_for(dump).exists()
+    vocab = build_vocabulary(read_context_dump(dump), min_count=1)
+    assert (stats["distinct_tokens"], stats["distinct_paths"], stats["distinct_targets"]) == (
+        vocab.n_tokens - 2, vocab.n_paths - 2, vocab.n_targets - 2
+    )
+    assert read_manifest(manifest_path_for(dump))["counts"] == stats
 
 
 def test_cli_extract_rerun_byte_identical(pipeline, tmp_path):
@@ -191,6 +196,16 @@ def test_cli_train_epoch_lines_printed(pipeline, tmp_path, capsys):
     )
     assert code == 0
     assert "epoch 1:" in stdout and "val_f1=" in stdout
+    history = read_manifest(manifest_path_for(ckpt))["counts"]["history"]
+    lines = [line for line in stdout.splitlines() if line.startswith("epoch ")]
+    assert [
+        f"epoch {h['epoch']}: train_loss={h['train_loss']:.6f} val_loss={h['val_loss']:.6f} "
+        f"val_top1={h['val_top1']:.4f} val_f1={h['val_f1']:.4f}"
+        for h in history
+    ] == lines
+    assert len(history) == 2
+    summary = json.loads(stdout.strip().splitlines()[-1])
+    assert "history" not in summary  # the printed summary keeps its keys
 
 
 # --- embed -----------------------------------------------------------------------

@@ -1,11 +1,14 @@
+import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
 
 import fixtures_java as fx
 from conftest import random_samples
-from oracles import numeric_gradients
+from oracles import adam_update_reference, loss_and_grads_reference, numeric_gradients
 from pathvec.java import parse_file
 from pathvec.model import (
     ConfigError,
@@ -13,6 +16,7 @@ from pathvec.model import (
     ModelConfig,
     ModelParams,
     TrainedModel,
+    adam_update,
     embed_method,
     forward,
     init_params,
@@ -96,12 +100,14 @@ def test_normalizations(tiny_model):
 
 
 def test_empty_bag_raises(tiny_model):
-    _, params, _, _ = tiny_model
+    _, params, vocab, samples = tiny_model
     empty = _sample([], [], [])
     with pytest.raises(EmptyBag):
         forward(params, empty)
-    with pytest.raises(EmptyBag):
-        loss_and_grads(params, [empty])
+    a, b = vocab.index_sample(samples[0]), vocab.index_sample(samples[1])
+    for batch in ([empty], [empty, a, b], [a, empty, b], [a, b, empty]):
+        with pytest.raises(EmptyBag):
+            loss_and_grads(params, batch)
 
 
 def test_zero_params_uniform_loss(tiny_model):
@@ -144,6 +150,82 @@ def test_gradients_match_finite_differences():
             assert np.allclose(
                 grads[key], numeric[key], rtol=1e-4, atol=1e-7
             ), f"trial {trial}: {key} gradient mismatch"
+
+
+def _random_params(rng, d=5, n_tokens=30, n_paths=12, n_targets=7):
+    """Params large enough that attention and the scores are far from uniform."""
+    dc = 3 * d
+    return ModelParams(
+        token_emb=rng.normal(0, 0.6, (n_tokens, d)),
+        path_emb=rng.normal(0, 0.6, (n_paths, d)),
+        transform=rng.normal(0, 0.4, (dc, dc)),
+        attention=rng.normal(0, 1.0, dc),
+        target_emb=rng.normal(0, 1.0, (n_targets, dc)),
+    )
+
+
+def _random_batch(rng, params, sizes):
+    n_tokens, n_paths = len(params.token_emb), len(params.path_emb)
+    return [
+        _sample(
+            rng.integers(0, n_tokens, n),
+            rng.integers(0, n_paths, n),
+            rng.integers(0, n_tokens, n),
+            target=int(rng.integers(len(params.target_emb))),
+        )
+        for n in sizes
+    ]
+
+
+def _assert_matches_reference(got, want):
+    (loss, grads), (ref_loss, ref_grads) = got, want
+    assert abs(loss - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
+    for key, ref in ref_grads.items():
+        assert np.max(np.abs(grads[key] - ref)) <= 1e-12 * np.max(np.abs(ref)), key
+
+
+@pytest.mark.parametrize("sizes", ["random", [300, 300, 1], [700], [1], [512, 1, 511]])
+def test_stacked_step_matches_per_sample_loop(sizes):
+    rng = np.random.default_rng(31)
+    for _ in range(8 if sizes == "random" else 1):
+        params = _random_params(rng)
+        lengths = rng.integers(1, 200, rng.integers(1, 12)) if sizes == "random" else sizes
+        batch = _random_batch(rng, params, lengths)
+        _assert_matches_reference(
+            loss_and_grads(params, batch), loss_and_grads_reference(params, batch)
+        )
+
+
+def test_stacked_step_draws_the_per_sample_dropout_masks():
+    rng = np.random.default_rng(32)
+    params = _random_params(rng)
+    batch = _random_batch(rng, params, [300, 250, 1, 40, 700, 3])
+    ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+    got = loss_and_grads(params, batch, dropout_rate=0.3, rng=ours)
+    want = loss_and_grads_reference(params, batch, dropout_rate=0.3, rng=theirs)
+    _assert_matches_reference(got, want)
+    assert ours.random() == theirs.random()  # the same number of draws
+    without = loss_and_grads(params, batch)
+    assert not np.allclose(got[1]["transform"], without[1]["transform"])
+    with pytest.raises(ValueError, match="rng"):
+        loss_and_grads(params, batch, dropout_rate=0.3)
+
+
+def test_adam_update_in_place_equals_allocating_form():
+    rng = np.random.default_rng(33)
+    config = ModelConfig(learning_rate=0.01, adam_beta1=0.8, adam_beta2=0.95)
+    p = rng.normal(size=(40, 6))
+    m, v, scratch = np.zeros_like(p), np.zeros_like(p), np.empty_like(p)
+    ref_p, ref_m, ref_v = p.copy(), m.copy(), v.copy()
+    for step in range(1, 6):
+        g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 2)
+        ref_p, ref_m, ref_v = adam_update_reference(
+            ref_p, g, ref_m, ref_v, step, 0.01, 0.8, 0.95
+        )
+        adam_update(p, g.copy(), m, v, scratch, step, config)
+        assert np.array_equal(p, ref_p)
+        assert np.array_equal(m, ref_m)
+        assert np.array_equal(v, ref_v)
 
 
 def test_permutation_invariance(tiny_model):
@@ -263,6 +345,12 @@ def test_dropout_flag_runs():
     config = ModelConfig(d_emb=4, epochs=2, seed=3, dropout_rate=0.3)
     result = train(config, samples, vocab)
     assert len(result.history) == 2
+    assert all(np.isfinite(s.train_loss) for s in result.history)
+    again = train(config, samples, vocab)
+    plain = train(ModelConfig(d_emb=4, epochs=2, seed=3), samples, vocab)
+    for key, value in result.params.as_dict().items():
+        assert np.array_equal(value, again.params.as_dict()[key])  # seeded masks
+    assert [s.train_loss for s in result.history] != [s.train_loss for s in plain.history]
 
 
 # --- embeddings and the rename-invariance mechanism ----------------------------
@@ -357,3 +445,53 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def _saved_checkpoint(tmp_path):
+    samples = _template_corpus(4)
+    vocab = build_vocabulary(samples, min_count=1)
+    config = ModelConfig(d_emb=4, epochs=0, seed=3)
+    path = tmp_path / "model.ckpt"
+    params = init_params(config, vocab)
+    save_checkpoint(path, TrainedModel(config, ExtractionConfig(), params, vocab))
+    return path
+
+
+@pytest.mark.parametrize("damage", ["cut_tensor", "trailing_byte", "cut_header", "cut_length"])
+def test_checkpoint_rejects_damaged_file_naming_it(tmp_path, damage):
+    path = _saved_checkpoint(tmp_path)
+    raw = path.read_bytes()
+    header_end = 12 + struct.unpack_from("<I", raw, 8)[0]
+    path.write_bytes(
+        {
+            "cut_tensor": raw[:-1],
+            "trailing_byte": raw + b"\0",
+            "cut_header": raw[: header_end - 10],
+            "cut_length": raw[:10],
+        }[damage]
+    )
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_unknown_tensor_naming_file(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    raw = path.read_bytes()
+    header_end = 12 + struct.unpack_from("<I", raw, 8)[0]
+    header = json.loads(raw[12:header_end])
+    header["tensors"][0]["name"] = "token_embedding"
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[header_end:])
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    before = path.read_bytes()
+    model = load_checkpoint(path)
+    model.params.transform = np.array([["not a float"]], dtype=object)
+    with pytest.raises(ValueError):
+        save_checkpoint(path, model)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

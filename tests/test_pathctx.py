@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fixtures_java as fx
-from oracles import brute_force_contexts, leaves
+from oracles import brute_force_contexts, format_dump_line_reference, leaves
 from pathvec.cli import _read_units
 from pathvec.java import parse_file
 from pathvec.java.ast import AstNode, MethodDecl
@@ -18,6 +18,7 @@ from pathvec.pathctx import (
     PathContext,
     build_vocabulary,
     cap_contexts,
+    count_distinct,
     extract_contexts,
     extract_unit_samples,
     format_dump_line,
@@ -317,6 +318,26 @@ def test_rename_invariance_at_id_level():
     assert np.array_equal(a.ends, b.ends)
 
 
+def test_count_distinct_matches_vocabulary_sizes():
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        samples = [
+            MethodSample(
+                str(rng.choice(["get", "set", "<unk>", "<pad>"])),
+                [],
+                [
+                    PathContext(*rng.choice(["a", "b", "<unk>", "<pad>", "c"], 3))
+                    for _ in range(int(rng.integers(1, 6)))
+                ],
+                1,
+                "x",
+            )
+            for _ in range(int(rng.integers(1, 8)))
+        ]
+        vocab = build_vocabulary(samples, min_count=1)
+        assert count_distinct(samples) == (vocab.n_tokens - 2, vocab.n_paths - 2, vocab.n_targets - 2)
+
+
 # --- dump interchange -----------------------------------------------------------
 
 
@@ -341,6 +362,29 @@ def test_dump_sanitizes_commas_and_spaces(tmp_path):
     write_context_dump(samples, out)
     loaded = read_context_dump(out)
     assert len(loaded[0].contexts) == len(samples[0].contexts)
+
+
+_dump_field = st.text(alphabet=st.sampled_from("ab_, \t\n\r\xa0\u2028"), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _dump_field,
+    st.lists(st.tuples(_dump_field, _dump_field, _dump_field), max_size=4),
+)
+def test_dump_line_matches_field_by_field_writer(target, fields):
+    sample = MethodSample(target, [], [PathContext(*f) for f in fields], 1, "x")
+    assert format_dump_line(sample) == format_dump_line_reference(sample)
+
+
+def test_dump_line_sanitizes_one_bad_field_anywhere():
+    defects = ["", ",", " ", "a,b", "a b", "\t", "a\nb", "a\xa0b", "\u2028"]
+    for clean in (["t"], ["t", "s1", "p1", "e1"], ["t", "s1", "p1", "e1", "s2", "p2", "e2"]):
+        for i, defect in product(range(len(clean)), defects):
+            fields = clean[:i] + [defect] + clean[i + 1 :]
+            contexts = [PathContext(*fields[j : j + 3]) for j in range(1, len(fields), 3)]
+            sample = MethodSample(fields[0], [], contexts, 1, "x")
+            assert format_dump_line(sample) == format_dump_line_reference(sample), fields
 
 
 def test_dump_tokens_equal_in_memory_tokens(tmp_path):
