@@ -187,7 +187,7 @@ def method_vectors(unit: SourceUnit, model: TrainedModel) -> list[tuple[np.ndarr
     samples = extract_unit_samples(unit, model.extraction)
     if not samples:
         raise NoMethods(f"{unit.path}: no embeddable methods")
-    return [(model.embed_sample(s), s.line_count) for s in samples]
+    return list(zip(model.embed(samples), (s.line_count for s in samples)))
 
 
 @dataclass

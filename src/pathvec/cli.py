@@ -369,10 +369,8 @@ def cmd_embed(args) -> int:
             if unit is None:
                 continue
             samples = extract_unit_samples(unit, model.extraction)
-            for sample in samples:
-                rows.append(
-                    (unit.path, sample.target_name, model.embed_sample(sample))
-                )
+            for sample, vector in zip(samples, model.embed(samples)):
+                rows.append((unit.path, sample.target_name, vector))
         write_embedding_csv(args.methods_csv, rows)
         outputs.append(str(args.methods_csv))
 
@@ -440,6 +438,11 @@ def cmd_evaluate(args) -> int:
         print(f"run {run}: kappa={report.per_fold_kappa[run].mean():.6f}")
     print(f"mean_kappa={report.mean_kappa:.6f}")
     print(f"mean_accuracy={report.mean_accuracy:.6f}")
+    if report.unconverged_fits:
+        logger.warning(
+            "%d classifier fits ended before L-BFGS converged (most iterations of a fit: %d)",
+            report.unconverged_fits, report.lbfgs_max_iterations,
+        )
     write_report(report, args.out)
     RunManifest(
         stage="evaluate",
@@ -454,7 +457,12 @@ def cmd_evaluate(args) -> int:
             "folds": plan.folds,
             "seed": plan.seed,
         },
-        counts={"rows": len(dataset.rows), "labels": len(dataset.labels)},
+        counts={
+            "rows": len(dataset.rows),
+            "labels": len(dataset.labels),
+            "lbfgs_max_iterations": report.lbfgs_max_iterations,
+            "unconverged_fits": report.unconverged_fits,
+        },
         partition_fingerprint=report.partition_fingerprint,
     ).write(manifest_path_for(args.out))
     return 0
@@ -531,9 +539,9 @@ def cmd_xobf(args) -> int:
     def f1_for(variants: list[SourceUnit]) -> float:
         pairs = []
         for unit in variants:
-            for sample in extract_unit_samples(unit, model.extraction):
-                predicted = model.predict_sample(sample, k=1)[0][0]
-                pairs.append((sample.target_name, predicted))
+            samples = extract_unit_samples(unit, model.extraction)
+            for sample, top in zip(samples, model.predict(samples, k=1)):
+                pairs.append((sample.target_name, top[0][0]))
         if not pairs:
             raise EmptyClass(f"{args.corpus}: no extractable methods")
         return name_prediction_f1(pairs).f1

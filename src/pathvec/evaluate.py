@@ -36,10 +36,6 @@ class MismatchedFolds(Exception):
     """Paired comparison over different fold partitions."""
 
 
-class ZeroVector(Exception):
-    """Cosine similarity is undefined for the zero vector."""
-
-
 class EmptyMatrix(Exception):
     """Confusion matrix with zero total count."""
 
@@ -47,7 +43,6 @@ class EmptyMatrix(Exception):
 @dataclass(frozen=True)
 class ClassifierConfig:
     c: float = 1.0
-    bias: bool = True
     tol: float = 1e-3
     max_iterations: int = 1000
 
@@ -85,6 +80,9 @@ class EvalReport:
     seed: int
     dataset: str = ""
     aggregation: str = ""
+    # L-BFGS convergence over every fit; not part of the record format
+    lbfgs_max_iterations: int = 0
+    unconverged_fits: int = 0
 
 
 @dataclass
@@ -108,6 +106,8 @@ class LinearModel:
     classes: list[str]
     weights: np.ndarray  # (n_classes, n_features)
     biases: np.ndarray  # (n_classes,)
+    lbfgs_max_iterations: int = 0  # over the fits that made it
+    unconverged_fits: int = 0
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         return X @ self.weights.T + self.biases
@@ -127,7 +127,8 @@ def _first_appearance(labels: Sequence[str]) -> list[str]:
 
 def _fit_squared_hinge(
     X: np.ndarray, ybin: np.ndarray, c: float, tol: float, max_iter: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, int, bool]:
+    """(w, L-BFGS iterations, whether L-BFGS reported convergence)."""
     # objective: 0.5 |w|^2 + (C/n) sum max(0, 1 - y w.x)^2
     # The mean-scaled data term keeps the boundary invariant under row
     # duplication, as the contract requires.
@@ -147,7 +148,7 @@ def _fit_squared_hinge(
         method="L-BFGS-B",
         options={"maxiter": max_iter, "ftol": tol * 1e-6, "gtol": 1e-9},
     )
-    return res.x
+    return res.x, int(res.nit), bool(res.success)
 
 
 def train_linear(
@@ -163,25 +164,33 @@ def train_linear(
     if len(classes) < 2:
         raise DegenerateData("need at least two distinct labels")
     y_arr = np.asarray(list(y))
-    X_fit = np.hstack([X, np.ones((X.shape[0], 1))]) if config.bias else X
+    X_fit = np.hstack([X, np.ones((X.shape[0], 1))])
 
     weights = np.zeros((len(classes), X.shape[1]))
     biases = np.zeros(len(classes))
+    max_iterations = unconverged = 0
     # With two classes and no other label in y, class 1's targets are the
     # negation of class 0's; the objective is symmetric under y -> -y,
     # w -> -w, so its fit is exactly the negated first one.
     binary = len(classes) == 2 and bool(np.isin(y_arr, classes).all())
     for i, cls in enumerate(classes[:1] if binary else classes):
         ybin = np.where(y_arr == cls, 1.0, -1.0)
-        w = _fit_squared_hinge(X_fit, ybin, config.c, config.tol, config.max_iterations)
-        if config.bias:
-            weights[i] = w[:-1]
-            biases[i] = w[-1]
-        else:
-            weights[i] = w
+        w, iterations, converged = _fit_squared_hinge(
+            X_fit, ybin, config.c, config.tol, config.max_iterations
+        )
+        weights[i] = w[:-1]
+        biases[i] = w[-1]
+        max_iterations = max(max_iterations, iterations)
+        unconverged += not converged
     if binary:
         weights[1], biases[1] = -weights[0], -biases[0]
-    return LinearModel(classes=list(classes), weights=weights, biases=biases)
+    return LinearModel(
+        classes=list(classes),
+        weights=weights,
+        biases=biases,
+        lbfgs_max_iterations=max_iterations,
+        unconverged_fits=unconverged,
+    )
 
 
 def stratified_fold_assignment(
@@ -251,6 +260,7 @@ def cross_validate(
     accuracies = np.zeros((plan.runs, plan.folds))
     confusion_total = np.zeros((n_labels, n_labels), dtype=np.int64)
     fingerprint = hashlib.sha256()
+    max_iterations = unconverged = 0
 
     for run in range(plan.runs):
         assign = stratified_fold_assignment(y, plan.folds, plan.seed, run)
@@ -263,6 +273,8 @@ def cross_validate(
                 clf_config,
                 classes=label_order,
             )
+            max_iterations = max(max_iterations, model.lbfgs_max_iterations)
+            unconverged += model.unconverged_fits
             pred = model.predict(X[test_mask])
             confusion = np.zeros((n_labels, n_labels), dtype=np.int64)
             for true_i, pred_label in zip(y_idx[test_mask], pred):
@@ -282,6 +294,8 @@ def cross_validate(
         runs=plan.runs,
         folds=plan.folds,
         seed=plan.seed,
+        lbfgs_max_iterations=max_iterations,
+        unconverged_fits=unconverged,
     )
 
 
@@ -371,21 +385,6 @@ def rank_aggregations(
         for pos, (name, _) in enumerate(ranked[:5]):
             totals[name] += 5 - pos
     return totals
-
-
-def vector_similarity(u, v) -> tuple[float, float]:
-    """(cosine similarity, Euclidean distance) between two equal-length vectors."""
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if u.shape != v.shape:
-        raise ValueError("vectors must have equal lengths")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ZeroVector("cosine similarity is undefined for a zero vector")
-    cosine = float(u @ v) / (nu * nv)
-    euclidean = float(np.linalg.norm(u - v))
-    return cosine, euclidean
 
 
 # --- report records ------------------------------------------------------------

@@ -9,8 +9,6 @@ from .ast import (
     SourceUnit,
     VariableBinding,
     UNK_TYPE,
-    node_tokens,
-    to_source,
 )
 from .parser import parse_file
 from .bindings import resolve_bindings
@@ -24,9 +22,7 @@ __all__ = [
     "Token",
     "UNK_TYPE",
     "VariableBinding",
-    "node_tokens",
     "parse_file",
     "resolve_bindings",
-    "to_source",
     "tokenize",
 ]

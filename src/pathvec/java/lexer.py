@@ -33,7 +33,7 @@ PRIMITIVE_TYPES = frozenset(
 )
 
 # Binary operators by precedence, loosest first; assignment, the ternary,
-# unary and postfix operators bind outside this range (see ast._prec).
+# unary and postfix operators bind outside this range.
 BINARY_PRECEDENCE = {
     "||": 3, "&&": 4, "|": 5, "^": 6, "&": 7,
     "==": 8, "!=": 8, "<": 9, ">": 9, "<=": 9, ">=": 9,

@@ -3,7 +3,9 @@
 Per context i of a method: c_i = [tokenEmb[s_i]; pathEmb[p_i]; tokenEmb[t_i]],
 combined h_i = tanh(W c_i), attention a_i = softmax_i(h_i . a), code vector
 v = sum_i a_i h_i, scores = targetEmb v. The code vector doubles as the
-method embedding. Gradients are exact and finite-difference checked.
+method embedding. Training and inference run the same forward pass
+(_forward_run) over stacked runs of samples. Gradients are exact and
+finite-difference checked.
 """
 
 from __future__ import annotations
@@ -99,9 +101,9 @@ class ModelParams:
 
 @dataclass
 class ForwardResult:
-    code_vector: np.ndarray
-    attention: np.ndarray
-    target_probs: np.ndarray
+    code_vectors: np.ndarray  # (n_samples, d_code)
+    target_probs: np.ndarray  # (n_samples, n_targets)
+    attention: list[np.ndarray]  # per sample, one weight per context
 
 
 def init_params(config: ModelConfig, vocab: Vocabulary) -> ModelParams:
@@ -116,45 +118,6 @@ def init_params(config: ModelConfig, vocab: Vocabulary) -> ModelParams:
         attention=rng.uniform(lo, hi, size=dc),
         target_emb=rng.uniform(lo, hi, size=(vocab.n_targets, dc)),
     )
-
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - np.max(x)
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def forward(params: ModelParams, sample: IndexedSample) -> ForwardResult:
-    if len(sample) == 0:
-        raise EmptyBag("sample has no contexts")
-    E = np.concatenate(
-        [
-            params.token_emb[sample.starts],
-            params.path_emb[sample.paths],
-            params.token_emb[sample.ends],
-        ],
-        axis=1,
-    )
-    H = np.tanh(E @ params.transform.T)
-    alpha = _softmax(H @ params.attention)
-    v = alpha @ H
-    probs = _softmax(params.target_emb @ v)
-    return ForwardResult(code_vector=v, attention=alpha, target_probs=probs)
-
-
-def embed_method(params: ModelParams, sample: IndexedSample) -> np.ndarray:
-    return forward(params, sample).code_vector
-
-
-def predict_name(
-    params: ModelParams, sample: IndexedSample, k: int, vocab: Vocabulary
-) -> list[tuple[str, float]]:
-    """Top-k (name, probability) pairs, descending, ties by target id."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    probs = forward(params, sample).target_probs
-    order = np.argsort(-probs, kind="stable")[:k]
-    return [(vocab.id_to_target[i], float(probs[i])) for i in order]
 
 
 # Consecutive samples are stacked into runs of at most this many contexts, so
@@ -191,6 +154,119 @@ def _scatter_rows(
     table[index[firsts]] += np.add.reduceat(rows[source[order]], firsts, axis=0)
 
 
+def _work_arrays(params: ModelParams, runs: list[list[IndexedSample]]) -> tuple:
+    """Run-sized work arrays (E, tanh, dropout, weighted sum / gradient),
+    reused by every run of a call: fresh ones per run would cost page
+    faults that outweigh the arithmetic."""
+    d, dc = params.token_emb.shape[1], params.d_code
+    rows_max = max((sum(len(sample) for sample in run) for run in runs), default=0)
+    return tuple(np.empty((rows_max, width)) for width in (3 * d, dc, dc, dc))
+
+
+@dataclass
+class _Run:
+    """The forward pass of one run, as the backward pass reads it."""
+
+    offsets: np.ndarray  # first context of each sample
+    owner: np.ndarray  # sample row of each context
+    starts: np.ndarray
+    paths: np.ndarray
+    ends: np.ndarray
+    E: np.ndarray  # gathered context embeddings, in the first work array
+    H_raw: np.ndarray  # tanh(E T^T) before dropout, in the second
+    H: np.ndarray  # after dropout (H_raw itself without it)
+    mask: np.ndarray | None
+    alpha: np.ndarray  # attention, a softmax over each sample's contexts
+    V: np.ndarray  # code vectors, one row per sample
+    scores: np.ndarray
+    top: np.ndarray  # row maxima of scores
+    exp_shifted: np.ndarray  # exp(scores - top)
+    sum_exp: np.ndarray
+
+
+def _forward_run(
+    params: ModelParams,
+    run: list[IndexedSample],
+    work: tuple,
+    dropout_rate: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> _Run:
+    """One gather, the tanh product, a segment softmax of the attention
+    logits over each sample and the target scores of one run."""
+    d, dc = params.token_emb.shape[1], params.d_code
+    E_buf, raw_buf, H_buf, G_buf = work
+    counts = np.array([len(sample) for sample in run])
+    n = int(counts.sum())
+    offsets = np.r_[0, np.cumsum(counts[:-1])]
+    owner = np.repeat(np.arange(len(run)), counts)
+    starts = np.concatenate([sample.starts for sample in run])
+    paths = np.concatenate([sample.paths for sample in run])
+    ends = np.concatenate([sample.ends for sample in run])
+
+    E = E_buf[:n]
+    E[:, :d] = params.token_emb[starts]
+    E[:, d : 2 * d] = params.path_emb[paths]
+    E[:, 2 * d :] = params.token_emb[ends]
+    H_raw = np.matmul(E, params.transform.T, out=raw_buf[:n])
+    np.tanh(H_raw, out=H_raw)
+    if dropout_rate > 0.0:
+        mask = (rng.random((n, dc)) >= dropout_rate) / (1.0 - dropout_rate)
+        H = np.multiply(H_raw, mask, out=H_buf[:n])
+    else:
+        mask = None
+        H = H_raw
+
+    e = H @ params.attention
+    alpha = np.exp(e - np.maximum.reduceat(e, offsets)[owner])
+    alpha /= np.add.reduceat(alpha, offsets)[owner]
+    weighted = np.multiply(H, alpha[:, None], out=G_buf[:n])
+    V = np.add.reduceat(weighted, offsets, axis=0)
+    scores = V @ params.target_emb.T
+    top = scores.max(axis=1)
+    exp_shifted = np.exp(scores - top[:, None])
+    sum_exp = exp_shifted.sum(axis=1)
+    return _Run(
+        offsets, owner, starts, paths, ends, E, H_raw, H, mask, alpha, V,
+        scores, top, exp_shifted, sum_exp,
+    )
+
+
+def forward(params: ModelParams, samples: list[IndexedSample]) -> ForwardResult:
+    """Code vectors, target probabilities and attention of every sample, in
+    the stacked runs of the training step (without dropout). A sample's
+    values depend, by rounding only, on which samples share its run: the
+    matrix products block by row count."""
+    runs = _runs(samples)
+    work = _work_arrays(params, runs)
+    code_vectors = np.empty((len(samples), params.d_code))
+    target_probs = np.empty((len(samples), len(params.target_emb)))
+    attention: list[np.ndarray] = []
+    lo = 0
+    for run in runs:
+        r = _forward_run(params, run, work)
+        hi = lo + len(run)
+        code_vectors[lo:hi] = r.V
+        np.divide(r.exp_shifted, r.sum_exp[:, None], out=target_probs[lo:hi])
+        attention.extend(np.split(r.alpha, r.offsets[1:]))
+        lo = hi
+    return ForwardResult(code_vectors, target_probs, attention)
+
+
+def predict_name(
+    params: ModelParams, samples: list[IndexedSample], k: int, vocab: Vocabulary
+) -> list[list[tuple[str, float]]]:
+    """Top-k (name, probability) pairs of each sample, descending, ties by
+    target id."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    probs = forward(params, samples).target_probs
+    order = np.argsort(-probs, axis=1, kind="stable")[:, :k]
+    return [
+        [(vocab.id_to_target[i], float(row[i])) for i in top]
+        for row, top in zip(probs, order)
+    ]
+
+
 def loss_and_grads(
     params: ModelParams,
     batch: list[IndexedSample],
@@ -200,92 +276,60 @@ def loss_and_grads(
     """Mean cross-entropy over the batch plus exact gradients.
 
     The contexts of consecutive samples are stacked into runs (see
-    RUN_CONTEXTS); each run takes one gather, three matrix products, a
-    segment softmax over its samples and one sorted scatter per embedding
-    table. Dropout masks are drawn per run in context order, the same
-    stream as one draw per sample.
+    RUN_CONTEXTS); each run takes the forward pass of _forward_run, two
+    more matrix products and one sorted scatter per embedding table.
+    Dropout masks are drawn per run in context order, the same stream as
+    one draw per sample.
     """
     if not batch:
         raise ValueError("empty batch")
     runs = _runs(batch)
     if dropout_rate > 0.0 and rng is None:
         raise ValueError("dropout requires an rng")
-    d, dc = params.token_emb.shape[1], params.d_code
+    d = params.token_emb.shape[1]
     grads = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
     total_loss = 0.0
     scale = 1.0 / len(batch)
-    # Run-sized work arrays, reused by every run: fresh ones per run would
-    # cost page faults that outweigh the arithmetic.
-    rows_max = max(sum(len(sample) for sample in run) for run in runs)
-    E_buf, raw_buf, H_buf, G_buf = (
-        np.empty((rows_max, width)) for width in (3 * d, dc, dc, dc)
-    )
+    work = _work_arrays(params, runs)
+    H_buf, G_buf = work[2:]
 
     for run in runs:
-        counts = np.array([len(sample) for sample in run])
-        n = int(counts.sum())
-        offsets = np.r_[0, np.cumsum(counts[:-1])]
+        r = _forward_run(params, run, work, dropout_rate, rng)
+        n = len(r.owner)
         rows = np.arange(len(run))
-        owner = np.repeat(rows, counts)  # sample row of each context
         targets = np.array([sample.target_id for sample in run])
-        starts = np.concatenate([sample.starts for sample in run])
-        paths = np.concatenate([sample.paths for sample in run])
-        ends = np.concatenate([sample.ends for sample in run])
-
-        E = E_buf[:n]
-        E[:, :d] = params.token_emb[starts]
-        E[:, d : 2 * d] = params.path_emb[paths]
-        E[:, 2 * d :] = params.token_emb[ends]
-        H_raw = np.matmul(E, params.transform.T, out=raw_buf[:n])
-        np.tanh(H_raw, out=H_raw)
-        if dropout_rate > 0.0:
-            mask = (rng.random((n, dc)) >= dropout_rate) / (1.0 - dropout_rate)
-            H = np.multiply(H_raw, mask, out=H_buf[:n])
-        else:
-            mask = None
-            H = H_raw
-
-        # softmax of the attention logits over each sample's segment
-        e = H @ params.attention
-        alpha = np.exp(e - np.maximum.reduceat(e, offsets)[owner])
-        alpha /= np.add.reduceat(alpha, offsets)[owner]
-        weighted = np.multiply(H, alpha[:, None], out=G_buf[:n])
-        V = np.add.reduceat(weighted, offsets, axis=0)  # code vectors
-        scores = V @ params.target_emb.T
-        top = scores.max(axis=1)
-        exp_shifted = np.exp(scores - top[:, None])
-        sum_exp = exp_shifted.sum(axis=1)
-        picked = scores[rows, targets]
-        for term in ((np.log(sum_exp) + top - picked) * scale).tolist():
+        picked = r.scores[rows, targets]
+        for term in ((np.log(r.sum_exp) + r.top - picked) * scale).tolist():
             total_loss += term  # in batch order, as the per-sample sum
 
-        ds = exp_shifted / sum_exp[:, None]
+        ds = r.exp_shifted / r.sum_exp[:, None]
         ds[rows, targets] -= 1.0
         ds *= scale
-        grads["target_emb"] += ds.T @ V
+        grads["target_emb"] += ds.T @ r.V
         # dL/dv of each context's sample; owner is in range, and mode="clip"
         # lets take write straight into the work array
-        G = np.take(ds @ params.target_emb, owner, axis=0, out=G_buf[:n], mode="clip")
+        G = np.take(ds @ params.target_emb, r.owner, axis=0, out=G_buf[:n], mode="clip")
 
+        H, alpha, offsets, owner = r.H, r.alpha, r.offsets, r.owner
         q = np.einsum("ij,ij->i", H, G)
         de = alpha * (q - np.add.reduceat(alpha * q, offsets)[owner])
         grads["attention"] += H.T @ de
         # H is not read again: H_buf (and, below, H_raw) become scratch
         dH = np.multiply(G, alpha[:, None], out=G)
         dH += np.multiply(de[:, None], params.attention, out=H_buf[:n])
-        if mask is not None:
-            dH *= mask
-        slope = np.multiply(H_raw, H_raw, out=H_raw)
+        if r.mask is not None:
+            dH *= r.mask
+        slope = np.multiply(r.H_raw, r.H_raw, out=r.H_raw)
         dU = np.multiply(dH, np.subtract(1.0, slope, out=slope), out=dH)
-        grads["transform"] += dU.T @ E
+        grads["transform"] += dU.T @ r.E
         # row 3i + k of dE is the gradient of context i's start (k = 0),
         # path (k = 1) or end (k = 2) embedding
-        dE = np.matmul(dU, params.transform, out=E).reshape(3 * n, d)
+        dE = np.matmul(dU, params.transform, out=r.E).reshape(3 * n, d)
         i3 = 3 * np.arange(n)
         _scatter_rows(
-            grads["token_emb"], np.concatenate([starts, ends]), dE, np.r_[i3, i3 + 2]
+            grads["token_emb"], np.concatenate([r.starts, r.ends]), dE, np.r_[i3, i3 + 2]
         )
-        _scatter_rows(grads["path_emb"], paths, dE, i3 + 1)
+        _scatter_rows(grads["path_emb"], r.paths, dE, i3 + 1)
 
     return total_loss, grads
 
@@ -314,18 +358,17 @@ def _validate(
 ) -> tuple[float, float, float]:
     from .evaluate import name_prediction_f1
 
-    losses = []
-    hits = 0
-    pairs = []
-    for sample in samples:
-        result = forward(params, sample)
-        p = max(float(result.target_probs[sample.target_id]), 1e-300)
-        losses.append(-np.log(p))
-        pred = int(np.argmax(result.target_probs))
-        hits += int(pred == sample.target_id)
-        pairs.append((sample.target_name, vocab.id_to_target[pred]))
+    probs = forward(params, samples).target_probs
+    targets = np.array([sample.target_id for sample in samples])
+    picked = np.maximum(probs[np.arange(len(samples)), targets], 1e-300)
+    preds = np.argmax(probs, axis=1)
+    hits = int(np.count_nonzero(preds == targets))
+    pairs = [
+        (sample.target_name, vocab.id_to_target[pred])
+        for sample, pred in zip(samples, preds.tolist())
+    ]
     metrics = name_prediction_f1(pairs)
-    return float(np.mean(losses)), hits / len(samples), metrics.f1
+    return float(np.mean(-np.log(picked))), hits / len(samples), metrics.f1
 
 
 def adam_update(
@@ -442,11 +485,13 @@ class TrainedModel:
     params: ModelParams
     vocab: Vocabulary
 
-    def embed_sample(self, sample: MethodSample) -> np.ndarray:
-        return embed_method(self.params, self.vocab.index_sample(sample))
+    def embed(self, samples: list[MethodSample]) -> np.ndarray:
+        """Code vectors of samples, one row each, from one forward call."""
+        return forward(self.params, [self.vocab.index_sample(s) for s in samples]).code_vectors
 
-    def predict_sample(self, sample: MethodSample, k: int = 1) -> list[tuple[str, float]]:
-        return predict_name(self.params, self.vocab.index_sample(sample), k, self.vocab)
+    def predict(self, samples: list[MethodSample], k: int = 1) -> list[list[tuple[str, float]]]:
+        indexed = [self.vocab.index_sample(s) for s in samples]
+        return predict_name(self.params, indexed, k, self.vocab)
 
 
 def _vocab_to_lists(vocab: Vocabulary) -> dict:

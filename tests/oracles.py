@@ -7,7 +7,8 @@ import io
 
 import numpy as np
 
-from pathvec.java.lexer import KEYWORDS, PUNCTUATION
+from pathvec.java.ast import AstNode
+from pathvec.java.lexer import BINARY_PRECEDENCE, KEYWORDS, PUNCTUATION
 from pathvec.model import EmptyBag
 from pathvec.pathctx import sanitize_token
 
@@ -219,6 +220,26 @@ def _softmax(x):
     return e / e.sum()
 
 
+def forward_reference(params, sample):
+    """(code vector, attention, target probabilities) of one sample computed
+    alone: the single-sample forward pass that model.forward's stacked runs
+    replaced."""
+    if len(sample) == 0:
+        raise EmptyBag("sample has no contexts")
+    E = np.concatenate(
+        [
+            params.token_emb[sample.starts],
+            params.path_emb[sample.paths],
+            params.token_emb[sample.ends],
+        ],
+        axis=1,
+    )
+    H = np.tanh(E @ params.transform.T)
+    alpha = _softmax(H @ params.attention)
+    v = alpha @ H
+    return v, alpha, _softmax(params.target_emb @ v)
+
+
 def loss_and_grads_reference(params, batch, dropout_rate=0.0, rng=None):
     """Mean cross-entropy over the batch plus exact gradients, one sample at
     a time: the per-sample loop the stacked model.loss_and_grads replaced.
@@ -283,6 +304,28 @@ def loss_and_grads_reference(params, batch, dropout_rate=0.0, rng=None):
     return total_loss, grads
 
 
+class ZeroVector(Exception):
+    """Cosine similarity is undefined for the zero vector."""
+
+
+def vector_similarity(u, v):
+    """(cosine similarity, Euclidean distance) between two equal-length
+    vectors. The cosine is u.v / sqrt((u.u)(v.v)) on the vectors scaled to a
+    largest entry of 1, which is exactly 1.0 for u == v: sqrt(x * x) == x in
+    floating point, while |u| * |u| need not round back to u.u."""
+    u = np.asarray(u, dtype=float).ravel()
+    v = np.asarray(v, dtype=float).ravel()
+    if u.shape != v.shape:
+        raise ValueError("vectors must have equal lengths")
+    su, sv = np.max(np.abs(u)), np.max(np.abs(v))
+    if su == 0.0 or sv == 0.0:
+        raise ZeroVector("cosine similarity is undefined for a zero vector")
+    a, b = u / su, v / sv  # scale-free cosine; keeps a.a in [1, n]
+    cosine = float(a @ b) / float(np.sqrt((a @ a) * (b @ b)))
+    euclidean = float(np.linalg.norm(u - v))
+    return cosine, euclidean
+
+
 def adam_update_reference(p, g, m, v, step, lr, b1, b2, eps=1e-8):
     """One Adam step written with fresh arrays, as train did before its update
     ran in place. Returns the new (p, m, v)."""
@@ -291,3 +334,261 @@ def adam_update_reference(p, g, m, v, step, lr, b1, b2, eps=1e-8):
     m_hat = m / (1 - b1**step)
     v_hat = v / (1 - b2**step)
     return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+# --- AST comparison, for parser and obfuscator tests ------------------------
+
+
+def structurally_equal(a: AstNode, b: AstNode) -> bool:
+    """Same kinds, tokens, operators and shape, node by node."""
+    if a.kind != b.kind or a.token != b.token or len(a.children) != len(b.children):
+        return False
+    if (a.meta or {}).get("op") != (b.meta or {}).get("op"):
+        return False
+    return all(structurally_equal(x, y) for x, y in zip(a.children, b.children))
+
+
+def isomorphic_up_to_leaf_tokens(a: AstNode, b: AstNode) -> bool:
+    """Same kinds and shape, node by node; tokens may differ."""
+    if a.kind != b.kind or len(a.children) != len(b.children):
+        return False
+    return all(
+        isomorphic_up_to_leaf_tokens(x, y) for x, y in zip(a.children, b.children)
+    )
+
+
+# --- serialization back to tokens -------------------------------------------
+#
+# Parentheses are lexical trivia dropped by the parser, so the serializer
+# re-inserts the minimum set required by precedence. Sources without
+# redundant parentheses round-trip token-for-token.
+
+TYPE_KINDS = frozenset({"PrimitiveType", "ClassOrInterfaceType", "ArrayType"})
+
+_PREC_ASSIGN = 1
+_PREC_TERNARY = 2
+_PREC_UNARY = 13
+_PREC_POSTFIX = 14
+_PREC_PRIMARY = 15
+
+
+def _prec(node: AstNode) -> int:
+    kind = node.kind
+    if kind == "AssignExpr":
+        return _PREC_ASSIGN
+    if kind == "ConditionalExpr":
+        return _PREC_TERNARY
+    if kind == "BinaryExpr":
+        return BINARY_PRECEDENCE[node.op()]
+    if kind == "UnaryExpr":
+        return _PREC_POSTFIX if (node.meta or {}).get("postfix") else _PREC_UNARY
+    if kind in ("MethodCallExpr", "FieldAccessExpr"):
+        return _PREC_POSTFIX
+    return _PREC_PRIMARY
+
+
+def _type_tokens(text: str) -> list[str]:
+    out: list[str] = []
+    word = ""
+    for ch in text:
+        if ch in ".[]":
+            if word:
+                out.append(word)
+                word = ""
+            out.append(ch)
+        else:
+            word += ch
+    if word:
+        out.append(word)
+    return out
+
+
+def node_tokens(node: AstNode) -> list[str]:
+    """Serialize a node back into a flat token-text list."""
+    out: list[str] = []
+    _emit(node, out)
+    return out
+
+
+def _emit_expr(node: AstNode, out: list[str], min_prec: int) -> None:
+    if _prec(node) < min_prec:
+        out.append("(")
+        _emit(node, out)
+        out.append(")")
+    else:
+        _emit(node, out)
+
+
+def _emit(node: AstNode, out: list[str]) -> None:
+    kind = node.kind
+    meta = node.meta or {}
+
+    if kind in TYPE_KINDS:
+        out.extend(_type_tokens(node.token or ""))
+        return
+    if kind in ("NameExpr", "ThisExpr") or kind.endswith("LiteralExpr"):
+        out.append(node.token or "")
+        return
+
+    if kind == "CompilationUnit":
+        if meta.get("package"):
+            out.extend(["package", *_type_tokens(meta["package"]), ";"])
+        for imp in meta.get("imports", ()):
+            out.extend(["import", *_type_tokens(imp), ";"])
+        for child in node.children:
+            _emit(child, out)
+        return
+    if kind == "ClassOrInterfaceDeclaration":
+        out.extend(meta.get("modifiers", ()))
+        out.extend(["class", meta["name"], "{"])
+        for child in node.children:
+            _emit(child, out)
+        out.append("}")
+        return
+    if kind == "FieldDeclaration":
+        out.extend(meta.get("modifiers", ()))
+        _emit(node.children[0], out)
+        for i, decl in enumerate(node.children[1:]):
+            if i:
+                out.append(",")
+            _emit(decl, out)
+        out.append(";")
+        return
+    if kind == "MethodDeclaration":
+        out.extend(meta.get("modifiers", ()))
+        _emit(node.children[0], out)
+        out.append(meta["name"])
+        out.append("(")
+        params = node.children[1:-1]
+        for i, param in enumerate(params):
+            if i:
+                out.append(",")
+            _emit(param, out)
+        out.append(")")
+        _emit(node.children[-1], out)
+        return
+    if kind == "Parameter":
+        _emit(node.children[0], out)
+        _emit(node.children[1], out)
+        return
+    if kind == "VariableDeclarator":
+        _emit(node.children[0], out)
+        if len(node.children) > 1:
+            out.append("=")
+            _emit_expr(node.children[1], out, _PREC_ASSIGN)
+        return
+    if kind == "VariableDeclarationExpr":
+        _emit(node.children[0], out)
+        for i, decl in enumerate(node.children[1:]):
+            if i:
+                out.append(",")
+            _emit(decl, out)
+        return
+    if kind == "BlockStmt":
+        if node.is_leaf():
+            out.extend(["{", "}"])
+            return
+        out.append("{")
+        for child in node.children:
+            _emit(child, out)
+        out.append("}")
+        return
+    if kind == "ExpressionStmt":
+        _emit(node.children[0], out)
+        out.append(";")
+        return
+    if kind == "IfStmt":
+        out.extend(["if", "("])
+        _emit(node.children[0], out)
+        out.append(")")
+        _emit(node.children[1], out)
+        if len(node.children) > 2:
+            out.append("else")
+            _emit(node.children[2], out)
+        return
+    if kind == "WhileStmt":
+        out.extend(["while", "("])
+        _emit(node.children[0], out)
+        out.append(")")
+        _emit(node.children[1], out)
+        return
+    if kind == "ForStmt":
+        n_init = meta["n_init"]
+        has_cond = meta["has_cond"]
+        n_update = meta["n_update"]
+        idx = 0
+        out.extend(["for", "("])
+        for i in range(n_init):
+            if i:
+                out.append(",")
+            _emit(node.children[idx], out)
+            idx += 1
+        out.append(";")
+        if has_cond:
+            _emit(node.children[idx], out)
+            idx += 1
+        out.append(";")
+        for i in range(n_update):
+            if i:
+                out.append(",")
+            _emit(node.children[idx], out)
+            idx += 1
+        out.append(")")
+        _emit(node.children[idx], out)
+        return
+    if kind == "ReturnStmt":
+        out.append("return")
+        if node.children:
+            _emit(node.children[0], out)
+        out.append(";")
+        return
+
+    if kind == "AssignExpr":
+        _emit_expr(node.children[0], out, _PREC_POSTFIX)
+        out.append(node.op())
+        _emit_expr(node.children[1], out, _PREC_ASSIGN)
+        return
+    if kind == "ConditionalExpr":
+        _emit_expr(node.children[0], out, _PREC_TERNARY + 1)
+        out.append("?")
+        _emit_expr(node.children[1], out, _PREC_TERNARY)
+        out.append(":")
+        _emit_expr(node.children[2], out, _PREC_TERNARY)
+        return
+    if kind == "BinaryExpr":
+        prec = BINARY_PRECEDENCE[node.op()]
+        _emit_expr(node.children[0], out, prec)
+        out.append(node.op())
+        _emit_expr(node.children[1], out, prec + 1)
+        return
+    if kind == "UnaryExpr":
+        if meta.get("postfix"):
+            _emit_expr(node.children[0], out, _PREC_POSTFIX)
+            out.append(node.op())
+        else:
+            out.append(node.op())
+            _emit_expr(node.children[0], out, _PREC_UNARY)
+        return
+    if kind == "MethodCallExpr":
+        args = node.children[1:]
+        if meta.get("has_scope"):
+            _emit_expr(node.children[0], out, _PREC_POSTFIX)
+            out.append(".")
+            args = node.children[2:]
+            out.append(node.children[1].token or "")
+        else:
+            out.append(node.children[0].token or "")
+        out.append("(")
+        for i, arg in enumerate(args):
+            if i:
+                out.append(",")
+            _emit_expr(arg, out, _PREC_ASSIGN)
+        out.append(")")
+        return
+    if kind == "FieldAccessExpr":
+        _emit_expr(node.children[0], out, _PREC_POSTFIX)
+        out.append(".")
+        out.append(node.children[1].token or "")
+        return
+
+    raise ValueError(f"cannot serialize node kind {kind}")

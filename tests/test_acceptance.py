@@ -17,7 +17,13 @@ import pytest
 import fixtures_java as fx
 import synth
 from conftest import random_samples
-from oracles import brute_force_contexts, leaves, numeric_gradients, scalar_aggregate
+from oracles import (
+    brute_force_contexts,
+    leaves,
+    numeric_gradients,
+    scalar_aggregate,
+    vector_similarity,
+)
 from pathvec.aggregate import (
     AggregationSpec,
     SelectionSpec,
@@ -34,12 +40,12 @@ from pathvec.evaluate import (
     name_prediction_f1,
     paired_ttest,
     rank_aggregations,
-    vector_similarity,
 )
 from pathvec.java import parse_file, tokenize
 from pathvec.model import (
     ModelConfig,
     TrainedModel,
+    forward,
     init_params,
     load_checkpoint,
     loss_and_grads,
@@ -172,19 +178,18 @@ def test_criterion_4_rename_invariance():
         for seed_offset, (src_a, src_b, path_a, path_b) in enumerate(pairs):
             obf_a = vocab.index_sample(obfuscated_sample(src_a, path_a, 100 + seed_offset))
             obf_b = vocab.index_sample(obfuscated_sample(src_b, path_b, 200 + seed_offset))
-            from pathvec.model import embed_method
-
-            v_a = embed_method(params, obf_a)
-            v_b = embed_method(params, obf_b)
+            v_a = forward(params, [obf_a]).code_vectors[0]
+            v_b = forward(params, [obf_b]).code_vectors[0]
             assert np.array_equal(v_a, v_b)
             cosine, distance = vector_similarity(v_a, v_b)
             assert cosine == 1.0 and distance == 0.0
-            assert predict_name(params, obf_a, 3, vocab) == predict_name(params, obf_b, 3, vocab)
+            assert predict_name(params, [obf_a], 3, vocab) == predict_name(params, [obf_b], 3, vocab)
 
             plain_a = vocab.index_sample(plain_sample(src_a, path_a))
             plain_b = vocab.index_sample(plain_sample(src_b, path_b))
             assert not np.array_equal(
-                embed_method(params, plain_a), embed_method(params, plain_b)
+                forward(params, [plain_a]).code_vectors[0],
+                forward(params, [plain_b]).code_vectors[0],
             )
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fixtures_java as fx
-from oracles import csv_module_dataset_bytes, scalar_aggregate
+from oracles import csv_module_dataset_bytes, forward_reference, scalar_aggregate
 from pathvec.aggregate import (
     AggregationSpec,
     NoMethods,
@@ -228,8 +228,22 @@ def test_embed_file_singleton_mean_equals_method_vector():
     unit = parse_file(fx.FIG1_FACTORIAL, "f.java")
     emb = _row(model, AggregationSpec(("mean",)), unit)
     sample = extract_unit_samples(unit, model.extraction)[0]
-    assert np.array_equal(emb.values, model.embed_sample(sample))
+    assert np.array_equal(emb.values, model.embed([sample])[0])
     assert emb.source_path == "f.java"
+
+
+def test_method_embedded_alone_agrees_with_its_file_batch():
+    model = _toy_model(MODEL_SOURCES, d_emb=32)
+    unit = parse_file(fx.FIXTURE_METHODS, "Mixed.java")
+    samples = extract_unit_samples(unit, model.extraction)
+    assert len(samples) > 2
+    in_file = model.embed(samples)
+    assert np.array_equal(np.stack([v for v, _ in method_vectors(unit, model)]), in_file)
+    for sample, vector in zip(samples, in_file):
+        reference, _, _ = forward_reference(model.params, model.vocab.index_sample(sample))
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(model.embed([sample])[0] - vector)) <= 1e-12 * scale
+        assert np.max(np.abs(reference - vector)) <= 1e-12 * scale
 
 
 def test_embed_file_deterministic():
@@ -289,9 +303,9 @@ def test_pair_difference_mean_shift_oracle():
     unit_one = parse_file(one, "one.java")
     unit_two = parse_file(two, "two.java")
     diff = _row(model, spec, unit_two, unit_one)
-    vec_one = model.embed_sample(extract_unit_samples(unit_one, model.extraction)[0])
+    vec_one = model.embed(extract_unit_samples(unit_one, model.extraction))[0]
     samples_two = extract_unit_samples(unit_two, model.extraction)
-    vecs_two = [model.embed_sample(s) for s in samples_two]
+    vecs_two = [model.embed([s])[0] for s in samples_two]
     expected = np.mean(vecs_two, axis=0) - vec_one
     assert np.allclose(diff.values, expected, atol=1e-12)
 

@@ -476,6 +476,31 @@ def test_cli_evaluate_separable(tmp_path, capsys):
     assert record.exists()
 
 
+def test_cli_evaluate_manifest_counts_unconverged_fits(tmp_path, capsys, caplog):
+    data = tmp_path / "sep.csv"
+    _write_separable_csv(data)
+    counts = {}
+    for max_iter in ("1", "1000"):
+        record = tmp_path / f"sep{max_iter}.txt"
+        caplog.clear()
+        code, _, _ = run(
+            capsys, "evaluate", "--data", str(data), "--out", str(record),
+            "--runs", "2", "--folds", "5", "--seed", "1", "--max-iter", max_iter,
+        )
+        assert code == 0
+        counts[max_iter] = read_manifest(manifest_path_for(record))["counts"]
+        warned = [r for r in caplog.records if "L-BFGS" in r.getMessage()]
+        assert bool(warned) == (counts[max_iter]["unconverged_fits"] > 0)
+        # the evaluation record format does not carry the convergence counts
+        keys = [line.split("=")[0] for line in record.read_text().splitlines() if "=" in line]
+        assert keys == ["format", "dataset", "aggregation", "runs", "folds", "seed",
+                        "labels", "partition_fingerprint", "mean_kappa", "mean_accuracy"]
+    assert counts["1"]["unconverged_fits"] == 2 * 5  # one fit per binary fold
+    assert counts["1"]["lbfgs_max_iterations"] == 1
+    assert counts["1000"]["unconverged_fits"] == 0
+    assert 1 < counts["1000"]["lbfgs_max_iterations"] <= 1000
+
+
 def test_cli_compare_and_mismatch(tmp_path, capsys):
     data = tmp_path / "sep.csv"
     _write_separable_csv(data)

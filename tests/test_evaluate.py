@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import ZeroVector, vector_similarity
 from pathvec import evaluate
 from pathvec.aggregate import ClassEmbedding, LabeledDataset
 from pathvec.evaluate import (
@@ -12,7 +13,6 @@ from pathvec.evaluate import (
     EvalReport,
     MismatchedFolds,
     TooFewRows,
-    ZeroVector,
     _fit_squared_hinge,
     cross_validate,
     kappa,
@@ -22,7 +22,6 @@ from pathvec.evaluate import (
     read_report,
     stratified_fold_assignment,
     train_linear,
-    vector_similarity,
     write_report,
 )
 
@@ -86,7 +85,7 @@ def _per_class_fits(X, y, classes, config=ClassifierConfig()):
     y_arr = np.asarray(y)
     return [
         _fit_squared_hinge(X_fit, np.where(y_arr == cls, 1.0, -1.0),
-                           config.c, config.tol, config.max_iterations)
+                           config.c, config.tol, config.max_iterations)[0]
         for cls in classes
     ]
 
@@ -411,6 +410,18 @@ def test_rank_tie_broken_by_canonical_order():
 def test_similarity_identical():
     cosine, distance = vector_similarity([1.0, 2.0], [1.0, 2.0])
     assert cosine == pytest.approx(1.0)
+    assert distance == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=64
+    ).filter(lambda u: any(u))
+)
+def test_similarity_of_a_vector_with_itself_is_exactly_one(u):
+    cosine, distance = vector_similarity(u, list(u))
+    assert cosine == 1.0
     assert distance == 0.0
 
 

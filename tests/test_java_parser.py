@@ -4,10 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fixtures_java as fx
-from oracles import leaves, startswith_punct, startswith_tokens, walk
+from oracles import (
+    leaves,
+    node_tokens,
+    startswith_punct,
+    startswith_tokens,
+    structurally_equal,
+    walk,
+)
 from pathvec.java import ParseError, parse_file, resolve_bindings, tokenize
 from pathvec.java.lexer import PUNCTUATION
-from pathvec.java.ast import UNK_TYPE, node_tokens, structurally_equal
+from pathvec.java.ast import UNK_TYPE
 
 
 def token_texts(source: str) -> list[str]:

@@ -8,7 +8,13 @@ import pytest
 
 import fixtures_java as fx
 from conftest import random_samples
-from oracles import adam_update_reference, loss_and_grads_reference, numeric_gradients
+from oracles import (
+    adam_update_reference,
+    forward_reference,
+    loss_and_grads_reference,
+    numeric_gradients,
+)
+from pathvec.evaluate import name_prediction_f1
 from pathvec.java import parse_file
 from pathvec.model import (
     ConfigError,
@@ -16,8 +22,8 @@ from pathvec.model import (
     ModelConfig,
     ModelParams,
     TrainedModel,
+    _validate,
     adam_update,
-    embed_method,
     forward,
     init_params,
     load_checkpoint,
@@ -48,6 +54,11 @@ def _sample(starts, paths, ends, target=2):
     )
 
 
+def _vector(params, sample):
+    """A sample's code vector, embedded alone."""
+    return forward(params, [sample]).code_vectors[0]
+
+
 def test_config_invariants():
     cfg = ModelConfig(d_emb=128)
     assert cfg.d_code == 384
@@ -64,9 +75,9 @@ def test_single_context_attention_is_one(tiny_model):
     sample = vocab.index_sample(
         MethodSample("x", ["x"], [samples[0].contexts[0]], 1, "m")
     )
-    result = forward(params, sample)
-    assert result.attention.shape == (1,)
-    assert result.attention[0] == pytest.approx(1.0, abs=1e-15)
+    result = forward(params, [sample])
+    assert result.attention[0].shape == (1,)
+    assert result.attention[0][0] == pytest.approx(1.0, abs=1e-15)
     # v equals the single transformed context exactly
     E = np.concatenate(
         [
@@ -77,7 +88,7 @@ def test_single_context_attention_is_one(tiny_model):
         axis=1,
     )
     expected = np.tanh(E @ params.transform.T)[0]
-    assert np.array_equal(result.code_vector, expected)
+    assert np.array_equal(result.code_vectors[0], expected)
 
 
 def test_two_identical_contexts_split_attention(tiny_model):
@@ -85,27 +96,27 @@ def test_two_identical_contexts_split_attention(tiny_model):
     ctx = samples[0].contexts[0]
     single = vocab.index_sample(MethodSample("x", ["x"], [ctx], 1, "m"))
     double = vocab.index_sample(MethodSample("x", ["x"], [ctx, ctx], 1, "m"))
-    res_one = forward(params, single)
-    res_two = forward(params, double)
-    assert np.allclose(res_two.attention, [0.5, 0.5], atol=1e-15)
-    assert np.allclose(res_two.code_vector, res_one.code_vector, atol=1e-12)
+    res_one = forward(params, [single])
+    res_two = forward(params, [double])
+    assert np.allclose(res_two.attention[0], [0.5, 0.5], atol=1e-15)
+    assert np.allclose(res_two.code_vectors[0], res_one.code_vectors[0], atol=1e-12)
 
 
 def test_normalizations(tiny_model):
     _, params, vocab, samples = tiny_model
     for sample in samples:
-        result = forward(params, vocab.index_sample(sample))
-        assert abs(result.attention.sum() - 1.0) < 1e-12
-        assert abs(result.target_probs.sum() - 1.0) < 1e-12
+        result = forward(params, [vocab.index_sample(sample)])
+        assert abs(result.attention[0].sum() - 1.0) < 1e-12
+        assert abs(result.target_probs[0].sum() - 1.0) < 1e-12
 
 
 def test_empty_bag_raises(tiny_model):
     _, params, vocab, samples = tiny_model
     empty = _sample([], [], [])
-    with pytest.raises(EmptyBag):
-        forward(params, empty)
     a, b = vocab.index_sample(samples[0]), vocab.index_sample(samples[1])
     for batch in ([empty], [empty, a, b], [a, empty, b], [a, b, empty]):
+        with pytest.raises(EmptyBag):
+            forward(params, batch)
         with pytest.raises(EmptyBag):
             loss_and_grads(params, batch)
 
@@ -122,7 +133,7 @@ def test_dominant_target_drives_loss_to_zero(tiny_model):
     _, params, vocab, samples = tiny_model
     sample = vocab.index_sample(samples[0])
     boosted = params.copy()
-    v = forward(params, sample).code_vector
+    v = _vector(params, sample)
     boosted.target_emb[sample.target_id] = 1e3 * v / (v @ v)
     loss, _ = loss_and_grads(boosted, [sample])
     assert loss < 1e-6
@@ -196,6 +207,61 @@ def test_stacked_step_matches_per_sample_loop(sizes):
         )
 
 
+@pytest.mark.parametrize("sizes", ["random", [300, 300, 1], [700], [1], [512, 1, 511]])
+def test_forward_matches_single_sample_reference(sizes):
+    rng = np.random.default_rng(34)
+    for _ in range(8 if sizes == "random" else 1):
+        params = _random_params(rng)
+        lengths = rng.integers(1, 200, rng.integers(1, 12)) if sizes == "random" else sizes
+        batch = _random_batch(rng, params, lengths)
+        result = forward(params, batch)
+        assert result.code_vectors.shape == (len(batch), params.d_code)
+        assert result.target_probs.shape == (len(batch), len(params.target_emb))
+        assert len(result.attention) == len(batch)
+        for i, sample in enumerate(batch):
+            v, alpha, probs = forward_reference(params, sample)
+            assert np.max(np.abs(result.code_vectors[i] - v)) <= 1e-12 * np.max(np.abs(v))
+            assert np.max(np.abs(result.target_probs[i] - probs)) <= 1e-12 * np.max(probs)
+            assert result.attention[i].shape == (len(sample),)
+            assert np.max(np.abs(result.attention[i] - alpha)) <= 1e-12 * np.max(alpha)
+            assert abs(result.attention[i].sum() - 1.0) <= 1e-12
+            assert abs(result.target_probs[i].sum() - 1.0) <= 1e-12
+
+
+def test_forward_of_no_samples_is_empty(tiny_model):
+    _, params, vocab, _ = tiny_model
+    result = forward(params, [])
+    assert result.code_vectors.shape == (0, params.d_code)
+    assert result.target_probs.shape == (0, vocab.n_targets)
+    assert result.attention == []
+
+
+def test_validate_matches_a_loop_over_the_reference():
+    rng = np.random.default_rng(35)
+    names = ["getValue", "setValue", "isEmpty", "size", "clear"]
+    vocab = build_vocabulary(
+        [MethodSample(name, split_target(name), [PathContext("a", "p", "b")], 1, "x")
+         for name in names],
+        min_count=1,
+    )
+    params = _random_params(rng, n_targets=vocab.n_targets)
+    batch = _random_batch(rng, params, rng.integers(1, 300, 40))
+    for sample in batch:
+        sample.target_name = vocab.id_to_target[sample.target_id]
+    losses, hits, pairs = [], 0, []
+    for sample in batch:
+        _, _, probs = forward_reference(params, sample)
+        losses.append(-np.log(max(float(probs[sample.target_id]), 1e-300)))
+        pred = int(np.argmax(probs))
+        hits += int(pred == sample.target_id)
+        pairs.append((sample.target_name, vocab.id_to_target[pred]))
+    loss, top1, f1 = _validate(params, batch, vocab)
+    assert abs(loss - float(np.mean(losses))) <= 1e-12 * abs(loss)
+    assert top1 == hits / len(batch)
+    assert f1 == name_prediction_f1(pairs).f1
+    assert 0.0 < top1 < 1.0  # both hits and misses are compared
+
+
 def test_stacked_step_draws_the_per_sample_dropout_masks():
     rng = np.random.default_rng(32)
     params = _random_params(rng)
@@ -239,23 +305,41 @@ def test_permutation_invariance(tiny_model):
         sample.line_count,
         sample.source_path,
     )
-    v1 = embed_method(params, vocab.index_sample(sample))
-    v2 = embed_method(params, vocab.index_sample(shuffled))
+    v1 = _vector(params, vocab.index_sample(sample))
+    v2 = _vector(params, vocab.index_sample(shuffled))
     assert np.allclose(v1, v2, atol=1e-9)
 
 
 def test_predict_name_contracts(tiny_model):
     config, params, vocab, samples = tiny_model
     sample = vocab.index_sample(samples[0])
-    top_all = predict_name(params, sample, vocab.n_targets, vocab)
+    (top_all,) = predict_name(params, [sample], vocab.n_targets, vocab)
     assert abs(sum(p for _, p in top_all) - 1.0) < 1e-9
     assert [p for _, p in top_all] == sorted((p for _, p in top_all), reverse=True)
     zeros = ModelParams(**{k: np.zeros_like(v) for k, v in params.as_dict().items()})
-    uniform = predict_name(zeros, sample, vocab.n_targets, vocab)
+    (uniform,) = predict_name(zeros, [sample], vocab.n_targets, vocab)
     for _, p in uniform:
         assert p == pytest.approx(1.0 / vocab.n_targets, abs=1e-12)
     with pytest.raises(ValueError):
-        predict_name(params, sample, 0, vocab)
+        predict_name(params, [sample], 0, vocab)
+
+
+def test_predict_name_batched_one_list_per_sample(tiny_model):
+    _, params, vocab, samples = tiny_model
+    batch = [vocab.index_sample(s) for s in samples]
+    got = predict_name(params, batch, 2, vocab)
+    assert len(got) == len(batch)
+    for top, sample in zip(got, batch):
+        _, _, probs = forward_reference(params, sample)
+        order = np.argsort(-probs, kind="stable")[:2]
+        assert [name for name, _ in top] == [vocab.id_to_target[i] for i in order]
+        assert np.allclose([p for _, p in top], probs[order], rtol=0, atol=1e-12)
+    # equal probabilities keep target-id order
+    zeros = ModelParams(**{k: np.zeros_like(v) for k, v in params.as_dict().items()})
+    for top in predict_name(zeros, batch, vocab.n_targets, vocab):
+        assert [name for name, _ in top] == vocab.id_to_target
+    with pytest.raises(ValueError):
+        predict_name(params, batch, 0, vocab)
 
 
 # --- training -----------------------------------------------------------------
@@ -294,7 +378,7 @@ def test_training_reaches_high_accuracy_on_templates():
     hits = 0
     for sample in samples:
         indexed = vocab.index_sample(sample)
-        top = predict_name(result.params, indexed, 1, vocab)
+        (top,) = predict_name(result.params, [indexed], 1, vocab)
         hits += int(top[0][0] == sample.target_name)
     assert hits / len(samples) >= 0.9
 
@@ -371,8 +455,8 @@ def _obfuscated_sample(source, path, seed):
 
 def test_identical_samples_identical_vectors(tiny_model):
     _, params, vocab, samples = tiny_model
-    v1 = embed_method(params, vocab.index_sample(samples[0]))
-    v2 = embed_method(params, vocab.index_sample(samples[0]))
+    v1 = _vector(params, vocab.index_sample(samples[0]))
+    v2 = _vector(params, vocab.index_sample(samples[0]))
     assert np.array_equal(v1, v2)
 
 
@@ -387,12 +471,12 @@ def test_fig3_rename_invariance_with_obfuscation():
 
     obf_done = _obfuscated_sample(fx.FIG3_DONE, "done.java", seed=1)
     obf_don = _obfuscated_sample(fx.FIG3_DON, "don.java", seed=2)
-    v_done = embed_method(params, vocab.index_sample(obf_done))
-    v_don = embed_method(params, vocab.index_sample(obf_don))
+    v_done = _vector(params, vocab.index_sample(obf_done))
+    v_don = _vector(params, vocab.index_sample(obf_don))
     assert np.array_equal(v_done, v_don)
 
-    top_done = predict_name(params, vocab.index_sample(obf_done), 3, vocab)
-    top_don = predict_name(params, vocab.index_sample(obf_don), 3, vocab)
+    top_done = predict_name(params, [vocab.index_sample(obf_done)], 3, vocab)
+    top_don = predict_name(params, [vocab.index_sample(obf_don)], 3, vocab)
     assert top_done == top_don
 
 
@@ -402,8 +486,8 @@ def test_fig3_vectors_differ_without_obfuscation():
     config = ModelConfig(d_emb=6, seed=22)
     params = init_params(config, vocab)
     plain_don = _extract_single(fx.FIG3_DON, "don.java")
-    v_done = embed_method(params, vocab.index_sample(plain_done))
-    v_don = embed_method(params, vocab.index_sample(plain_don))
+    v_done = _vector(params, vocab.index_sample(plain_done))
+    v_don = _vector(params, vocab.index_sample(plain_don))
     assert not np.allclose(v_done, v_don)
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import fixtures_java as fx
+from oracles import isomorphic_up_to_leaf_tokens
 from pathvec.java import parse_file, tokenize
-from pathvec.java.ast import UNK_TYPE, VariableBinding, isomorphic_up_to_leaf_tokens
+from pathvec.java.ast import UNK_TYPE, VariableBinding
 from pathvec.obfuscate import (
     ObfuscationScheme,
     build_rename_map,
