@@ -23,7 +23,7 @@ import numpy as np
 from .java import SourceUnit
 from .model import TrainedModel
 from .pathctx import extract_unit_samples
-from .util import derive_seed
+from .util import atomic_open, derive_seed
 
 logger = logging.getLogger(__name__)
 
@@ -305,7 +305,7 @@ def write_dataset_csv(
 
     with ExitStack() as stack:
         files = [
-            stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+            stack.enter_context(atomic_open(path, "w", encoding="utf-8", newline=""))
             for path in paths
         ]
         for fh, pick in zip(files, picks):

@@ -12,7 +12,6 @@ import argparse
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -68,7 +67,7 @@ from .pathctx import (
     read_context_dump,
     write_context_dump,
 )
-from .util import sha256_file
+from .util import atomic_open, sha256_file
 
 logger = logging.getLogger(__name__)
 
@@ -105,38 +104,22 @@ def _java_files(root: Path, sub: str = "") -> list[str]:
 
 
 # A file that raises one of these is logged and skipped: it cannot be
-# read, is not UTF-8, is outside the Java subset, or nests deeper than
-# the recursive parser and scope resolver can follow.
-_SKIPPED_FILE_ERRORS = (OSError, UnicodeDecodeError, ParseError, RecursionError)
+# read, is not UTF-8, or is outside the Java subset (which includes
+# nesting deeper than the parser's MAX_NESTING).
+_SKIPPED_FILE_ERRORS = (OSError, UnicodeDecodeError, ParseError)
 
 
-def _read_units(
-    root: Path, rels: Sequence[str], jobs: int = 1
-) -> Iterator[tuple[str, SourceUnit | None]]:
-    """Read, decode and parse root/rel for each rel, yielding (rel, unit)
-    in input order, with None for a file that is skipped.
-
-    Files are parsed on max(1, jobs) pool threads, 64 per thread at a
-    time, while the caller waits. At the bottom of a pool thread's stack,
-    how deeply a file may nest before it is skipped does not depend on
-    jobs or on the caller's stack depth. Waiting keeps the caller's work
-    from competing with the pool for the interpreter lock, and large
-    chunks keep hand-offs between threads rare (chunks of 4 made `embed`
-    about 15% slower on a 2-core host).
-    """
-
-    def load(rel: str) -> tuple[str, SourceUnit | None]:
+def _read_units(root: Path, rels: Sequence[str]) -> Iterator[tuple[str, SourceUnit | None]]:
+    """Read, decode and parse root/rel for each rel, one at a time on the
+    caller's thread, yielding (rel, unit) in input order, with None for a
+    file that is skipped."""
+    for rel in rels:
         try:
-            return rel, parse_file((root / rel).read_text(encoding="utf-8"), path=rel)
+            unit = parse_file((root / rel).read_text(encoding="utf-8"), path=rel)
         except _SKIPPED_FILE_ERRORS as exc:
             logger.warning("skipping %s: %s", rel, exc)
-            return rel, None
-
-    workers = max(1, jobs)
-    chunk = 64 * workers
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, len(rels), chunk):
-            yield from list(pool.map(load, rels[start : start + chunk]))
+            unit = None
+        yield rel, unit
 
 
 def _read_pair_manifest(path: str) -> list[tuple[str, str, str]]:
@@ -177,13 +160,12 @@ def cmd_extract(args) -> int:
         max_contexts=resolve("max_contexts", args.max_contexts, cfg),
         seed=resolve("seed", args.seed, cfg),
     )
-    jobs = resolve("jobs", args.jobs, cfg)
     corpus = Path(args.corpus)
     files = _java_files(corpus)
     samples = []
     methods_total = 0
     skipped_files = 0
-    for _, unit in _read_units(corpus, files, jobs):
+    for _, unit in _read_units(corpus, files):
         if unit is None:
             skipped_files += 1
             continue
@@ -316,7 +298,6 @@ def cmd_embed(args) -> int:
         seed=seed,
     )
     per_class_cap = resolve("per_class_cap", args.per_class_cap, cfg)
-    jobs = resolve("jobs", args.jobs, cfg)
     agg_name = resolve("aggregation", args.agg, cfg)
     use_suite = args.suite or agg_name == "suite"
     aggregations = (
@@ -328,7 +309,7 @@ def cmd_embed(args) -> int:
     labels: list[str] = []  # label directories; each must yield a row
     if args.pairs:
         pairs = _read_pair_manifest(args.pairs)
-        read = _read_units(corpus, [rel for _, a, b in pairs for rel in (a, b)], jobs)
+        read = _read_units(corpus, [rel for _, a, b in pairs for rel in (a, b)])
         items = (
             (label, (unit_a, unit_b))
             for (label, _, _), (_, unit_a), (_, unit_b) in zip(pairs, read, read)
@@ -341,7 +322,7 @@ def cmd_embed(args) -> int:
             raise EmptyClass(f"{corpus}: no label subdirectories")
         rels = [rel for label in labels for rel in _java_files(corpus, label)]
         items = (
-            (rel.split("/", 1)[0], (unit,)) for rel, unit in _read_units(corpus, rels, jobs)
+            (rel.split("/", 1)[0], (unit,)) for rel, unit in _read_units(corpus, rels)
         )
     dataset, stats = build_dataset_suite(
         items, model, selection, aggregations, per_class_cap=per_class_cap, seed=seed
@@ -365,7 +346,7 @@ def cmd_embed(args) -> int:
 
     if args.methods_csv:
         rows = []
-        for _, unit in _read_units(corpus, _java_files(corpus), jobs):
+        for _, unit in _read_units(corpus, _java_files(corpus)):
             if unit is None:
                 continue
             samples = extract_unit_samples(unit, model.extraction)
@@ -440,7 +421,7 @@ def cmd_evaluate(args) -> int:
     print(f"mean_accuracy={report.mean_accuracy:.6f}")
     if report.unconverged_fits:
         logger.warning(
-            "%d classifier fits ended before L-BFGS converged (most iterations of a fit: %d)",
+            "%d classifier fits hit the L-BFGS iteration limit (most iterations of a fit: %d)",
             report.unconverged_fits, report.lbfgs_max_iterations,
         )
     write_report(report, args.out)
@@ -489,7 +470,8 @@ def cmd_compare(args) -> int:
     line = json.dumps(record, sort_keys=True)
     print(line)
     if args.out:
-        Path(args.out).write_text(line + "\n", encoding="utf-8")
+        with atomic_open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(line + "\n")
     return 0
 
 
@@ -598,7 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-width", type=int, help="max path width, 0 = unlimited")
     p.add_argument("--max-contexts", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
+    # Unread --jobs (extract, embed): goes once the benchmark stops passing it (ROADMAP item 1).
+    p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     add_config(p)
     p.set_defaults(func=cmd_extract)
 
@@ -631,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", help="pair manifest: label<TAB>pathA<TAB>pathB")
     p.add_argument("--per-class-cap", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     p.add_argument("--methods-csv", help="also dump per-method embeddings here")
     add_config(p)
     p.set_defaults(func=cmd_embed)

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
+from .util import atomic_open
 
 
 @dataclass
@@ -42,7 +43,6 @@ class PipelineConfig:
     runs: int = 10
     folds: int = 10
     seed: int = 0
-    jobs: int = 1
 
 
 _DEFAULTS = PipelineConfig()
@@ -102,9 +102,8 @@ class RunManifest:
             "checkpoint_hash": self.checkpoint_hash,
             "partition_fingerprint": self.partition_fingerprint,
         }
-        Path(path).write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        with atomic_open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def read_manifest(path: str | Path) -> dict:

@@ -21,7 +21,7 @@ from scipy.optimize import minimize
 from scipy.special import stdtr
 
 from .pathctx import split_target
-from .util import derive_seed
+from .util import atomic_open, derive_seed
 
 
 class DegenerateData(Exception):
@@ -107,7 +107,7 @@ class LinearModel:
     weights: np.ndarray  # (n_classes, n_features)
     biases: np.ndarray  # (n_classes,)
     lbfgs_max_iterations: int = 0  # over the fits that made it
-    unconverged_fits: int = 0
+    unconverged_fits: int = 0  # fits stopped by the iteration or evaluation limit
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         return X @ self.weights.T + self.biases
@@ -128,7 +128,9 @@ def _first_appearance(labels: Sequence[str]) -> list[str]:
 def _fit_squared_hinge(
     X: np.ndarray, ybin: np.ndarray, c: float, tol: float, max_iter: int
 ) -> tuple[np.ndarray, int, bool]:
-    """(w, L-BFGS iterations, whether L-BFGS reported convergence)."""
+    """(w, L-BFGS iterations, whether L-BFGS stopped at its iteration or
+    evaluation limit). Other stops, such as an abnormal line search at the
+    precision floor near the optimum, do not count as unconverged."""
     # objective: 0.5 |w|^2 + (C/n) sum max(0, 1 - y w.x)^2
     # The mean-scaled data term keeps the boundary invariant under row
     # duplication, as the contract requires.
@@ -148,7 +150,7 @@ def _fit_squared_hinge(
         method="L-BFGS-B",
         options={"maxiter": max_iter, "ftol": tol * 1e-6, "gtol": 1e-9},
     )
-    return res.x, int(res.nit), bool(res.success)
+    return res.x, int(res.nit), res.status == 1
 
 
 def train_linear(
@@ -175,13 +177,13 @@ def train_linear(
     binary = len(classes) == 2 and bool(np.isin(y_arr, classes).all())
     for i, cls in enumerate(classes[:1] if binary else classes):
         ybin = np.where(y_arr == cls, 1.0, -1.0)
-        w, iterations, converged = _fit_squared_hinge(
+        w, iterations, hit_limit = _fit_squared_hinge(
             X_fit, ybin, config.c, config.tol, config.max_iterations
         )
         weights[i] = w[:-1]
         biases[i] = w[-1]
         max_iterations = max(max_iterations, iterations)
-        unconverged += not converged
+        unconverged += hit_limit
     if binary:
         weights[1], biases[1] = -weights[0], -biases[0]
     return LinearModel(
@@ -413,7 +415,8 @@ def write_report(report: EvalReport, path: str | Path) -> None:
     for i, label in enumerate(report.labels):
         row = " ".join(str(int(x)) for x in report.confusion_total[i])
         lines.append(f"confusion\t{i}\t{row}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_report(path: str | Path) -> EvalReport:

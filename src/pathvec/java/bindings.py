@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from .ast import UNK_TYPE, AstNode, ClassDecl, SourceUnit, VariableBinding
 
+# Steps the iterative walker runs after a node's children (see visit).
+_CLOSE_SCOPE, _DECLARE_LOCAL, _UNBOUND, _FIELD_NAME = range(4)
+
 
 def resolve_bindings(unit: SourceUnit) -> list[VariableBinding]:
     """(Re)compute all variable bindings for a parsed unit.
@@ -90,61 +93,68 @@ class _Resolver:
 
     # -- walker ----------------------------------------------------------
 
-    def visit(self, node: AstNode) -> None:
-        kind = node.kind
-        if kind == "NameExpr":
-            binding = self._lookup(node.token or "")
-            if binding is not None:
-                binding.occurrences.append(node)
-            else:
-                self.unbound.append(node)
-            return
-        if kind == "BlockStmt":
-            self.scopes.append({})
-            for child in node.children:
-                self.visit(child)
-            self.scopes.pop()
-            return
-        if kind == "ForStmt":
-            self.scopes.append({})
-            for child in node.children:
-                self.visit(child)
-            self.scopes.pop()
-            return
-        if kind == "VariableDeclarationExpr":
-            type_text = node.children[0].token or UNK_TYPE
-            for declarator in node.children[1:]:
-                name_leaf = declarator.children[0]
-                if len(declarator.children) > 1:
-                    self.visit(declarator.children[1])  # init sees the outer name
-                binding = self._new_binding(name_leaf.token or "", "local", type_text)
-                binding.occurrences.append(name_leaf)
-                self.scopes[-1][binding.name] = binding
-            return
-        if kind == "MethodCallExpr":
+    def visit(self, root: AstNode) -> None:
+        """Bind or record every name leaf under root, in source order.
+
+        Iterative, so a deep tree (a 1200-term `a + a + ...` is 1200
+        levels deep) cannot exhaust the interpreter's stack. The stack
+        holds nodes still to visit and, as tuples, the steps that must
+        run after a node's children: closing a scope, declaring a local
+        after its initializer, recording a callee name after the call's
+        scope and a field name after its qualifier.
+        """
+        stack: list = [root]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is tuple:
+                self._finish(*node)
+                continue
+            kind = node.kind
             children = node.children
-            if (node.meta or {}).get("has_scope"):
-                self.visit(children[0])
-                self.unbound.append(children[1])  # callee name, never a variable
-                rest = children[2:]
+            if kind == "NameExpr":
+                binding = self._lookup(node.token or "")
+                if binding is not None:
+                    binding.occurrences.append(node)
+                else:
+                    self.unbound.append(node)
+            elif kind == "BlockStmt" or kind == "ForStmt":
+                self.scopes.append({})
+                stack.append((_CLOSE_SCOPE, None, None))
+                stack.extend(reversed(children))
+            elif kind == "VariableDeclarationExpr":
+                type_text = children[0].token or UNK_TYPE
+                for declarator in reversed(children[1:]):
+                    stack.append((_DECLARE_LOCAL, declarator.children[0], type_text))
+                    if len(declarator.children) > 1:
+                        stack.append(declarator.children[1])  # init sees the outer name
+            elif kind == "MethodCallExpr":
+                if (node.meta or {}).get("has_scope"):
+                    stack.extend(reversed(children[2:]))
+                    stack.append((_UNBOUND, children[1], None))  # callee name, never a variable
+                    stack.append(children[0])
+                else:
+                    self.unbound.append(children[0])
+                    stack.extend(reversed(children[1:]))
+            elif kind == "FieldAccessExpr":
+                scope, name_leaf = children
+                stack.append((_FIELD_NAME, name_leaf, scope.kind == "ThisExpr"))
+                stack.append(scope)
             else:
-                self.unbound.append(children[0])
-                rest = children[1:]
-            for arg in rest:
-                self.visit(arg)
-            return
-        if kind == "FieldAccessExpr":
-            scope, name_leaf = node.children
-            self.visit(scope)
-            if scope.kind == "ThisExpr":
-                name = name_leaf.token or ""
-                binding = self.fields.get(name)
-                if binding is None:
-                    binding = self._new_binding(name, "field", UNK_TYPE)
-                    self.fields[name] = binding
-                binding.occurrences.append(name_leaf)
-            else:
-                self.unbound.append(name_leaf)
-            return
-        for child in node.children:
-            self.visit(child)
+                stack.extend(reversed(children))
+
+    def _finish(self, step: int, leaf: AstNode | None, extra) -> None:
+        if step == _CLOSE_SCOPE:
+            self.scopes.pop()
+        elif step == _DECLARE_LOCAL:
+            binding = self._new_binding(leaf.token or "", "local", extra)
+            binding.occurrences.append(leaf)
+            self.scopes[-1][binding.name] = binding
+        elif step == _UNBOUND or not extra:  # or the name in other.name
+            self.unbound.append(leaf)
+        else:  # the name in this.name: always a field
+            name = leaf.token or ""
+            binding = self.fields.get(name)
+            if binding is None:
+                binding = self._new_binding(name, "field", UNK_TYPE)
+                self.fields[name] = binding
+            binding.occurrences.append(leaf)

@@ -7,7 +7,8 @@ field access, literals, increment/decrement, plus package/import headers.
 
 Everything else (generics, lambdas, inner classes, annotations,
 constructors, object creation, arrays subscripts, try/switch/do, ...)
-raises ParseError; batch drivers log and skip the file.
+raises ParseError; batch commands log and skip the file. So does a file
+that nests deeper than MAX_NESTING.
 """
 
 from __future__ import annotations
@@ -26,6 +27,15 @@ _UNSUPPORTED_STMT = frozenset(
     {"try", "switch", "do", "throw", "break", "continue", "synchronized",
      "assert", "super"}
 )
+# How deeply the parser's recursive entries may nest. One level each:
+# a parenthesis, an argument list, a prefix operator, a binary operator's
+# right operand (so operators of rising precedence, as in `a || b && c`,
+# nest), an assignment's right-hand side, a conditional's branch, a block
+# nested in a block and an if/else/while/for body. A level costs at most 8
+# interpreter frames (an argument list), so a file at the limit needs
+# about 530, whoever calls the parser.
+MAX_NESTING = 64
+
 _LITERAL_KINDS = {
     "int": "IntegerLiteralExpr",
     "float": "DoubleLiteralExpr",
@@ -50,6 +60,7 @@ class _Parser:
         self.text = text
         self.path = path
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing --------------------------------------------------
 
@@ -82,6 +93,16 @@ class _Parser:
             want = what or f"'{text}'"
             raise self.error(f"expected {want}, found {self._describe()}")
         return self.advance()
+
+    def _nested(self, parse, *args):
+        """parse(*args) one nesting level deeper; past MAX_NESTING the
+        file is rejected before the interpreter's stack can run out."""
+        if self.depth == MAX_NESTING:
+            raise self.error("nesting too deep")
+        self.depth += 1
+        node = parse(*args)
+        self.depth -= 1
+        return node
 
     def error(self, message: str) -> ParseError:
         return ParseError(self.cur().line, message)
@@ -346,7 +367,7 @@ class _Parser:
         if self.accept(";"):
             return None
         if self.at("{"):
-            return self._block()
+            return self._nested(self._block)
         tok = self.cur()
         if tok.kind == "keyword":
             word = tok.text
@@ -376,7 +397,7 @@ class _Parser:
         return self._expression_stmt()
 
     def _required_statement(self, context: str) -> AstNode:
-        stmt = self._statement()
+        stmt = self._nested(self._statement)
         if stmt is None:
             raise self.error(f"empty statement not allowed as {context}")
         return stmt
@@ -521,7 +542,7 @@ class _Parser:
         left = self._ternary()
         if self.cur().kind == "punct" and self.cur().text in _ASSIGN_OPS:
             op = self.advance().text
-            right = self._expression()
+            right = self._nested(self._expression)
             return AstNode(
                 "AssignExpr",
                 children=[left, right],
@@ -535,9 +556,9 @@ class _Parser:
         if not self.at("?"):
             return cond
         self.advance()
-        then = self._expression()
+        then = self._nested(self._expression)
         self.expect(":")
-        other = self._ternary()
+        other = self._nested(self._ternary)
         return AstNode(
             "ConditionalExpr",
             children=[cond, then, other],
@@ -554,7 +575,7 @@ class _Parser:
             if prec < min_prec or prec < 0:
                 return left
             op = self.advance().text
-            right = self._binary(prec + 1)
+            right = self._nested(self._binary, prec + 1)
             left = AstNode(
                 "BinaryExpr",
                 children=[left, right],
@@ -566,7 +587,7 @@ class _Parser:
         tok = self.cur()
         if tok.kind == "punct" and tok.text in ("+", "-", "!", "~", "++", "--"):
             op = self.advance().text
-            operand = self._unary()
+            operand = self._nested(self._unary)
             return AstNode(
                 "UnaryExpr",
                 children=[operand],
@@ -620,7 +641,7 @@ class _Parser:
         args: list[AstNode] = []
         if not self.at(")"):
             while True:
-                args.append(self._expression())
+                args.append(self._nested(self._expression))
                 if not self.accept(","):
                     break
         self.expect(")")
@@ -632,7 +653,7 @@ class _Parser:
             if self.peek().text == ")":
                 raise self.error("lambda expressions are not supported")
             self.advance()
-            expr = self._expression()
+            expr = self._nested(self._expression)
             self.expect(")")
             return expr
         if tok.kind in _LITERAL_KINDS:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -25,6 +24,7 @@ from .pathctx import (
     MethodSample,
     Vocabulary,
 )
+from .util import atomic_open
 
 logger = logging.getLogger(__name__)
 
@@ -521,11 +521,8 @@ def _vocab_from_lists(data: dict) -> Vocabulary:
 
 
 def save_checkpoint(path: str | Path, model: TrainedModel) -> None:
-    """Self-describing binary: magic, JSON header, float32 LE tensors.
-
-    Written to a temporary file in the same directory and renamed over
-    path, so path holds either the old checkpoint or the whole new one."""
-    path = Path(path)
+    """Self-describing binary: magic, JSON header, float32 LE tensors,
+    written atomically."""
     tensors = model.params.as_dict()
     header = {
         "format": 1,
@@ -535,17 +532,12 @@ def save_checkpoint(path: str | Path, model: TrainedModel) -> None:
         "tensors": [{"name": k, "shape": list(v.shape)} for k, v in tensors.items()],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            for value in tensors.values():
-                fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        for value in tensors.values():
+            fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> TrainedModel:
@@ -600,7 +592,7 @@ def write_embedding_csv(
     """Per-method embedding dump: sourcePath,methodName,v0..v{d-1}."""
     import csv
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if rows:
             width = len(rows[0][2])

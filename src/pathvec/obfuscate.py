@@ -180,7 +180,7 @@ def obfuscate_tree(
         try:
             unit = parse_file(text, path=rel.as_posix())
             rewritten, _ = obfuscate_unit(unit, scheme)
-        except (ParseError, ObfuscationError, RecursionError) as exc:
+        except (ParseError, ObfuscationError) as exc:
             logger.warning("skipping %s: %s", rel, exc)
             report["skipped"] += 1
             dst.write_text(text, encoding="utf-8")

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .java.ast import AstNode, MethodDecl, SourceUnit
-from .util import derive_seed
+from .util import atomic_open, derive_seed
 
 logger = logging.getLogger(__name__)
 
@@ -330,7 +330,7 @@ def format_dump_line(sample: MethodSample) -> str:
 
 
 def write_context_dump(samples: list[MethodSample], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for sample in samples:
             fh.write(format_dump_line(sample))
             fh.write("\n")

@@ -18,6 +18,27 @@ from pathvec.pathctx import (
 import fixtures_java as fx
 
 
+DEFAULT_RECURSION_LIMIT = sys.getrecursionlimit()
+
+
+def call_at_depth(frames, fn, *args):
+    """fn(*args), called `frames` interpreter frames deeper than this call,
+    under the interpreter's default recursion limit (Hypothesis raises the
+    limit while it runs a test)."""
+    raised = sys.getrecursionlimit()
+    sys.setrecursionlimit(DEFAULT_RECURSION_LIMIT)
+    try:
+        return _call_deeper(frames, fn, args)
+    finally:
+        sys.setrecursionlimit(raised)
+
+
+def _call_deeper(frames, fn, args):
+    if frames:
+        return _call_deeper(frames - 1, fn, args)
+    return fn(*args)
+
+
 @pytest.fixture
 def fig4_unit():
     return parse_file(fx.FIG4_ORIGINAL, "Holder.java")

@@ -222,8 +222,10 @@ INNER_CLASS_REJECT = "class O { class I { } }"
 ANNOTATION_REJECT = "class A { @Override void m() { x = 1; } }"
 MALFORMED_REJECT = "class B { void m() { if (x { } } }"
 
-# Valid subset Java that nests deeper than the recursive parser (200
-# parentheses) or the recursive scope resolver (a 1200-term sum) can follow.
+# Valid subset Java at the edges of the nesting limit. DEEP_PARENS nests
+# 200 parentheses, past the parser's MAX_NESTING, so every command skips it
+# as "nesting too deep". LONG_SUM is a 1200-term sum: 1200 levels of AST
+# but no nesting for the parser, so it is processed at any caller depth.
 DEEP_PARENS = (
     "class Nest { int deep(int a) { return " + "(" * 200 + "a" + ")" * 200 + "; } }"
 )

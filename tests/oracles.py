@@ -7,7 +7,8 @@ import io
 
 import numpy as np
 
-from pathvec.java.ast import AstNode
+from pathvec.java.ast import UNK_TYPE, AstNode
+from pathvec.java.bindings import _Resolver
 from pathvec.java.lexer import BINARY_PRECEDENCE, KEYWORDS, PUNCTUATION
 from pathvec.model import EmptyBag
 from pathvec.pathctx import sanitize_token
@@ -28,6 +29,73 @@ def walk(node):
 def leaves(node):
     """The leaves of a tree in source order."""
     return (n for n in walk(node) if not n.children)
+
+
+class RecursiveResolver(_Resolver):
+    """The scope resolver with the recursive walker that the iterative
+    `_Resolver.visit` replaced: the reference for its visit order."""
+
+    def visit(self, node: AstNode) -> None:
+        kind = node.kind
+        if kind == "NameExpr":
+            binding = self._lookup(node.token or "")
+            if binding is not None:
+                binding.occurrences.append(node)
+            else:
+                self.unbound.append(node)
+            return
+        if kind == "BlockStmt" or kind == "ForStmt":
+            self.scopes.append({})
+            for child in node.children:
+                self.visit(child)
+            self.scopes.pop()
+            return
+        if kind == "VariableDeclarationExpr":
+            type_text = node.children[0].token or UNK_TYPE
+            for declarator in node.children[1:]:
+                name_leaf = declarator.children[0]
+                if len(declarator.children) > 1:
+                    self.visit(declarator.children[1])  # init sees the outer name
+                binding = self._new_binding(name_leaf.token or "", "local", type_text)
+                binding.occurrences.append(name_leaf)
+                self.scopes[-1][binding.name] = binding
+            return
+        if kind == "MethodCallExpr":
+            children = node.children
+            if (node.meta or {}).get("has_scope"):
+                self.visit(children[0])
+                self.unbound.append(children[1])  # callee name, never a variable
+                rest = children[2:]
+            else:
+                self.unbound.append(children[0])
+                rest = children[1:]
+            for arg in rest:
+                self.visit(arg)
+            return
+        if kind == "FieldAccessExpr":
+            scope, name_leaf = node.children
+            self.visit(scope)
+            if scope.kind == "ThisExpr":
+                name = name_leaf.token or ""
+                binding = self.fields.get(name)
+                if binding is None:
+                    binding = self._new_binding(name, "field", UNK_TYPE)
+                    self.fields[name] = binding
+                binding.occurrences.append(name_leaf)
+            else:
+                self.unbound.append(name_leaf)
+            return
+        for child in node.children:
+            self.visit(child)
+
+
+def resolve_bindings_reference(unit):
+    """(bindings, unbound) of a parsed unit by the recursive resolver. It
+    resets each method's params but leaves unit.bindings and unit.unbound."""
+    resolver = RecursiveResolver()
+    for cls in unit.classes:
+        resolver.resolve_class(cls)
+    return resolver.bindings, resolver.unbound
 
 
 def dump_token(token):

@@ -1,0 +1,145 @@
+"""Every artifact writer replaces its output whole or not at all.
+
+Each writer runs while every file opened for writing fails halfway
+through its first write, as on a full disk. The previous artifact must
+survive byte for byte, and no temporary file may be left next to it.
+"""
+
+import builtins
+import errno
+import io
+
+import numpy as np
+import pytest
+
+from pathvec.aggregate import AggregationSpec, ClassEmbedding, LabeledDataset, write_dataset_csv
+from pathvec.cli import main
+from pathvec.config import RunManifest
+from pathvec.evaluate import EvalReport, write_report
+from pathvec.model import TrainedModel, save_checkpoint, write_embedding_csv
+from pathvec.pathctx import ExtractionConfig, write_context_dump
+from pathvec.util import atomic_open
+
+
+class _DiskFull:
+    """A file whose first write stores half of its data, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+@pytest.fixture
+def disk_full(monkeypatch):
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _DiskFull(fh) if "w" in mode else fh
+
+    def fail_from_now_on():
+        monkeypatch.setattr(builtins, "open", failing_open)
+        monkeypatch.setattr(io, "open", failing_open)  # what Path.write_text calls
+
+    return fail_from_now_on
+
+
+def _report():
+    return EvalReport(
+        per_fold_kappa=np.full((1, 2), 0.5),
+        per_fold_accuracy=np.full((1, 2), 0.75),
+        mean_kappa=0.5,
+        mean_accuracy=0.75,
+        confusion_total=np.ones((2, 2), dtype=np.int64),
+        labels=["a", "b"],
+        partition_fingerprint="f" * 64,
+        runs=1,
+        folds=2,
+        seed=0,
+        dataset="d",
+        aggregation="mean",
+    )
+
+
+def _dataset():
+    rows = [ClassEmbedding(np.arange(4.0) + i, "ab"[i % 2], f"{i}.java") for i in range(6)]
+    return LabeledDataset(rows=rows, feature_width=4, labels=["a", "b"], functions=("mean", "max"))
+
+
+def _write_checkpoint(tmp_path, tiny_model):
+    config, params, vocab, _ = tiny_model
+    save_checkpoint(tmp_path / "out", TrainedModel(config, ExtractionConfig(), params, vocab))
+
+
+def _write_manifest(tmp_path, tiny_model):
+    RunManifest(stage="extract", config={"corpus": "c"}, counts={"files": 3}).write(tmp_path / "out")
+
+
+def _write_report(tmp_path, tiny_model):
+    write_report(_report(), tmp_path / "out")
+
+
+def _write_dump(tmp_path, tiny_model):
+    write_context_dump(tiny_model[3], tmp_path / "out")
+
+
+def _write_embeddings(tmp_path, tiny_model):
+    write_embedding_csv(tmp_path / "out", [("A.java", "run", np.ones(3)), ("B.java", "go", np.zeros(3))])
+
+
+def _write_suite_csvs(tmp_path, tiny_model):
+    specs = [AggregationSpec(("mean",)), AggregationSpec(("mean", "max"))]
+    write_dataset_csv(_dataset(), tmp_path / "out", tmp_path / "out2", specs=specs)
+
+
+def _write_compare(tmp_path, tiny_model):
+    main(["compare", str(tmp_path / "a.rec"), str(tmp_path / "b.rec"), "--out", str(tmp_path / "out")])
+
+
+WRITERS = [
+    _write_checkpoint, _write_manifest, _write_report, _write_dump,
+    _write_embeddings, _write_suite_csvs, _write_compare,
+]
+
+
+@pytest.mark.parametrize("writer", WRITERS, ids=lambda w: w.__name__[len("_write_"):])
+def test_a_writer_that_fails_midway_leaves_the_previous_file(writer, tmp_path, tiny_model, disk_full):
+    write_report(_report(), tmp_path / "a.rec")
+    write_report(_report(), tmp_path / "b.rec")
+    old = {"out": b"previous artifact\n", "out2": b"previous second artifact\n"}
+    for name, data in old.items():
+        (tmp_path / name).write_bytes(data)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    disk_full()
+    with pytest.raises(OSError, match="No space left"):
+        writer(tmp_path, tiny_model)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    for name, data in old.items():
+        assert (tmp_path / name).read_bytes() == data
+
+
+def test_atomic_open_replaces_only_on_success(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("old\n", encoding="utf-8")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path, "w", encoding="utf-8") as fh:
+            fh.write("partial")
+            raise RuntimeError("writer failed")
+    assert path.read_text(encoding="utf-8") == "old\n"
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("new\r\n")
+    assert path.read_bytes() == b"new\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -8,11 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 import fixtures_java as fx
 import synth
+from conftest import call_at_depth
 from oracles import csv_module_dataset_bytes
 from pathvec.aggregate import read_dataset_csv
 from pathvec.cli import _read_units, main
 from pathvec.config import manifest_path_for, read_manifest
+from pathvec.java.parser import MAX_NESTING
 from pathvec.model import load_checkpoint
+from pathvec.obfuscate import ObfuscationScheme, obfuscate_tree
 from pathvec.pathctx import DOWN, UP, build_vocabulary, read_context_dump
 
 
@@ -99,7 +104,7 @@ def test_cli_obfuscate_reads_config_file(tmp_path, capsys):
     assert (out_conf / "A.java").read_bytes() == (out_flag / "A.java").read_bytes()
 
 
-@pytest.mark.parametrize("key", ["corpus", "work_dir", "checkpoint", "obfuscation"])
+@pytest.mark.parametrize("key", ["corpus", "work_dir", "checkpoint", "obfuscation", "jobs"])
 def test_cli_config_rejects_unread_keys(tmp_path, capsys, key):
     src = tmp_path / "src"
     src.mkdir()
@@ -142,15 +147,6 @@ def test_cli_extract_rerun_byte_identical(pipeline, tmp_path):
     assert main([
         "extract", "--corpus", str(pipeline["corpus"]), "--out", str(dump2),
         "--seed", "3",
-    ]) == 0
-    assert dump2.read_bytes() == pipeline["dump"].read_bytes()
-
-
-def test_cli_extract_parallel_matches_serial(pipeline, tmp_path):
-    dump2 = tmp_path / "parallel.txt"
-    assert main([
-        "extract", "--corpus", str(pipeline["corpus"]), "--out", str(dump2),
-        "--seed", "3", "--jobs", "4",
     ]) == 0
     assert dump2.read_bytes() == pipeline["dump"].read_bytes()
 
@@ -357,9 +353,11 @@ def test_cli_extract_skips_non_utf8_file(pipeline, tmp_path, capsys):
     assert stats["files"] == 2 and stats["skipped_files"] == 1
 
 
-_NESTED_SOURCES = st.integers(0, 1000).map(
-    lambda n: f"class N {{ int f(int a) {{ return {'(' * n}a{')' * n}; }} }}".encode()
-)
+def _nested_source(n):
+    return f"class N {{ int f(int a) {{ return {'(' * n}a{')' * n}; }} }}".encode()
+
+
+_NESTED_SOURCES = st.integers(0, 1000).map(_nested_source)
 _FILE_BYTES = st.one_of(
     st.binary(max_size=120),
     st.text(max_size=120).map(str.encode),
@@ -380,14 +378,9 @@ def test_read_units_yields_one_result_per_file_in_order(contents):
             (root / rel).write_bytes(data)
             rels.append(rel)
         rels.insert(len(rels) // 2, "missing.java")  # unreadable
-        results = {
-            jobs: [(rel, unit and (unit.path, unit.text))
-                   for rel, unit in _read_units(root, rels, jobs)]
-            for jobs in (1, 4)
-        }
-    assert results[1] == results[4]
-    assert [rel for rel, _ in results[1]] == rels
-    units = dict(results[1])
+        results = [(rel, unit and (unit.path, unit.text)) for rel, unit in _read_units(root, rels)]
+    assert [rel for rel, _ in results] == rels
+    units = dict(results)
     assert units.pop("missing.java") is None
     for (rel, unit), data in zip(units.items(), contents):
         assert unit is None or unit[0] == rel
@@ -405,19 +398,77 @@ def _is_utf8(data):
     return True
 
 
-def test_cli_extract_skips_too_deeply_nested_files(tmp_path, capsys):
+def test_cli_extract_skips_too_deeply_nested_files(tmp_path, capsys, caplog):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "Nest.java").write_text(fx.DEEP_PARENS, encoding="utf-8")
     (corpus / "Sum.java").write_text(fx.LONG_SUM, encoding="utf-8")
     (corpus / "Valid.java").write_text(fx.FIG1_FACTORIAL, encoding="utf-8")
-    code, stdout, stderr = run(
-        capsys, "extract", "--corpus", str(corpus), "--out", str(tmp_path / "d.txt")
-    )
-    assert code == 0, stderr
-    stats = json.loads(stdout.strip())
-    assert stats["files"] == 3 and stats["skipped_files"] == 2
-    assert stats["methods_dumped"] == 1
+    for depth in (0, 20, 60):
+        caplog.clear()
+        code, stdout, stderr = call_at_depth(
+            depth, run, capsys, "extract", "--corpus", str(corpus), "--out", str(tmp_path / "d.txt")
+        )
+        assert code == 0, stderr
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping Nest.java: line 1: nesting too deep"
+        ]
+        stats = json.loads(stdout.strip())
+        assert stats["files"] == 3 and stats["skipped_files"] == 1
+        assert stats["methods_dumped"] == 2  # the long sum's method among them
+
+
+_DEPTH_CORPUS_FILES = st.one_of(
+    _NESTED_SOURCES,
+    st.integers(MAX_NESTING - 2, MAX_NESTING + 2).map(_nested_source),
+    st.sampled_from([fx.FIG1_FACTORIAL.encode(), fx.FIG4_ORIGINAL.encode(), fx.LONG_SUM.encode(),
+                     fx.DEEP_PARENS.encode(), b"class A { } // \xff"]),
+)
+
+
+def _run_quietly(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(_DEPTH_CORPUS_FILES, min_size=1, max_size=4))
+def test_results_do_not_depend_on_the_callers_stack_depth(pipeline, contents):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "in"
+        root.mkdir()
+        rels = [f"f{i}.java" for i in range(len(contents))]
+        for rel, data in zip(rels, contents):
+            (root / rel).write_bytes(data)
+
+        def read():
+            return [(rel, unit and (unit.text, len(unit.bindings), len(unit.unbound)))
+                    for rel, unit in _read_units(root, rels)]
+
+        def obfuscate(out):
+            report = obfuscate_tree(root, out, ObfuscationScheme("random", seed=3))
+            return report, {p.name: p.read_bytes() for p in out.iterdir()}
+
+        xobf = ["xobf", "--model", str(pipeline["ckpt"]), "--corpus", str(root), "--seed", "5"]
+        results = [
+            (call_at_depth(depth, read),
+             call_at_depth(depth, obfuscate, Path(tmp) / f"out{depth}"),
+             call_at_depth(depth, _run_quietly, xobf))
+            for depth in (0, 20, 60)
+        ]
+    assert results[1] == results[0] and results[2] == results[0]
+
+
+def test_xobf_processes_a_long_sum_deep_in_the_callers_stack(pipeline, tmp_path, capsys):
+    (tmp_path / "Sum.java").write_text(fx.LONG_SUM, encoding="utf-8")
+    for depth in (0, 20, 60):
+        code, stdout, stderr = call_at_depth(
+            depth, run, capsys, "xobf", "--model", str(pipeline["ckpt"]), "--corpus", str(tmp_path)
+        )
+        assert code == 0, stderr
+        assert set(json.loads(stdout)) == {"f1_plain", "f1_obfuscated", "drop"}
 
 
 def test_cli_embed_skips_non_utf8_file(pipeline, tmp_path, capsys):

@@ -129,6 +129,35 @@ def test_label_outside_two_classes_fits_each_class(monkeypatch):
     assert not np.array_equal(model.weights[1], -model.weights[0])
 
 
+# Eleven rows on which L-BFGS-B stops after 5 iterations with an abnormal
+# line search: the gradient is already at its precision floor.
+_LINE_SEARCH_STOP_X = [
+    [-0.3, 0.7], [0.7, -0.8], [0.5, 0.4], [0.1, 0.2], [-1.3, -0.1], [-0.2, 1.6],
+    [0.1, -2.5], [1.2, 1.7], [-0.0, 1.7], [0.9, 0.1], [-1.6, -1.1],
+]
+_LINE_SEARCH_STOP_Y = ["a", "b", "b", "b", "a", "a", "b", "a", "a", "a", "a"]
+
+
+def test_a_line_search_stop_at_the_optimum_is_not_an_unconverged_fit(monkeypatch):
+    results = []
+
+    def recording_minimize(*args, **kwargs):
+        results.append(evaluate_minimize(*args, **kwargs))
+        return results[-1]
+
+    evaluate_minimize = evaluate.minimize
+    monkeypatch.setattr(evaluate, "minimize", recording_minimize)
+    model = train_linear(np.array(_LINE_SEARCH_STOP_X), _LINE_SEARCH_STOP_Y)
+    [res] = results
+    assert not res.success and res.status == 2 and res.nit <= 5  # the stop reproduces
+    assert model.unconverged_fits == 0
+    assert model.lbfgs_max_iterations == res.nit
+    truncated = train_linear(
+        np.array(_LINE_SEARCH_STOP_X), _LINE_SEARCH_STOP_Y, ClassifierConfig(max_iterations=1)
+    )
+    assert truncated.unconverged_fits == 1
+
+
 # --- stratified folds ------------------------------------------------------------
 
 

@@ -1,19 +1,24 @@
+import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import fixtures_java as fx
+import synth
+from conftest import call_at_depth
 from oracles import (
     leaves,
     node_tokens,
+    resolve_bindings_reference,
     startswith_punct,
     startswith_tokens,
     structurally_equal,
     walk,
 )
-from pathvec.java import ParseError, parse_file, resolve_bindings, tokenize
+from pathvec.java import ParseError, SourceUnit, parse_file, resolve_bindings, tokenize
 from pathvec.java.lexer import PUNCTUATION
+from pathvec.java.parser import MAX_NESTING
 from pathvec.java.ast import UNK_TYPE
 
 
@@ -266,3 +271,109 @@ def test_punctuation_heavy_text_matches_startswith_oracle(text):
             tokenize(text)
         return
     assert _token_tuples(text) == expected
+
+
+# --- nesting limit ----------------------------------------------------------------
+
+
+def _method(body):
+    return "class N { int f(int a) { " + body + " } }"
+
+
+# Each recursive shape of the grammar, nested n levels deep.
+NESTED_SHAPES = {
+    "parentheses": lambda n: _method("return " + "(" * n + "a" + ")" * n + ";"),
+    "call arguments": lambda n: _method("return " + "f(" * n + "a" + ")" * n + ";"),
+    "scoped call arguments": lambda n: _method("return " + "a.f(" * n + "a" + ")" * n + ";"),
+    "else if": lambda n: _method("if (a) a++; else " * n + "a++;"),
+    "while": lambda n: _method("while (a) " * n + "a++;"),
+    "blocks": lambda n: _method("{ " * n + "a++;" + " }" * n),
+    "prefix unary": lambda n: _method("return " + "- " * n + "a;"),
+    "assignment": lambda n: _method("a" + " = a" * n + ";"),
+    "ternary else": lambda n: _method("return " + "a ? a : " * n + "a;"),
+    "ternary then": lambda n: _method("return " + "a ? " * n + "a" + " : a" * n + ";"),
+    # a * (a * (a * a)): a right operand and a parenthesis per repetition
+    "binary right operands": lambda n: _method(
+        "return a" + " * (a" * (n // 2) + " * a" * (n % 2) + ")" * (n // 2) + ";"
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+def test_every_shape_parses_at_the_nesting_limit_deep_in_the_callers_stack(shape):
+    make = NESTED_SHAPES[shape]
+    unit = call_at_depth(200, parse_file, make(MAX_NESTING))
+    assert [m.name for m in unit.methods()] == ["f"]
+    for depth in (0, 200):
+        with pytest.raises(ParseError, match="nesting too deep"):
+            call_at_depth(depth, parse_file, make(MAX_NESTING + 1))
+
+
+def test_deep_parens_are_rejected_and_a_long_sum_is_not_nesting():
+    with pytest.raises(ParseError, match="nesting too deep"):
+        parse_file(fx.DEEP_PARENS)
+    unit = call_at_depth(200, parse_file, fx.LONG_SUM)
+    assert len(unit.bindings[0].occurrences) == 1 + 1200
+
+
+_NESTED_TEXT = st.builds(
+    lambda shape, n: NESTED_SHAPES[shape](n),
+    st.sampled_from(sorted(NESTED_SHAPES)),
+    st.integers(0, MAX_NESTING + 50),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.text(), _NESTED_TEXT, st.sampled_from([fx.DEEP_PARENS, fx.LONG_SUM])),
+    st.sampled_from([0, 200]),
+)
+def test_parse_file_returns_a_unit_or_raises_parse_error(text, depth):
+    try:
+        unit = call_at_depth(depth, parse_file, text)
+    except ParseError:
+        return
+    assert isinstance(unit, SourceUnit)
+
+
+# --- iterative scope resolution -------------------------------------------------
+
+
+def _assert_resolution_matches_reference(unit):
+    bindings, unbound = list(unit.bindings), list(unit.unbound)
+    occurrences = [list(b.occurrences) for b in bindings]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 3000)  # the recursive reference follows LONG_SUM's 1200 levels
+    try:
+        ref_bindings, ref_unbound = resolve_bindings_reference(unit)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [(b.name, b.scope, b.declared_type, b.decl_index) for b in bindings] == [
+        (b.name, b.scope, b.declared_type, b.decl_index) for b in ref_bindings
+    ]
+    for ours, ref in zip(occurrences, ref_bindings):
+        assert [id(n) for n in ours] == [id(n) for n in ref.occurrences]
+    assert [id(n) for n in unbound] == [id(n) for n in ref_unbound]
+
+
+_FIXTURE_SOURCES = {
+    name: value for name, value in vars(fx).items()
+    if isinstance(value, str) and name.isupper() and value.startswith("class")
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIXTURE_SOURCES))
+def test_iterative_resolver_matches_the_recursive_one_on_fixtures(name):
+    try:
+        unit = parse_file(_FIXTURE_SOURCES[name])
+    except ParseError:
+        return  # a rejected fixture has nothing to resolve
+    _assert_resolution_matches_reference(unit)
+
+
+def test_iterative_resolver_matches_the_recursive_one_on_a_synth_corpus(tmp_path):
+    synth.generate_corpus(tmp_path, files_per_class=20, seed=7, typo_fraction=0.3)
+    paths = sorted(tmp_path.rglob("*.java"))
+    assert len(paths) == 40
+    for path in paths:
+        _assert_resolution_matches_reference(parse_file(path.read_text(encoding="utf-8")))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fixtures_java as fx
+from conftest import call_at_depth
 from oracles import isomorphic_up_to_leaf_tokens
 from pathvec.java import parse_file, tokenize
 from pathvec.java.ast import UNK_TYPE, VariableBinding
@@ -193,12 +194,15 @@ def test_obfuscate_tree_skips_too_deeply_nested_file(tmp_path):
     (src / "Nest.java").write_text(fx.DEEP_PARENS, encoding="utf-8")
     (src / "Sum.java").write_text(fx.LONG_SUM, encoding="utf-8")
     (src / "Holder.java").write_text(fx.FIG4_ORIGINAL, encoding="utf-8")
-    report = obfuscate_tree(src, tmp_path / "out", ObfuscationScheme("random", seed=1))
-    assert report["processed"] == 1
-    assert report["skipped"] == 2
-    # an unparseable file is mirrored byte for byte
-    assert (tmp_path / "out" / "Nest.java").read_text(encoding="utf-8") == fx.DEEP_PARENS
-    assert (tmp_path / "out" / "Sum.java").read_text(encoding="utf-8") == fx.LONG_SUM
+    for depth in (0, 20, 60):
+        out = tmp_path / f"out{depth}"
+        report = call_at_depth(depth, obfuscate_tree, src, out, ObfuscationScheme("random", seed=1))
+        assert report["processed"] == 2
+        assert report["skipped"] == 1
+        # an unparseable file is mirrored byte for byte
+        assert (out / "Nest.java").read_text(encoding="utf-8") == fx.DEEP_PARENS
+        [param] = parse_file((out / "Sum.java").read_text(encoding="utf-8")).bindings
+        assert param.name != "a" and len(param.occurrences) == 1 + 1200
 
 
 def test_obfuscate_tree_empty(tmp_path):

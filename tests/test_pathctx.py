@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fixtures_java as fx
+from conftest import call_at_depth
 from oracles import brute_force_contexts, format_dump_line_reference, leaves
 from pathvec.cli import _read_units
 from pathvec.java import parse_file
@@ -405,19 +406,16 @@ def test_dump_tokens_equal_in_memory_tokens(tmp_path):
 
 
 def test_extraction_of_a_long_sum_runs_deep_in_the_callers_stack(tmp_path):
-    source = "class Sum { int wide(int a) { return " + " + ".join(["a"] * 986) + "; } }"
-    (tmp_path / "Sum.java").write_text(source, encoding="utf-8")
-    [(_, unit)] = list(_read_units(tmp_path, ["Sum.java"]))  # parses on a pool thread
-    assert unit is not None
+    (tmp_path / "Sum.java").write_text(fx.LONG_SUM, encoding="utf-8")
 
-    def deeper(frames):
-        if frames:
-            return deeper(frames - 1)
+    def parse_and_extract():
+        [(_, unit)] = list(_read_units(tmp_path, ["Sum.java"]))
         return extract_unit_samples(unit, ExtractionConfig())
 
-    samples = deeper(60)
-    assert len(samples) == 1
-    assert len(samples[0].contexts) == 200
+    for depth in (0, 20, 60):
+        samples = call_at_depth(depth, parse_and_extract)
+        assert len(samples) == 1
+        assert len(samples[0].contexts) == 200
 
 
 def test_extract_unit_samples_caps_and_skips():
