@@ -151,6 +151,16 @@ def test_cli_extract_rerun_byte_identical(pipeline, tmp_path):
     assert dump2.read_bytes() == pipeline["dump"].read_bytes()
 
 
+def test_cli_extract_parallel_matches_serial(pipeline, tmp_path):
+    # --jobs is accepted but unread: the dump is the same as without it
+    for jobs in ("1", "4"):
+        dump2 = tmp_path / f"jobs{jobs}.txt"
+        assert main([
+            "extract", "--corpus", str(pipeline["corpus"]), "--out", str(dump2),
+            "--seed", "3", "--jobs", jobs,
+        ]) == 0
+        assert dump2.read_bytes() == pipeline["dump"].read_bytes()
+
 # --- train -----------------------------------------------------------------------
 
 
