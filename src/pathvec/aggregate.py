@@ -158,14 +158,15 @@ class LabeledDataset:
 
 
 def select_methods(
-    vectors: list[tuple[np.ndarray, int]], spec: SelectionSpec, salt: str = ""
+    vectors: list[tuple], spec: SelectionSpec, salt: str = ""
 ) -> list[np.ndarray]:
-    """Pick method vectors: all of them, the K longest (line count, earlier
-    declaration wins ties) or a seeded uniform K without replacement."""
+    """Pick method vectors from (vector, line count, ...) tuples: all of
+    them, the K longest (earlier declaration wins ties) or a seeded uniform
+    K without replacement."""
     if not vectors:
         raise ValueError("no vectors to select from")
     if spec.mode == "all" or spec.k >= len(vectors):
-        return [v for v, _ in vectors]
+        return [v for v, *_ in vectors]
     if spec.mode == "topk":
         ranked = sorted(range(len(vectors)), key=lambda i: (-vectors[i][1], i))
         keep = sorted(ranked[: spec.k])
@@ -182,12 +183,12 @@ def aggregate_vectors(vectors: list[np.ndarray], spec: AggregationSpec) -> np.nd
     return np.concatenate([_COLUMN_FN[f](matrix) for f in spec.functions])
 
 
-def method_vectors(unit: SourceUnit, model: TrainedModel) -> list[tuple[np.ndarray, int]]:
-    """(embedding, line count) per embeddable method, declaration order."""
+def method_vectors(unit: SourceUnit, model: TrainedModel) -> list[tuple[np.ndarray, int, str]]:
+    """(embedding, line count, name) per embeddable method, declaration order."""
     samples = extract_unit_samples(unit, model.extraction)
     if not samples:
         raise NoMethods(f"{unit.path}: no embeddable methods")
-    return list(zip(model.embed(samples), (s.line_count for s in samples)))
+    return [(v, s.line_count, s.target_name) for v, s in zip(model.embed(samples), samples)]
 
 
 @dataclass
@@ -220,6 +221,7 @@ def build_dataset_suite(
     aggregations: Sequence[AggregationSpec],
     per_class_cap: int = 2000,
     seed: int = 0,
+    methods: dict[str, list[tuple[str, np.ndarray]]] | None = None,
 ) -> tuple[LabeledDataset, BuildStats]:
     """One dataset row per (label, units) item.
 
@@ -236,14 +238,20 @@ def build_dataset_suite(
     error. Rows of a label are sorted by source path and downsampled
     with a seed, so the result does not depend on item order within a
     label.
+
+    If `methods` is given, it maps the path of each file embedded to its
+    (method name, vector) list, before selection and the per-class cap,
+    in the order the files were first embedded.
     """
     union = union_spec(aggregations)
     stats = BuildStats()
     per_label: dict[str, list[ClassEmbedding]] = {}
 
     def file_row(unit: SourceUnit) -> np.ndarray:
-        selected = select_methods(method_vectors(unit, model), selection, salt=unit.path)
-        return aggregate_vectors(selected, union)
+        vectors = method_vectors(unit, model)
+        if methods is not None and unit.path not in methods:
+            methods[unit.path] = [(name, v) for v, _, name in vectors]
+        return aggregate_vectors(select_methods(vectors, selection, salt=unit.path), union)
 
     for label, units in items:
         stats.files += 1

@@ -28,13 +28,7 @@ from .aggregate import (
     suite_name_order,
     write_dataset_csv,
 )
-from .config import (
-    RunManifest,
-    load_config_file,
-    manifest_path_for,
-    read_manifest,
-    resolve,
-)
+from .config import RunManifest, manifest_path_for, read_manifest, settle
 from .evaluate import (
     ClassifierConfig,
     CvPlan,
@@ -90,12 +84,6 @@ def _limit(value: int) -> int | None:
     return None if value <= 0 else value
 
 
-def _file_values(args) -> dict[str, str]:
-    if getattr(args, "config", None):
-        return load_config_file(args.config)
-    return {}
-
-
 def _java_files(root: Path, sub: str = "") -> list[str]:
     """Paths, relative to root, of the .java files under root/sub, sorted."""
     if not root.is_dir():
@@ -141,24 +129,18 @@ def _read_pair_manifest(path: str) -> list[tuple[str, str, str]]:
 
 
 def cmd_obfuscate(args) -> int:
-    cfg = _file_values(args)
-    scheme = ObfuscationScheme(
-        mode=args.mode,
-        random_length=resolve("random_length", args.length, cfg),
-        seed=resolve("seed", args.seed, cfg),
-    )
+    scheme = ObfuscationScheme(mode=args.mode, random_length=args.random_length, seed=args.seed)
     report = obfuscate_tree(args.input_dir, args.output_dir, scheme)
     print(json.dumps(report, sort_keys=True))
     return 0
 
 
 def cmd_extract(args) -> int:
-    cfg = _file_values(args)
     extraction = ExtractionConfig(
-        max_len=_limit(resolve("max_len", args.max_len, cfg)),
-        max_width=_limit(resolve("max_width", args.max_width, cfg)),
-        max_contexts=resolve("max_contexts", args.max_contexts, cfg),
-        seed=resolve("seed", args.seed, cfg),
+        max_len=_limit(args.max_len),
+        max_width=_limit(args.max_width),
+        max_contexts=args.max_contexts,
+        seed=args.seed,
     )
     corpus = Path(args.corpus)
     files = _java_files(corpus)
@@ -186,61 +168,48 @@ def cmd_extract(args) -> int:
         "distinct_targets": targets,
     }
     RunManifest(
-        stage="extract",
-        config={
-            "corpus": str(args.corpus),
-            "max_len": extraction.max_len or 0,
-            "max_width": extraction.max_width or 0,
-            "max_contexts": extraction.max_contexts,
-            "seed": extraction.seed,
-        },
-        counts=stats,
+        stage="extract", config={"corpus": str(args.corpus), **args.settings}, counts=stats
     ).write(manifest_path_for(args.out))
     print(json.dumps(stats, sort_keys=True))
     return 0
 
 
-def _extraction_from_dump_manifest(dump_path: str) -> dict:
-    manifest = manifest_path_for(dump_path)
-    if manifest.exists():
-        data = read_manifest(manifest)
-        if data.get("stage") == "extract":
-            return data.get("config", {})
-    return {}
+def _dump_extraction(dump: str) -> ExtractionConfig:
+    """The extraction limits that made `dump`, from its extract manifest,
+    so that a checkpoint extracts what its model was trained on."""
+    path = manifest_path_for(dump)
+    if not path.exists():
+        raise FileNotFoundError(
+            f"{path}: no extract manifest; train takes its extraction limits from it"
+        )
+    manifest = read_manifest(path)
+    if manifest.get("stage") != "extract":
+        raise ValueError(f"{path}: not an extract manifest")
+    cfg = manifest["config"]
+    return ExtractionConfig(
+        max_len=_limit(cfg["max_len"]),
+        max_width=_limit(cfg["max_width"]),
+        max_contexts=cfg["max_contexts"],
+        seed=cfg["seed"],
+    )
 
 
 def cmd_train(args) -> int:
-    cfg = _file_values(args)
-    inherited = _extraction_from_dump_manifest(args.contexts)
-
-    def ex_value(key: str, flag_value):
-        if flag_value is not None:
-            return flag_value
-        if key in inherited:
-            return inherited[key]
-        return resolve(key, None, cfg)
-
-    extraction = ExtractionConfig(
-        max_len=_limit(int(ex_value("max_len", args.max_len))),
-        max_width=_limit(int(ex_value("max_width", args.max_width))),
-        max_contexts=int(ex_value("max_contexts", args.max_contexts)),
-        seed=int(ex_value("seed", None)),
-    )
+    extraction = _dump_extraction(args.contexts)
     model_config = ModelConfig(
-        d_emb=resolve("d_emb", args.d_emb, cfg),
+        d_emb=args.d_emb,
         max_contexts=extraction.max_contexts,
-        learning_rate=resolve("learning_rate", args.learning_rate, cfg),
-        batch_size=resolve("batch_size", args.batch_size, cfg),
-        epochs=resolve("epochs", args.epochs, cfg),
-        seed=resolve("seed", args.seed, cfg),
-        val_fraction=resolve("val_fraction", args.val_fraction, cfg),
-        patience=resolve("patience", args.patience, cfg),
-        dropout_rate=resolve("dropout_rate", args.dropout_rate, cfg),
+        learning_rate=args.learning_rate,
+        batch_size=args.batch_size,
+        epochs=args.epochs,
+        seed=args.seed,
+        val_fraction=args.val_fraction,
+        patience=args.patience,
+        dropout_rate=args.dropout_rate,
     )
-    min_count = resolve("min_count", args.min_count, cfg)
 
     samples = read_context_dump(args.contexts)
-    vocab = build_vocabulary(samples, min_count=min_count)
+    vocab = build_vocabulary(samples, min_count=args.min_count)
     result = train(model_config, samples, vocab)
     for stats in result.history:
         print(
@@ -261,26 +230,7 @@ def cmd_train(args) -> int:
     }
     RunManifest(
         stage="train",
-        config={
-            "contexts": str(args.contexts),
-            "min_count": min_count,
-            "model": {
-                "d_emb": model_config.d_emb,
-                "learning_rate": model_config.learning_rate,
-                "batch_size": model_config.batch_size,
-                "epochs": model_config.epochs,
-                "seed": model_config.seed,
-                "val_fraction": model_config.val_fraction,
-                "patience": model_config.patience,
-                "dropout_rate": model_config.dropout_rate,
-            },
-            "extraction": {
-                "max_len": extraction.max_len or 0,
-                "max_width": extraction.max_width or 0,
-                "max_contexts": extraction.max_contexts,
-                "seed": extraction.seed,
-            },
-        },
+        config={"contexts": str(args.contexts), **args.settings},
         counts={**summary, "history": [asdict(stats) for stats in result.history]},
         checkpoint_hash=sha256_file(args.out),
     ).write(manifest_path_for(args.out))
@@ -289,21 +239,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    cfg = _file_values(args)
     model = load_checkpoint(args.model)
-    seed = resolve("seed", args.seed, cfg)
-    selection = SelectionSpec(
-        mode=resolve("selection", args.selection, cfg).lower(),
-        k=resolve("k", args.k, cfg),
-        seed=seed,
-    )
-    per_class_cap = resolve("per_class_cap", args.per_class_cap, cfg)
-    agg_name = resolve("aggregation", args.agg, cfg)
-    use_suite = args.suite or agg_name == "suite"
+    selection = SelectionSpec(mode=args.selection.lower(), k=args.k, seed=args.seed)
+    use_suite = args.suite or args.aggregation == "suite"
     aggregations = (
-        standard_agg_suite() if use_suite else [parse_aggregation_name(agg_name)]
+        standard_agg_suite() if use_suite else [parse_aggregation_name(args.aggregation)]
     )
-    checkpoint_hash = sha256_file(args.model)
     corpus = Path(args.corpus)
 
     labels: list[str] = []  # label directories; each must yield a row
@@ -324,8 +265,10 @@ def cmd_embed(args) -> int:
         items = (
             (rel.split("/", 1)[0], (unit,)) for rel, unit in _read_units(corpus, rels)
         )
+    methods = {} if args.methods_csv else None
     dataset, stats = build_dataset_suite(
-        items, model, selection, aggregations, per_class_cap=per_class_cap, seed=seed
+        items, model, selection, aggregations,
+        per_class_cap=args.per_class_cap, seed=args.seed, methods=methods,
     )
     for label in labels:
         if label not in stats.rows_per_label:
@@ -337,21 +280,24 @@ def cmd_embed(args) -> int:
         for agg in aggregations
     ]
     write_dataset_csv(dataset, *outs, specs=aggregations)
+    inputs = {
+        "corpus": str(args.corpus),
+        "model": str(args.model),
+        "dataset_name": corpus.name,
+        "pairs": args.pairs or "",
+    }
+    checkpoint_hash = sha256_file(args.model)
     for agg, out in zip(aggregations, outs):
-        _write_embed_manifest(
-            out, args, agg.name, selection, per_class_cap, seed, stats,
-            checkpoint_hash, pairs=str(args.pairs) if args.pairs else "",
-        )
+        RunManifest(
+            stage="embed",
+            config={**inputs, **args.settings, "aggregation": agg.name},
+            counts=stats.as_dict(),
+            checkpoint_hash=checkpoint_hash,
+        ).write(manifest_path_for(out))
     outputs = [str(out) for out in outs]
 
-    if args.methods_csv:
-        rows = []
-        for _, unit in _read_units(corpus, _java_files(corpus)):
-            if unit is None:
-                continue
-            samples = extract_unit_samples(unit, model.extraction)
-            for sample, vector in zip(samples, model.embed(samples)):
-                rows.append((unit.path, sample.target_name, vector))
+    if methods is not None:
+        rows = [(path, name, v) for path, listed in methods.items() for name, v in listed]
         write_embedding_csv(args.methods_csv, rows)
         outputs.append(str(args.methods_csv))
 
@@ -370,40 +316,12 @@ def _suite_csv_path(base: str, agg_name: str) -> Path:
     return path.with_name(f"{stem}.{agg_name}.csv")
 
 
-def _write_embed_manifest(
-    out: Path, args, agg_name: str, selection: SelectionSpec,
-    per_class_cap: int, seed: int, stats, checkpoint_hash: str, pairs: str = "",
-) -> None:
-    RunManifest(
-        stage="embed",
-        config={
-            "corpus": str(args.corpus),
-            "dataset_name": Path(args.corpus).name,
-            "pairs": pairs,
-            "aggregation": agg_name,
-            "selection": {"mode": selection.mode, "k": selection.k, "seed": selection.seed},
-            "per_class_cap": per_class_cap,
-            "seed": seed,
-            "model": str(args.model),
-        },
-        counts=stats.as_dict(),
-        checkpoint_hash=checkpoint_hash,
-    ).write(manifest_path_for(out))
-
-
 def cmd_evaluate(args) -> int:
-    cfg = _file_values(args)
     dataset = read_dataset_csv(args.data)
     clf_config = ClassifierConfig(
-        c=resolve("classifier_c", args.c, cfg),
-        tol=resolve("classifier_tol", args.tol, cfg),
-        max_iterations=resolve("max_iterations", args.max_iter, cfg),
+        c=args.classifier_c, tol=args.classifier_tol, max_iterations=args.max_iterations
     )
-    plan = CvPlan(
-        runs=resolve("runs", args.runs, cfg),
-        folds=resolve("folds", args.folds, cfg),
-        seed=resolve("seed", args.seed, cfg),
-    )
+    plan = CvPlan(runs=args.runs, folds=args.folds, seed=args.seed)
     report = cross_validate(dataset, clf_config, plan)
 
     dataset_name, agg_name = args.dataset_name, args.agg_name
@@ -431,12 +349,7 @@ def cmd_evaluate(args) -> int:
             "data": str(args.data),
             "dataset": report.dataset,
             "aggregation": report.aggregation,
-            "c": clf_config.c,
-            "tol": clf_config.tol,
-            "max_iterations": clf_config.max_iterations,
-            "runs": plan.runs,
-            "folds": plan.folds,
-            "seed": plan.seed,
+            **args.settings,
         },
         counts={
             "rows": len(dataset.rows),
@@ -509,10 +422,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_xobf(args) -> int:
-    cfg = _file_values(args)
     model = load_checkpoint(args.model)
-    seed = resolve("seed", args.seed, cfg)
-    length = resolve("random_length", args.length, cfg)
     corpus = Path(args.corpus)
     units = [u for _, u in _read_units(corpus, _java_files(corpus)) if u is not None]
     if not units:
@@ -528,7 +438,7 @@ def cmd_xobf(args) -> int:
             raise EmptyClass(f"{args.corpus}: no extractable methods")
         return name_prediction_f1(pairs).f1
 
-    scheme = ObfuscationScheme(mode="random", random_length=length, seed=seed)
+    scheme = ObfuscationScheme(mode="random", random_length=args.random_length, seed=args.seed)
     obfuscated_units = []
     for unit in units:
         rewritten, _ = obfuscate_unit(unit, scheme)
@@ -569,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="output_dir", required=True)
     p.add_argument("--mode", required=True, choices=["type", "random"])
     p.add_argument("--seed", type=int)
-    p.add_argument("--len", dest="length", type=int, help="random name length")
+    p.add_argument("--len", dest="random_length", type=int, help="random name length")
     add_config(p)
     p.set_defaults(func=cmd_obfuscate)
 
@@ -586,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train the prediction model on a context dump")
-    p.add_argument("--contexts", required=True, help="path-context dump file")
+    p.add_argument("--contexts", required=True,
+                   help="path-context dump; its extract manifest gives the extraction limits")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--d-emb", type=int)
     p.add_argument("--learning-rate", type=float)
@@ -597,9 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patience", type=int)
     p.add_argument("--dropout-rate", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--max-width", type=int)
-    p.add_argument("--max-contexts", type=int)
     add_config(p)
     p.set_defaults(func=cmd_train)
 
@@ -609,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="dataset CSV path")
     p.add_argument("--selection", choices=["all", "topk", "randomk"])
     p.add_argument("--k", type=int)
-    p.add_argument("--agg", help="aggregation name, e.g. mean or meanMax")
+    p.add_argument("--agg", dest="aggregation", help="aggregation name, e.g. mean or meanMax")
     p.add_argument("--suite", action="store_true", help="emit all 23 aggregations")
     p.add_argument("--pairs", help="pair manifest: label<TAB>pathA<TAB>pathB")
     p.add_argument("--per-class-cap", type=int)
@@ -625,9 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int)
     p.add_argument("--folds", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--c", type=float, help="regularization parameter C")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int)
+    p.add_argument("--c", dest="classifier_c", type=float, help="regularization parameter C")
+    p.add_argument("--tol", dest="classifier_tol", type=float)
+    p.add_argument("--max-iter", dest="max_iterations", type=int)
     p.add_argument("--dataset-name")
     p.add_argument("--agg-name")
     add_config(p)
@@ -647,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--len", dest="length", type=int)
+    p.add_argument("--len", dest="random_length", type=int)
     add_config(p)
     p.set_defaults(func=cmd_xobf)
 
@@ -662,6 +570,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        args.settings = settle(args)
         return args.func(args)
     except _FATAL as exc:
         print(f"pathvec: error: {exc}", file=sys.stderr)

@@ -1,10 +1,12 @@
 """Pipeline configuration and run manifests.
 
-Config files are plain ``key = value`` text ('#' starts a comment); any
-command-line flag overrides the file. Every artifact-producing command
-writes a ``<output>.manifest.json`` sidecar capturing the exact
-configuration, per-stage counts and content hashes needed to reproduce
-the run.
+Config files are plain ``key = value`` text ('#' starts a comment). Each
+setting is settled once per command: its flag, else the config file, else
+the PipelineConfig default. Every artifact-producing command writes a
+``<output>.manifest.json`` sidecar whose ``config`` holds the command's
+inputs and its settled settings under their config keys, next to
+per-stage counts and content hashes, so writing those settings back as a
+config file reproduces the run.
 """
 
 from __future__ import annotations
@@ -49,37 +51,50 @@ _DEFAULTS = PipelineConfig()
 _FIELD_TYPES = {name: type(value) for name, value in asdict(_DEFAULTS).items()}
 
 
-def load_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a key=value config file into raw string values."""
-    values: dict[str, str] = {}
+def load_config_file(path: str | Path) -> dict[str, object]:
+    """Parse a key = value config file into values of the keys' types.
+
+    The whole file is checked: an unknown key or a value that does not
+    convert to its key's type is an error, whichever command reads it.
+    """
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        key = key.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
+        target = _FIELD_TYPES[key]
+        try:
+            values[key] = target(value)
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: {key} takes a {target.__name__}, got {value!r}"
+            ) from None
     return values
 
 
-def _coerce(key: str, raw: str):
-    target = _FIELD_TYPES[key]
-    if target is bool:
-        return raw.lower() in ("1", "true", "yes", "on")
-    return target(raw)
+def settle(args) -> dict:
+    """Fill each setting that `args` has and no flag set: from the
+    ``--config`` file if it names the key, else from PipelineConfig.
 
-
-def resolve(key: str, flag_value, file_values: dict[str, str]):
-    """flag > config file > built-in default."""
-    if flag_value is not None:
-        return flag_value
-    if key in file_values:
-        return _coerce(key, file_values[key])
-    return getattr(_DEFAULTS, key)
+    A setting is an attribute of `args` named after a config key, so every
+    command reads its settings from `args` alone. Returns the command's
+    settled settings under their config keys, in PipelineConfig order.
+    """
+    path = getattr(args, "config", None)
+    file_values = load_config_file(path) if path else {}
+    settings = {}
+    for key, default in asdict(_DEFAULTS).items():
+        if not hasattr(args, key):
+            continue
+        if getattr(args, key) is None:
+            setattr(args, key, file_values.get(key, default))
+        settings[key] = getattr(args, key)
+    return settings
 
 
 @dataclass

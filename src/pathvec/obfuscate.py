@@ -150,9 +150,11 @@ def obfuscate_tree(
 ) -> dict:
     """Obfuscate every .java file under input_dir into a mirrored tree.
 
-    Unparseable files are copied verbatim and counted as skipped; other
-    files are copied untouched. Per-file IO problems land in the report
-    instead of aborting the batch.
+    Files are read and written without newline translation, so a rewritten
+    file keeps every byte outside the renamed identifiers, line endings
+    included. Unparseable files are copied byte for byte and counted as
+    skipped; other files are copied untouched. Per-file IO problems land in
+    the report instead of aborting the batch.
     """
     input_dir = Path(input_dir)
     output_dir = Path(output_dir)
@@ -168,7 +170,8 @@ def obfuscate_tree(
             shutil.copyfile(src, dst)
             continue
         try:
-            text = src.read_text(encoding="utf-8")
+            with open(src, encoding="utf-8", newline="") as fh:
+                text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             report["errors"].append(f"{rel}: {exc}")
             report["skipped"] += 1
@@ -183,8 +186,9 @@ def obfuscate_tree(
         except (ParseError, ObfuscationError) as exc:
             logger.warning("skipping %s: %s", rel, exc)
             report["skipped"] += 1
-            dst.write_text(text, encoding="utf-8")
+            shutil.copyfile(src, dst)
             continue
-        dst.write_text(rewritten, encoding="utf-8")
+        with open(dst, "w", encoding="utf-8", newline="") as fh:
+            fh.write(rewritten)
         report["processed"] += 1
     return report

@@ -13,8 +13,9 @@ from typing import IO, Iterator
 def derive_seed(seed: int, *salts: object) -> int:
     """Derive a stream seed from a base seed plus arbitrary salt values.
 
-    Stable across processes and platforms (unlike builtin hash), so parallel
-    and serial runs that key streams off (seed, file path, ...) agree.
+    Stable across processes and platforms (unlike builtin hash), so a
+    stream keyed by (seed, file path, ...) is the same in every run,
+    whatever order the files are processed in.
     """
     h = hashlib.blake2b(digest_size=8)
     h.update(str(int(seed)).encode("utf-8"))

@@ -230,3 +230,27 @@ DEEP_PARENS = (
     "class Nest { int deep(int a) { return " + "(" * 200 + "a" + ")" * 200 + "; } }"
 )
 LONG_SUM = "class Sum { int wide(int a) { return " + " + ".join(["a"] * 1200) + "; } }"
+
+# Frontend paths no other fixture reaches: a wildcard import, a field list
+# whose second initializer reads the first field, escaped quotes inside
+# string and char literals, and a for-init of comma-separated assignments.
+EDGE_CASES = """\
+import java.util.*;
+
+class Edges {
+    int a = 1, c = a + 2;
+
+    String quoted(String s) {
+        return s + "x\\"y" + '\\'';
+    }
+
+    int steps(int n) {
+        int i;
+        int j;
+        for (i = 0, j = n; i < j; i++) {
+            j--;
+        }
+        return i + this.c;
+    }
+}
+"""

@@ -238,7 +238,7 @@ def test_method_embedded_alone_agrees_with_its_file_batch():
     samples = extract_unit_samples(unit, model.extraction)
     assert len(samples) > 2
     in_file = model.embed(samples)
-    assert np.array_equal(np.stack([v for v, _ in method_vectors(unit, model)]), in_file)
+    assert np.array_equal(np.stack([v for v, _, _ in method_vectors(unit, model)]), in_file)
     for sample, vector in zip(samples, in_file):
         reference, _, _ = forward_reference(model.params, model.vocab.index_sample(sample))
         scale = np.max(np.abs(reference))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from conftest import call_at_depth
 from oracles import csv_module_dataset_bytes
 from pathvec.aggregate import read_dataset_csv
 from pathvec.cli import _read_units, main
-from pathvec.config import manifest_path_for, read_manifest
+from pathvec.config import PipelineConfig, manifest_path_for, read_manifest
 from pathvec.java.parser import MAX_NESTING
 from pathvec.model import load_checkpoint
 from pathvec.obfuscate import ObfuscationScheme, obfuscate_tree
@@ -509,6 +510,40 @@ def test_cli_embed_methods_csv(pipeline, tmp_path, capsys):
     assert len(lines) == 1 + 2 * 12  # two methods per file, 12 files
 
 
+def _methods_csv_rows(pipeline, out_dir, corpus, *flags):
+    out_dir.mkdir(exist_ok=True)
+    methods_csv = out_dir / "methods.csv"
+    _embed(pipeline, corpus, out_dir / "d.csv", "--agg", "mean",
+           "--methods-csv", str(methods_csv), *flags)
+    return methods_csv.read_text(encoding="utf-8").splitlines()[1:]
+
+
+def test_cli_embed_methods_csv_lists_each_pair_file_once(pipeline, tmp_path):
+    files = sorted(pipeline["corpus"].rglob("*.java"))
+    a, b, c = (f.relative_to(pipeline["corpus"]).as_posix() for f in files[3:6])
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text(f"x\t{b}\t{a}\ny\t{a}\t{c}\nz\t{c}\t{b}\n", encoding="utf-8")
+    rows = _methods_csv_rows(pipeline, tmp_path, pipeline["corpus"], "--pairs", str(pairs))
+    listed = [row.split(",", 1)[0] for row in rows]
+    assert listed == [b, b, a, a, c, c]  # two methods a file, in the order first embedded
+    every_file = _methods_csv_rows(pipeline, tmp_path / "all", pipeline["corpus"])
+    assert sorted(rows) == sorted(row for row in every_file if row.split(",", 1)[0] in (a, b, c))
+
+
+def test_cli_embed_methods_csv_lists_only_embedded_files(pipeline, tmp_path):
+    corpus = tmp_path / "corpus"
+    for label in ("loops", "chains"):
+        (corpus / label).mkdir(parents=True)
+        for src in sorted((pipeline["corpus"] / label).glob("*.java"))[:2]:
+            (corpus / label / src.name).write_bytes(src.read_bytes())
+    (corpus / "Root.java").write_text(fx.FIG1_FACTORIAL, encoding="utf-8")
+    rows = _methods_csv_rows(pipeline, tmp_path, corpus)
+    listed = [row.split(",", 1)[0] for row in rows]
+    # Root.java is outside every label directory, so embed does not read it
+    labelled = [p.relative_to(corpus).as_posix() for p in sorted(corpus.glob("*/*.java"))]
+    assert listed == [rel for rel in labelled for _ in range(2)]
+
+
 # --- evaluate / compare / rank ------------------------------------------------------
 
 
@@ -650,3 +685,160 @@ def test_cli_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# --- settings: flag > config file > default ----------------------------------------
+
+CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
+
+
+def _conf(path, **values):
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+    return str(path)
+
+
+def _settings_of(artifact):
+    """The settings in an artifact's manifest, as they go in a config file."""
+    config = read_manifest(manifest_path_for(artifact))["config"]
+    return {k: v for k, v in config.items() if k in CONFIG_KEYS}
+
+
+def test_extract_max_len_flag_over_file_over_default(pipeline, tmp_path):
+    conf = _conf(tmp_path / "c.conf", max_len=3)
+    runs = {"default": [], "file": ["--config", conf], "flag": ["--config", conf, "--max-len", "5"]}
+    for name, extra in runs.items():
+        argv = ["extract", "--corpus", str(pipeline["corpus"]), "--out", str(tmp_path / name), *extra]
+        assert main(argv) == 0
+    assert [_settings_of(tmp_path / name)["max_len"] for name in runs] == [8, 3, 5]
+
+
+def test_train_d_emb_flag_over_file_over_default(pipeline, tmp_path):
+    conf = _conf(tmp_path / "c.conf", d_emb=5)
+    runs = {"default": [], "file": ["--config", conf], "flag": ["--config", conf, "--d-emb", "6"]}
+    for name, extra in runs.items():
+        argv = ["train", "--contexts", str(pipeline["dump"]), "--out", str(tmp_path / name),
+                "--epochs", "0", *extra]
+        assert main(argv) == 0
+    assert [load_checkpoint(tmp_path / name).config.d_emb for name in runs] == [128, 5, 6]
+    assert [_settings_of(tmp_path / name)["d_emb"] for name in runs] == [128, 5, 6]
+
+
+def test_embed_aggregation_suite_from_file_and_overridden_by_flag(pipeline, tmp_path):
+    conf = _conf(tmp_path / "c.conf", aggregation="suite")
+    for name, extra in {"default": [], "file": ["--config", conf],
+                        "flag": ["--config", conf, "--agg", "minMean"]}.items():
+        (tmp_path / name).mkdir()
+        _embed(pipeline, pipeline["corpus"], tmp_path / name / "data.csv", *extra)
+    assert [p.name for p in (tmp_path / "default").glob("*.csv")] == ["data.csv"]
+    assert _settings_of(tmp_path / "default" / "data.csv")["aggregation"] == "mean"
+    assert len(list((tmp_path / "file").glob("data.*.csv"))) == 23
+    assert [p.name for p in (tmp_path / "flag").glob("*.csv")] == ["data.csv"]
+    assert _settings_of(tmp_path / "flag" / "data.csv")["aggregation"] == "minMean"
+
+
+def test_evaluate_classifier_c_flag_over_file_over_default(tmp_path):
+    data = tmp_path / "sep.csv"
+    _write_separable_csv(data)
+    conf = _conf(tmp_path / "c.conf", classifier_c=0.25)
+    runs = {"default": [], "file": ["--config", conf], "flag": ["--config", conf, "--c", "4"]}
+    for name, extra in runs.items():
+        argv = ["evaluate", "--data", str(data), "--out", str(tmp_path / name),
+                "--runs", "1", "--folds", "2", *extra]
+        assert _run_quietly(argv)[0] == 0
+    assert [_settings_of(tmp_path / name)["classifier_c"] for name in runs] == [1.0, 0.25, 4.0]
+
+
+def test_xobf_random_length_flag_over_file_over_default(pipeline, tmp_path, capsys):
+    xobf = ["xobf", "--model", str(pipeline["ckpt"]), "--corpus", str(pipeline["corpus"]), "--seed", "2"]
+    code, default, _ = run(capsys, *xobf)
+    assert code == 0
+    assert run(capsys, *xobf, "--len", "8")[1] == default  # the default length is 8
+    too_short = _conf(tmp_path / "short.conf", random_length=3)
+    code, _, stderr = run(capsys, *xobf, "--config", too_short)
+    assert code == 1 and "random_length must be >= 4" in stderr
+    code, flagged, _ = run(capsys, *xobf, "--config", too_short, "--len", "6")
+    assert code == 0
+    assert run(capsys, *xobf, "--config", _conf(tmp_path / "six.conf", random_length=6))[1] == flagged
+
+
+def test_config_file_rejects_a_badly_typed_value_for_any_command(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    conf = _conf(tmp_path / "c.conf", seed=1, d_emb="wide")  # obfuscate does not read d_emb
+    code, _, stderr = run(capsys, "obfuscate", "--in", str(src), "--out", str(tmp_path / "o"),
+                          "--mode", "type", "--config", conf)
+    assert code == 1
+    assert "c.conf:2: d_emb takes a int, got 'wide'" in stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_ignores_extraction_limits_in_its_config_file(pipeline, tmp_path):
+    conf = _conf(tmp_path / "c.conf", max_len=3, max_width=1, max_contexts=7)
+    args = ["train", "--contexts", str(pipeline["dump"]),
+            "--d-emb", "6", "--epochs", "3", "--batch-size", "8", "--seed", "4"]
+    ckpt = tmp_path / "m.ckpt"
+    assert main(args + ["--out", str(ckpt), "--config", conf]) == 0
+    assert ckpt.read_bytes() == pipeline["ckpt"].read_bytes()
+
+
+def test_train_has_no_extraction_flags(pipeline, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--contexts", str(pipeline["dump"]), "--out", str(tmp_path / "m"),
+              "--max-len", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-len 3" in capsys.readouterr().err
+
+
+def test_train_refuses_a_dump_without_its_extract_manifest(pipeline, tmp_path, capsys):
+    dump = tmp_path / "bare.txt"
+    dump.write_bytes(pipeline["dump"].read_bytes())
+    code, _, stderr = run(capsys, "train", "--contexts", str(dump), "--out", str(tmp_path / "m"))
+    assert code == 1
+    assert f"{manifest_path_for(dump)}: no extract manifest" in stderr
+    assert not (tmp_path / "m").exists()
+
+
+# --- round trip: a manifest's settings, written back as a config file, rerun the command
+
+
+def _rerun_from_manifest(artifact, tmp_path, argv):
+    """Run argv with only the settings of artifact's manifest, as a config file."""
+    conf = _conf(tmp_path / "settings.conf", **_settings_of(artifact))
+    assert _run_quietly([*argv, "--config", conf])[0] == 0
+
+
+def test_extract_settings_round_trip(pipeline, tmp_path):
+    first, again = tmp_path / "first.txt", tmp_path / "again.txt"
+    assert main(["extract", "--corpus", str(pipeline["corpus"]), "--out", str(first),
+                 "--max-len", "5", "--max-width", "0", "--max-contexts", "9", "--seed", "7"]) == 0
+    _rerun_from_manifest(first, tmp_path, ["extract", "--corpus", str(pipeline["corpus"]),
+                                          "--out", str(again)])
+    assert again.read_bytes() == first.read_bytes()
+    assert read_manifest(manifest_path_for(again)) == read_manifest(manifest_path_for(first))
+
+
+def test_embed_suite_csv_settings_round_trip(pipeline, tmp_path):
+    (tmp_path / "suite").mkdir()
+    _embed(pipeline, pipeline["corpus"], tmp_path / "suite" / "data.csv", "--suite",
+           "--selection", "topk", "--k", "1", "--per-class-cap", "4", "--seed", "2")
+    suite_csv = tmp_path / "suite" / "data.maxMean.csv"
+    single = tmp_path / "single.csv"
+    _rerun_from_manifest(suite_csv, tmp_path, ["embed", "--corpus", str(pipeline["corpus"]),
+                                              "--model", str(pipeline["ckpt"]), "--out", str(single)])
+    assert single.read_bytes() == suite_csv.read_bytes()
+    assert read_manifest(manifest_path_for(single)) == read_manifest(manifest_path_for(suite_csv))
+
+
+def test_evaluate_settings_round_trip(pipeline, tmp_path):
+    first, again = tmp_path / "first.txt", tmp_path / "again.txt"
+    assert _run_quietly(["evaluate", "--data", str(pipeline["csv"]), "--out", str(first),
+                         "--runs", "2", "--folds", "3", "--seed", "4", "--c", "0.5",
+                         "--tol", "0.0001", "--max-iter", "50"])[0] == 0
+    _rerun_from_manifest(first, tmp_path, ["evaluate", "--data", str(pipeline["csv"]),
+                                          "--out", str(again)])
+    assert again.read_bytes() == first.read_bytes()
+    assert read_manifest(manifest_path_for(again))["config"] == {
+        "data": str(pipeline["csv"]), "dataset": "corpus", "aggregation": "mean",
+        "classifier_c": 0.5, "classifier_tol": 0.0001, "max_iterations": 50,
+        "runs": 2, "folds": 3, "seed": 4,
+    }

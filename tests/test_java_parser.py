@@ -8,6 +8,7 @@ import fixtures_java as fx
 import synth
 from conftest import call_at_depth
 from oracles import (
+    isomorphic_up_to_leaf_tokens,
     leaves,
     node_tokens,
     resolve_bindings_reference,
@@ -20,6 +21,7 @@ from pathvec.java import ParseError, SourceUnit, parse_file, resolve_bindings, t
 from pathvec.java.lexer import PUNCTUATION
 from pathvec.java.parser import MAX_NESTING
 from pathvec.java.ast import UNK_TYPE
+from pathvec.obfuscate import ObfuscationScheme, obfuscate_unit
 
 
 def token_texts(source: str) -> list[str]:
@@ -377,3 +379,65 @@ def test_iterative_resolver_matches_the_recursive_one_on_a_synth_corpus(tmp_path
     assert len(paths) == 40
     for path in paths:
         _assert_resolution_matches_reference(parse_file(path.read_text(encoding="utf-8")))
+
+
+# --- frontend edge cases ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def edges_unit():
+    return parse_file(fx.EDGE_CASES, "Edges.java")
+
+
+def test_escaped_quotes_stay_inside_their_literals():
+    tokens = tokenize(fx.EDGE_CASES)
+    assert [(t.kind, t.text) for t in tokens if t.kind in ("string", "char")] == [
+        ("string", '"x\\"y"'), ("char", "'\\''"),
+    ]
+    assert [(t.kind, t.text) for t in tokenize("""c = '\\\\' + "\\\\";""")[:-1]] == [
+        ("ident", "c"), ("punct", "="), ("char", "'\\\\'"), ("punct", "+"),
+        ("string", '"\\\\"'), ("punct", ";"),
+    ]
+
+
+def test_wildcard_import_is_recorded(edges_unit):
+    assert edges_unit.root.meta["imports"] == ["java.util.*"]
+    assert token_texts("import java.util.*;") == ["import", "java", ".", "util", ".", "*", ";"]
+
+
+def test_edge_case_bindings(edges_unit):
+    found = {
+        (b.name, b.scope, b.declared_type): [o.span[0] for o in b.occurrences]
+        for b in edges_unit.bindings
+    }
+    assert found == {
+        ("a", "field", "int"): [4, 4],  # read by the initializer of c
+        ("c", "field", "int"): [4, 16],
+        ("s", "param", "String"): [6, 7],
+        ("n", "param", "int"): [10, 13],
+        ("i", "local", "int"): [11, 13, 13, 13, 16],  # both for-init assignments bind
+        ("j", "local", "int"): [12, 13, 13, 14],
+    }
+    assert edges_unit.unbound == []
+    [field_list] = [m for m in edges_unit.classes[0].node.children if m.kind == "FieldDeclaration"]
+    assert len(field_list.children) == 3  # the type and two declarators
+    [loop] = [n for n in walk(edges_unit.root) if n.kind == "ForStmt"]
+    assert loop.meta["n_init"] == 2
+    _assert_resolution_matches_reference(edges_unit)
+
+
+def test_edge_cases_round_trip_through_type_obfuscation(edges_unit):
+    rewritten, rename = obfuscate_unit(edges_unit, ObfuscationScheme("type"))
+    assert sorted(rename.entries.values()) == [
+        "field_int_1", "field_int_2", "local_int_1", "local_int_2",
+        "param_int_1", "param_string_1",
+    ]
+    assert "int field_int_1 = 1, field_int_2 = field_int_1 + 2;" in rewritten
+    assert "for (local_int_1 = 0, local_int_2 = param_int_1;" in rewritten
+    assert 'param_string_1 + "x\\"y" + \'\\\'\';' in rewritten
+    again = parse_file(rewritten, "Edges.java")
+    assert isomorphic_up_to_leaf_tokens(edges_unit.root, again.root)
+    assert again.root.meta["imports"] == ["java.util.*"]
+    assert [len(b.occurrences) for b in again.bindings] == [
+        len(b.occurrences) for b in edges_unit.bindings
+    ]

@@ -243,3 +243,22 @@ def test_random_tree_rerun_identical(tmp_path):
     assert files_a == files_b
     for rel in files_a:
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
+
+
+def test_obfuscate_tree_keeps_crlf_line_endings(tmp_path):
+    src = tmp_path / "in"
+    src.mkdir()
+    parses = fx.FIG4_ORIGINAL.replace("\n", "\r\n").encode()
+    unsupported = "class T {\n  void m() {\n    try { x = 1; } finally { }\n  }\n}\n"
+    unsupported = unsupported.replace("\n", "\r\n").encode()
+    (src / "Holder.java").write_bytes(parses)
+    (src / "Try.java").write_bytes(unsupported)
+    report = obfuscate_tree(src, tmp_path / "out", ObfuscationScheme("type"))
+    assert (report["processed"], report["skipped"]) == (1, 1)
+    # the skipped file is mirrored byte for byte
+    assert (tmp_path / "out" / "Try.java").read_bytes() == unsupported
+    # the rewritten file differs from its input only at the renamed names
+    renames = {b"objCount": b"field_int_1", b"input": b"param_string_1", b"count": b"local_int_1"}
+    expected = re.sub(rb"\b(objCount|input|count)\b", lambda m: renames[m.group()], parses)
+    assert (tmp_path / "out" / "Holder.java").read_bytes() == expected
+    assert expected.count(b"\r\n") == parses.count(b"\n") > 0
