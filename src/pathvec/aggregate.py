@@ -239,6 +239,10 @@ def build_dataset_suite(
     with a seed, so the result does not depend on item order within a
     label.
 
+    A unit's path names its file: a file is embedded once, at its first
+    item, and later items that name it reuse its row (selection is
+    salted by the path, so the row would come out the same).
+
     If `methods` is given, it maps the path of each file embedded to its
     (method name, vector) list, before selection and the per-class cap,
     in the order the files were first embedded.
@@ -246,12 +250,24 @@ def build_dataset_suite(
     union = union_spec(aggregations)
     stats = BuildStats()
     per_label: dict[str, list[ClassEmbedding]] = {}
+    file_rows: dict[str, np.ndarray | NoMethods] = {}
 
     def file_row(unit: SourceUnit) -> np.ndarray:
-        vectors = method_vectors(unit, model)
-        if methods is not None and unit.path not in methods:
-            methods[unit.path] = [(name, v) for v, _, name in vectors]
-        return aggregate_vectors(select_methods(vectors, selection, salt=unit.path), union)
+        if unit.path not in file_rows:
+            try:
+                vectors = method_vectors(unit, model)
+            except NoMethods as exc:
+                file_rows[unit.path] = exc
+            else:
+                if methods is not None:
+                    methods[unit.path] = [(name, v) for v, _, name in vectors]
+                file_rows[unit.path] = aggregate_vectors(
+                    select_methods(vectors, selection, salt=unit.path), union
+                )
+        row = file_rows[unit.path]
+        if isinstance(row, NoMethods):
+            raise row
+        return row
 
     for label, units in items:
         stats.files += 1

@@ -125,6 +125,22 @@ def _read_pair_manifest(path: str) -> list[tuple[str, str, str]]:
     return pairs
 
 
+def _pair_items(
+    corpus: Path, pairs: list[tuple[str, str, str]]
+) -> Iterator[tuple[str, tuple[SourceUnit | None, SourceUnit | None]]]:
+    """(label, (unit a, unit b)) per pair. Each distinct path is read once,
+    at the first pair that names it, and let go after the last one."""
+    last_use = {rel: k for k, (_, a, b) in enumerate(pairs) for rel in (a, b)}
+    units: dict[str, SourceUnit | None] = {}
+    for k, (label, a, b) in enumerate(pairs):
+        unread = [rel for rel in dict.fromkeys((a, b)) if rel not in units]
+        units.update(_read_units(corpus, unread))
+        yield label, (units[a], units[b])
+        for rel in (a, b):
+            if last_use[rel] == k:
+                units.pop(rel, None)
+
+
 # --- subcommands ---------------------------------------------------------------
 
 
@@ -249,12 +265,7 @@ def cmd_embed(args) -> int:
 
     labels: list[str] = []  # label directories; each must yield a row
     if args.pairs:
-        pairs = _read_pair_manifest(args.pairs)
-        read = _read_units(corpus, [rel for _, a, b in pairs for rel in (a, b)])
-        items = (
-            (label, (unit_a, unit_b))
-            for (label, _, _), (_, unit_a), (_, unit_b) in zip(pairs, read, read)
-        )
+        items = _pair_items(corpus, _read_pair_manifest(args.pairs))
     else:
         if not corpus.is_dir():
             raise FileNotFoundError(f"corpus directory not found: {corpus}")

@@ -15,7 +15,7 @@ from typing import Iterator
 UNK_TYPE = "unk"
 
 
-@dataclass
+@dataclass(slots=True)
 class AstNode:
     kind: str
     token: str | None = None

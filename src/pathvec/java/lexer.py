@@ -8,7 +8,7 @@ the original text without disturbing formatting.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ParseError(Exception):
@@ -62,10 +62,11 @@ _FLOAT_RE = re.compile(
     r"|\d[\d_]*[fFdD])"
 )
 _INT_RE = re.compile(r"\d[\d_]*[lL]?")
+# Java ends a line with LF, CRLF or a lone CR.
+_LINE_END_RE = re.compile(r"\r\n?|\n")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | keyword | int | float | string | char | punct | eof
     text: str
     line: int
@@ -87,28 +88,27 @@ def tokenize(text: str) -> list[Token]:
 
     while i < n:
         ch = text[i]
-        if ch == "\n":
+        if ch == "\n" or ch == "\r":
             line += 1
-            i += 1
+            i += 2 if text.startswith("\r\n", i) else 1
             line_start = i
             continue
-        if ch in " \t\r\f":
+        if ch in " \t\f":
             i += 1
             continue
         if text.startswith("//", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j
+            m = _LINE_END_RE.search(text, i)
+            i = n if m is None else m.start()
             continue
         if text.startswith("/*", i):
             j = text.find("*/", i + 2)
             if j < 0:
                 raise err("unterminated block comment")
-            line += text.count("\n", i, j)
+            ends = _LINE_END_RE.findall(text, i, j)
+            if ends:  # line_start only matters for columns
+                line += len(ends)
+                line_start = max(text.rfind("\n", i, j), text.rfind("\r", i, j)) + 1
             i = j + 2
-            # line_start only matters for columns; recompute lazily
-            k = text.rfind("\n", 0, i)
-            if k >= 0:
-                line_start = k + 1
             continue
 
         col = i - line_start + 1
@@ -117,12 +117,12 @@ def tokenize(text: str) -> list[Token]:
             quote = ch
             j = i + 1
             while j < n:
-                if text[j] == "\\":
+                if text[j] == "\\" and text[j + 1 : j + 2] not in ("\n", "\r"):
                     j += 2
                     continue
                 if text[j] == quote:
                     break
-                if text[j] == "\n":
+                if text[j] in "\r\n":
                     raise err("unterminated literal")
                 j += 1
             if j >= n:

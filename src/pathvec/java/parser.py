@@ -68,10 +68,11 @@ class _Parser:
         return self.tokens[self.pos]
 
     def at(self, text: str) -> bool:
-        return self.cur().text == text and self.cur().kind != "eof"
+        tok = self.tokens[self.pos]
+        return tok.text == text and tok.kind != "eof"
 
     def at_kind(self, kind: str) -> bool:
-        return self.cur().kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def peek(self, offset: int = 1) -> Token:
         idx = min(self.pos + offset, len(self.tokens) - 1)

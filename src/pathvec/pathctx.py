@@ -6,9 +6,11 @@ leaf pair of a method body whose path has at most max_len edges and whose
 two branches leave their top node (the apex) through children at most
 max_width apart, the earlier leaf in source order first. Extraction
 enumerates only those pairs, apex by apex, so its work grows with the
-contexts kept rather than with the square of the leaf count. Leaf tokens
-are sanitized for the dump format when they are extracted, so the dump,
-train, embed and xobf see the same tokens.
+contexts kept rather than with the square of the leaf count. A method's
+pairs are recorded as plain tuples and sampled down to max_contexts
+before any PathContext is built, so contexts past the cap are never
+built. Leaf tokens are sanitized for the dump format when they are
+extracted, so the dump, train, embed and xobf see the same tokens.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple, TypeVar
 
 import numpy as np
 
@@ -40,8 +43,7 @@ class EmptyMethod(Exception):
     """Method body has fewer than two leaves; nothing to extract."""
 
 
-@dataclass(frozen=True)
-class PathContext:
+class PathContext(NamedTuple):
     start_token: str
     path: str
     end_token: str
@@ -81,14 +83,23 @@ def extract_contexts(
     max_len: int | None = 8,
     max_width: int | None = 2,
 ) -> list[PathContext]:
-    """The leaf-to-leaf path-contexts of a method body within both limits.
+    """The leaf-to-leaf path-contexts of a method body within both limits,
+    by (earlier leaf, later leaf) in source order."""
+    return _build_contexts(_context_pairs(method, max_len, max_width))
+
+
+def _context_pairs(
+    method: MethodDecl, max_len: int | None, max_width: int | None
+) -> list[tuple[str, str, str, str]]:
+    """extract_contexts's contexts, in its order, each as a plain tuple
+    (start token, path from the start leaf through the apex, path down
+    to the end leaf, end token) that _build_contexts turns into one.
 
     One bottom-up pass: each subtree hands its parent an entry per leaf that
     can still pair (leaf index, edges up to the subtree root, the path from
     the leaf up to that root, the path from it down to the leaf, the token
     as the dump writes it), and each internal node pairs only the entries of children at
     most ``max_width`` apart whose paths through it fit ``max_len``.
-    Contexts come out by (earlier leaf, later leaf) in source order.
     """
     body = method.body
     order = []  # pre-order, so leaves appear in source order
@@ -104,10 +115,10 @@ def extract_contexts(
     max_len = len(order) if max_len is None else max_len
     max_width = len(order) if max_width is None else max_width
 
-    # Contexts by their earlier leaf. Apexes above a leaf are met bottom-up,
+    # Pairs by their earlier leaf. Apexes above a leaf are met bottom-up,
     # and each pairs it with later leaves in source order, so each list is
     # already ordered by the later leaf.
-    by_first: list[list[PathContext]] = [[] for _ in leaf_index]
+    by_first: list[list[tuple]] = [[] for _ in leaf_index]
     entries: dict[int, list[tuple]] = {}
     for node in reversed(order):  # every node after all of its descendants
         if not node.children:
@@ -121,10 +132,11 @@ def extract_contexts(
                 middle = UP + node.kind + DOWN + node.children[q].kind
                 for i, depth_a, up, _, start in left:
                     room = max_len - 2 - depth_a
+                    head = up + middle
                     out = by_first[i]
                     for _, depth_b, _, down, end in right:
                         if depth_b <= room:
-                            out.append(PathContext(start, up + middle + down, end))
+                            out.append((start, head, down, end))
         if node is not body:
             step_up = UP + node.kind
             entries[id(node)] = [
@@ -133,12 +145,17 @@ def extract_contexts(
                 for i, depth, up, down, token in items
                 if depth + 3 <= max_len  # can still pair at an ancestor
             ]
-    return [ctx for contexts in by_first for ctx in contexts]
+    return [pair for pairs in by_first for pair in pairs]
 
 
-def cap_contexts(
-    contexts: list[PathContext], max_contexts: int, rng: np.random.Generator
-) -> list[PathContext]:
+def _build_contexts(pairs: list[tuple[str, str, str, str]]) -> list[PathContext]:
+    return [PathContext(start, head + down, end) for start, head, down, end in pairs]
+
+
+_T = TypeVar("_T")
+
+
+def cap_contexts(contexts: list[_T], max_contexts: int, rng: np.random.Generator) -> list[_T]:
     """Uniform, order-stable sample without replacement when over the cap."""
     if max_contexts < 1:
         raise ValueError("max_contexts must be >= 1")
@@ -156,21 +173,20 @@ def extract_unit_samples(unit: SourceUnit, cfg: ExtractionConfig) -> list[Method
         for method in cls.methods:
             ordinal += 1
             try:
-                contexts = extract_contexts(method, cfg.max_len, cfg.max_width)
+                pairs = _context_pairs(method, cfg.max_len, cfg.max_width)
             except EmptyMethod:
                 logger.debug("skipping empty method %s in %s", method.name, unit.path)
                 continue
-            if not contexts:
+            if not pairs:
                 continue
             rng = np.random.default_rng(
                 derive_seed(cfg.seed, unit.path, ordinal, method.name)
             )
-            contexts = cap_contexts(contexts, cfg.max_contexts, rng)
             samples.append(
                 MethodSample(
                     target_name=method.name,
                     target_subtokens=split_target(method.name),
-                    contexts=contexts,
+                    contexts=_build_contexts(cap_contexts(pairs, cfg.max_contexts, rng)),
                     line_count=method.line_count,
                     source_path=unit.path,
                 )
@@ -301,9 +317,7 @@ def sanitize_token(token: str) -> str:
 
 def format_dump_line(sample: MethodSample) -> str:
     contexts = sample.contexts
-    line = " ".join(
-        [sample.target_name, *[f"{c.start_token},{c.path},{c.end_token}" for c in contexts]]
-    )
+    line = " ".join([sample.target_name, *map(",".join, contexts)])
     # Extracted and read-back samples are already clean, so the joined line is
     # the answer unless a field holds a separator or other whitespace, or is
     # empty; only then sanitize field by field. The separators are the line's

@@ -13,6 +13,7 @@ import fixtures_java as fx
 import synth
 from conftest import call_at_depth
 from oracles import csv_module_dataset_bytes
+from pathvec import aggregate, cli
 from pathvec.aggregate import read_dataset_csv
 from pathvec.cli import _read_units, main
 from pathvec.config import PipelineConfig, manifest_path_for, read_manifest
@@ -528,6 +529,47 @@ def test_cli_embed_methods_csv_lists_each_pair_file_once(pipeline, tmp_path):
     assert listed == [b, b, a, a, c, c]  # two methods a file, in the order first embedded
     every_file = _methods_csv_rows(pipeline, tmp_path / "all", pipeline["corpus"])
     assert sorted(rows) == sorted(row for row in every_file if row.split(",", 1)[0] in (a, b, c))
+
+
+def test_cli_embed_pairs_reads_and_embeds_each_file_once(pipeline, tmp_path, monkeypatch):
+    files = sorted(pipeline["corpus"].rglob("*.java"))[:6]
+    rels = [f.relative_to(pipeline["corpus"]).as_posix() for f in files]
+    # each file named in two pairs; a label per pair, so the CSV keeps manifest order
+    pairs = [(f"p{k}", rels[k], rels[(k + 1) % 6]) for k in range(6)]
+    flags = ["--agg", "minMax", "--selection", "randomk", "--k", "1"]
+
+    expected_rows = []
+    for k, pair in enumerate(pairs):  # one pair per run: nothing to reuse
+        manifest, one = tmp_path / f"one{k}.tsv", tmp_path / f"one{k}.csv"
+        manifest.write_text("\t".join(pair) + "\n", encoding="utf-8")
+        _embed(pipeline, pipeline["corpus"], one, "--pairs", str(manifest), *flags)
+        header, row = one.read_bytes().splitlines(keepends=True)
+        expected_rows.append(row)
+
+    calls = {"parse_file": 0, "method_vectors": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "parse_file", counting("parse_file", cli.parse_file))
+    monkeypatch.setattr(
+        aggregate, "method_vectors", counting("method_vectors", aggregate.method_vectors)
+    )
+    manifest = tmp_path / "pairs.tsv"
+    manifest.write_text("".join("\t".join(pair) + "\n" for pair in pairs), encoding="utf-8")
+    out = tmp_path / "pairs.csv"
+    methods_csv = tmp_path / "methods.csv"
+    _embed(pipeline, pipeline["corpus"], out, "--pairs", str(manifest), *flags,
+           "--methods-csv", str(methods_csv))
+    assert calls == {"parse_file": 6, "method_vectors": 6}
+    assert out.read_bytes() == header + b"".join(expected_rows)
+    assert read_manifest(manifest_path_for(out))["counts"]["files"] == 6  # pairs, not files
+    lines = methods_csv.read_text(encoding="utf-8").splitlines()[1:]
+    listed = [line.split(",", 1)[0] for line in lines]
+    assert list(dict.fromkeys(listed)) == rels and len(listed) == 2 * 6  # two methods a file
 
 
 def test_cli_embed_methods_csv_lists_only_embedded_files(pipeline, tmp_path):

@@ -10,6 +10,7 @@ from oracles import brute_force_contexts, format_dump_line_reference, leaves
 from pathvec.cli import _read_units
 from pathvec.java import parse_file
 from pathvec.java.ast import AstNode, MethodDecl
+from pathvec.java.lexer import tokenize
 from pathvec.pathctx import (
     DOWN,
     UP,
@@ -28,6 +29,7 @@ from pathvec.pathctx import (
     write_context_dump,
 )
 from pathvec.obfuscate import ObfuscationScheme, obfuscate_unit
+from pathvec.util import derive_seed
 
 
 def _first_method(source):
@@ -213,6 +215,63 @@ def test_cap_seeded_rerun_identical():
 def test_cap_rejects_nonpositive():
     with pytest.raises(ValueError):
         cap_contexts(_fake_contexts(3), 0, np.random.default_rng(0))
+
+
+def _long_method_source(n_statements=50):
+    """A short method, then a flat method of about 250 body leaves, the
+    shape of the perfbench long-methods corpus."""
+    body = ["int v0 = seed + 1;"]
+    for k in range(1, n_statements):
+        if k % 3 == 0:
+            v = f"v{k - 1}"
+            body.append(f"if ({v} > {k}) {{ {v} = {v} - 2; }} else {{ {v}++; }}")
+            body.append(f"int v{k} = v{k - 1} * limit;")
+        else:
+            body.append(f"int v{k} = v{k - 1} % {k} + seed;")
+    body.append(f"return v{n_statements - 1};")
+    lines = "".join(f"        {line}\n" for line in body)
+    return (
+        "class Long {\n"
+        "    int small(int x) { return x + 1; }\n"
+        f"    int mix(int seed, int limit) {{\n{lines}    }}\n"
+        "}\n"
+    )
+
+
+def test_capped_samples_equal_cap_of_the_uncapped_contexts():
+    unit = parse_file(_long_method_source(), "long/Long0.java")
+    methods = list(unit.methods())
+    assert sum(1 for _ in leaves(methods[1].body)) >= 250
+    cfg = ExtractionConfig(max_len=8, max_width=2, max_contexts=200, seed=17)
+    samples = extract_unit_samples(unit, cfg)
+    assert [s.target_name for s in samples] == ["small", "mix"]
+    for ordinal, (method, sample) in enumerate(zip(methods, samples), start=1):
+        contexts = extract_contexts(method, cfg.max_len, cfg.max_width)
+        rng = np.random.default_rng(derive_seed(cfg.seed, unit.path, ordinal, method.name))
+        assert sample.contexts == cap_contexts(contexts, cfg.max_contexts, rng)
+    assert len(extract_contexts(methods[1], cfg.max_len, cfg.max_width)) > 5 * cfg.max_contexts
+    assert len(samples[1].contexts) == cfg.max_contexts
+
+
+def test_token_and_path_context_are_immutable():
+    token = tokenize("x")[0]
+    ctx = PathContext("a", "p", "b")
+    with pytest.raises(AttributeError):
+        token.text = "y"
+    with pytest.raises(AttributeError):
+        ctx.path = "q"
+
+
+def test_token_and_path_context_hash_and_compare_by_value():
+    a, b = tokenize("x x")[:2]
+    assert (a.kind, a.text, a.line) == (b.kind, b.text, b.line) and a != b  # columns differ
+    again = tokenize("x x")[0]
+    assert again == a and hash(again) == hash(a)
+    assert len({a, b, again}) == 2
+    ctx = PathContext("a", "p", "b")
+    assert ctx == PathContext("a", "p", "b") and hash(ctx) == hash(PathContext("a", "p", "b"))
+    assert ctx != PathContext("a", "p", "c")
+    assert len({ctx, PathContext("a", "p", "b"), PathContext("b", "p", "a")}) == 2
 
 
 # --- target splitting ----------------------------------------------------------
