@@ -376,6 +376,16 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     report_a = read_report(args.record_a)
     report_b = read_report(args.record_b)
+    for side, record_path in (("a", args.record_a), ("b", args.record_b)):
+        manifest = manifest_path_for(record_path)
+        if not manifest.exists():
+            continue
+        unconverged = read_manifest(manifest).get("counts", {}).get("unconverged_fits", 0)
+        if unconverged > 0:
+            logger.warning(
+                "record %s (%s): %d classifier fits hit the L-BFGS iteration limit",
+                side, record_path, unconverged,
+            )
     result = paired_ttest(
         report_a.per_fold_kappa.ravel(),
         report_b.per_fold_kappa.ravel(),
@@ -435,28 +445,30 @@ def cmd_rank(args) -> int:
 def cmd_xobf(args) -> int:
     model = load_checkpoint(args.model)
     corpus = Path(args.corpus)
-    units = [u for _, u in _read_units(corpus, _java_files(corpus)) if u is not None]
-    if not units:
-        raise EmptyClass(f"{args.corpus}: no parseable files")
-
-    def f1_for(variants: list[SourceUnit]) -> float:
-        pairs = []
-        for unit in variants:
-            samples = extract_unit_samples(unit, model.extraction)
-            for sample, top in zip(samples, model.predict(samples, k=1)):
-                pairs.append((sample.target_name, top[0][0]))
-        if not pairs:
-            raise EmptyClass(f"{args.corpus}: no extractable methods")
-        return name_prediction_f1(pairs).f1
-
     scheme = ObfuscationScheme(mode="random", random_length=args.random_length, seed=args.seed)
-    obfuscated_units = []
-    for unit in units:
-        rewritten, _ = obfuscate_unit(unit, scheme)
-        obfuscated_units.append(parse_file(rewritten, path=unit.path))
 
-    f1_plain = f1_for(units)
-    f1_obf = f1_for(obfuscated_units)
+    def predicted(unit: SourceUnit) -> list[tuple[str, str]]:
+        samples = extract_unit_samples(unit, model.extraction)
+        return [(s.target_name, top[0][0]) for s, top in zip(samples, model.predict(samples, k=1))]
+
+    # One file at a time: its plain and obfuscated trees go before the next is read.
+    parsed = 0
+    plain: list[tuple[str, str]] = []
+    obfuscated: list[tuple[str, str]] = []
+    for _, unit in _read_units(corpus, _java_files(corpus)):
+        if unit is None:
+            continue
+        parsed += 1
+        plain.extend(predicted(unit))
+        rewritten, _ = obfuscate_unit(unit, scheme)
+        obfuscated.extend(predicted(parse_file(rewritten, path=unit.path)))
+    if not parsed:
+        raise EmptyClass(f"{args.corpus}: no parseable files")
+    if not plain or not obfuscated:
+        raise EmptyClass(f"{args.corpus}: no extractable methods")
+
+    f1_plain = name_prediction_f1(plain).f1
+    f1_obf = name_prediction_f1(obfuscated).f1
     print(
         json.dumps(
             {

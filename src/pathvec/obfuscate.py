@@ -20,7 +20,7 @@ import numpy as np
 from .java import ParseError, SourceUnit, VariableBinding, parse_file
 from .java.ast import UNK_TYPE
 from .java.lexer import KEYWORDS
-from .util import derive_seed
+from .util import atomic_open, derive_seed
 
 logger = logging.getLogger(__name__)
 
@@ -152,9 +152,10 @@ def obfuscate_tree(
 
     Files are read and written without newline translation, so a rewritten
     file keeps every byte outside the renamed identifiers, line endings
-    included. Unparseable files are copied byte for byte and counted as
-    skipped; other files are copied untouched. Per-file IO problems land in
-    the report instead of aborting the batch.
+    included; it replaces its output path whole or not at all. Unparseable
+    files are copied byte for byte and counted as skipped; other files are
+    copied untouched. Per-file IO problems land in the report instead of
+    aborting the batch.
     """
     input_dir = Path(input_dir)
     output_dir = Path(output_dir)
@@ -188,7 +189,7 @@ def obfuscate_tree(
             report["skipped"] += 1
             shutil.copyfile(src, dst)
             continue
-        with open(dst, "w", encoding="utf-8", newline="") as fh:
+        with atomic_open(dst, "w", encoding="utf-8", newline="") as fh:
             fh.write(rewritten)
         report["processed"] += 1
     return report

@@ -11,12 +11,16 @@ pairs are recorded as plain tuples and sampled down to max_contexts
 before any PathContext is built, so contexts past the cap are never
 built. Leaf tokens are sanitized for the dump format when they are
 extracted, so the dump, train, embed and xobf see the same tokens.
+Tokens and paths are interned where they are made, by extraction or by
+the dump reader, so equal strings are one object however many contexts
+hold them.
 """
 
 from __future__ import annotations
 
 import logging
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -122,7 +126,7 @@ def _context_pairs(
     entries: dict[int, list[tuple]] = {}
     for node in reversed(order):  # every node after all of its descendants
         if not node.children:
-            token = sanitize_token(node.token or "")
+            token = sys.intern(sanitize_token(node.token or ""))
             entries[id(node)] = [(leaf_index[id(node)], 0, node.kind, "", token)]
             continue
         below = [entries.pop(id(child)) for child in node.children]
@@ -149,7 +153,8 @@ def _context_pairs(
 
 
 def _build_contexts(pairs: list[tuple[str, str, str, str]]) -> list[PathContext]:
-    return [PathContext(start, head + down, end) for start, head, down, end in pairs]
+    intern = sys.intern
+    return [PathContext(start, intern(head + down), end) for start, head, down, end in pairs]
 
 
 _T = TypeVar("_T")
@@ -364,7 +369,7 @@ def read_context_dump(path: str | Path) -> list[MethodSample]:
                 fields = chunk.split(",")
                 if len(fields) != 3:
                     raise ValueError(f"{path}:{lineno}: malformed context {chunk!r}")
-                contexts.append(PathContext(*fields))
+                contexts.append(PathContext(*map(sys.intern, fields)))
             if not contexts:
                 raise ValueError(f"{path}:{lineno}: method with no contexts")
             samples.append(

@@ -12,11 +12,13 @@ import io
 import numpy as np
 import pytest
 
+import fixtures_java as fx
 from pathvec.aggregate import AggregationSpec, ClassEmbedding, LabeledDataset, write_dataset_csv
 from pathvec.cli import main
 from pathvec.config import RunManifest
 from pathvec.evaluate import EvalReport, write_report
 from pathvec.model import TrainedModel, save_checkpoint, write_embedding_csv
+from pathvec.obfuscate import ObfuscationScheme, obfuscate_tree
 from pathvec.pathctx import ExtractionConfig, write_context_dump
 from pathvec.util import atomic_open
 
@@ -128,6 +130,19 @@ def test_a_writer_that_fails_midway_leaves_the_previous_file(writer, tmp_path, t
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     for name, data in old.items():
         assert (tmp_path / name).read_bytes() == data
+
+
+def test_obfuscate_tree_that_fails_midway_leaves_the_previous_file(tmp_path, disk_full):
+    src, out = tmp_path / "src", tmp_path / "out"
+    src.mkdir()
+    out.mkdir()
+    (src / "Holder.java").write_text(fx.FIG4_ORIGINAL, encoding="utf-8")
+    (out / "Holder.java").write_bytes(b"previous artifact\r\n")
+    disk_full()
+    with pytest.raises(OSError, match="No space left"):
+        obfuscate_tree(src, out, ObfuscationScheme(mode="type"))
+    assert [p.name for p in out.iterdir()] == ["Holder.java"]
+    assert (out / "Holder.java").read_bytes() == b"previous artifact\r\n"
 
 
 def test_atomic_open_replaces_only_on_success(tmp_path):

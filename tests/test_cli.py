@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -666,6 +667,52 @@ def test_cli_compare_and_mismatch(tmp_path, capsys):
     assert "partition" in stderr
 
 
+def _record(path, kappas):
+    from pathvec.evaluate import EvalReport, write_report
+
+    kappas = np.asarray(kappas, dtype=float).reshape(1, -1)
+    write_report(EvalReport(
+        per_fold_kappa=kappas, per_fold_accuracy=kappas, mean_kappa=float(kappas.mean()),
+        mean_accuracy=float(kappas.mean()), confusion_total=np.eye(2, dtype=np.int64),
+        labels=["a", "b"], partition_fingerprint="fp", runs=1, folds=kappas.size, seed=0,
+        dataset="algos", aggregation=path.stem,
+    ), path)
+
+
+def test_cli_compare_warns_about_the_side_with_unconverged_fits(tmp_path, capsys, caplog):
+    rec_a, rec_b = tmp_path / "mean.txt", tmp_path / "max.txt"
+    _record(rec_a, [0.5, 0.6, 0.7, 0.6])
+    _record(rec_b, [0.4, 0.6, 0.5, 0.5])
+
+    def compare_with(unconverged: dict):
+        for rec in (rec_a, rec_b):
+            manifest_path_for(rec).unlink(missing_ok=True)
+        for rec, count in unconverged.items():
+            manifest_path_for(rec).write_text(json.dumps(
+                {"stage": "evaluate", "counts": {"unconverged_fits": count, "rows": 40}}
+            ), encoding="utf-8")
+        caplog.clear()
+        code, stdout, _ = run(capsys, "compare", str(rec_a), str(rec_b))
+        assert code == 0
+        return stdout, [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+
+    plain, warnings = compare_with({})  # no manifests: no warning and no error
+    assert warnings == []
+    assert json.loads(plain)["a"] == "algos/mean"
+    out, warnings = compare_with({rec_a: 0, rec_b: 0})
+    assert (out, warnings) == (plain, [])
+    out, warnings = compare_with({rec_a: 7, rec_b: 0})
+    assert out == plain
+    assert len(warnings) == 1 and "record a" in warnings[0] and str(rec_a) in warnings[0]
+    assert "7 classifier fits" in warnings[0]
+    out, warnings = compare_with({rec_b: 2})  # a has no manifest
+    assert out == plain
+    assert len(warnings) == 1 and "record b" in warnings[0] and str(rec_b) in warnings[0]
+    out, warnings = compare_with({rec_a: 1, rec_b: 3})
+    assert out == plain
+    assert [w.split(" (")[0] for w in warnings] == ["record a", "record b"]
+
+
 def test_cli_rank_from_records(tmp_path, capsys):
     # synthesize records directly to control mean kappas
     from pathvec.evaluate import EvalReport, write_report
@@ -712,6 +759,68 @@ def test_cli_xobf_runs(pipeline, capsys):
     record = json.loads(stdout.strip())
     assert set(record) == {"f1_plain", "f1_obfuscated", "drop"}
     assert 0.0 <= record["f1_obfuscated"] <= 1.0
+
+
+def _xobf_all_units_first(checkpoint, corpus, seed):
+    """xobf's record with every file parsed, then every file obfuscated and
+    re-parsed, then both sets scored: the pairs xobf collects one file at a
+    time, in the same order."""
+    from pathvec.evaluate import name_prediction_f1
+    from pathvec.obfuscate import obfuscate_unit
+    from pathvec.pathctx import extract_unit_samples
+
+    model = load_checkpoint(checkpoint)
+    rels = sorted(p.relative_to(corpus).as_posix() for p in corpus.rglob("*.java"))
+    units = [u for _, u in _read_units(corpus, rels) if u is not None]
+    scheme = ObfuscationScheme(mode="random", random_length=8, seed=seed)
+    obfuscated = [cli.parse_file(obfuscate_unit(u, scheme)[0], path=u.path) for u in units]
+
+    def f1(variants):
+        pairs = []
+        for unit in variants:
+            samples = extract_unit_samples(unit, model.extraction)
+            pairs += [(s.target_name, top[0][0]) for s, top in zip(samples, model.predict(samples))]
+        return name_prediction_f1(pairs).f1
+
+    f1_plain, f1_obf = f1(units), f1(obfuscated)
+    return {"f1_plain": f1_plain, "f1_obfuscated": f1_obf, "drop": f1_plain - f1_obf}
+
+
+def test_cli_xobf_holds_one_file_at_a_time_and_scores_as_before(pipeline, monkeypatch, capsys):
+    parsed = []  # a weak reference to every unit parsed so far
+    live_at_parse = []
+    real_parse = cli.parse_file
+
+    def counting_parse(*args, **kwargs):
+        live_at_parse.append(sum(ref() is not None for ref in parsed))
+        unit = real_parse(*args, **kwargs)
+        parsed.append(weakref.ref(unit))
+        return unit
+
+    monkeypatch.setattr(cli, "parse_file", counting_parse)
+    code, stdout, _ = run(
+        capsys, "xobf", "--model", str(pipeline["ckpt"]), "--corpus", str(pipeline["corpus"]),
+        "--seed", "11",
+    )
+    assert code == 0
+    assert len(live_at_parse) == 2 * 12  # each file parsed plain, then obfuscated
+    assert max(live_at_parse) <= 2  # parsed trees do not pile up across the corpus
+    monkeypatch.undo()
+    expected = _xobf_all_units_first(pipeline["ckpt"], pipeline["corpus"], seed=11)
+    assert stdout == json.dumps(expected, sort_keys=True) + "\n"
+
+
+def test_cli_xobf_errors_keep_their_conditions(pipeline, tmp_path, capsys):
+    unparseable = tmp_path / "unparseable"
+    unparseable.mkdir()
+    (unparseable / "Bad.java").write_text("class {", encoding="utf-8")
+    code, _, stderr = run(capsys, "xobf", "--model", str(pipeline["ckpt"]), "--corpus", str(unparseable))
+    assert code == 1 and "no parseable files" in stderr
+    empty_methods = tmp_path / "empty_methods"
+    empty_methods.mkdir()
+    (empty_methods / "E.java").write_text("class E { void m() { } }", encoding="utf-8")
+    code, _, stderr = run(capsys, "xobf", "--model", str(pipeline["ckpt"]), "--corpus", str(empty_methods))
+    assert code == 1 and "no extractable methods" in stderr
 
 
 def test_cli_xobf_empty_corpus(tmp_path, capsys):

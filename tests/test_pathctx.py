@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fixtures_java as fx
+import synth
 from conftest import call_at_depth
 from oracles import brute_force_contexts, format_dump_line_reference, leaves
 from pathvec.cli import _read_units
@@ -462,6 +464,49 @@ def test_dump_tokens_equal_in_memory_tokens(tmp_path):
     assert np.array_equal(seen_at_embed.starts, seen_at_train.starts)
     assert np.array_equal(seen_at_embed.ends, seen_at_train.ends)
     assert vocab.token_id('"x__y"') != vocab.unk_id
+
+
+def test_files_of_one_shape_share_their_path_and_token_strings():
+    shape = "class {0} {{ int {1}(int total) {{ int {2} = total + 40; return {2}; }} }}"
+    one = _samples_from(shape.format("A", "first", "count"), path="A.java")[0].contexts
+    two = _samples_from(shape.format("B", "second", "amount"), path="B.java")[0].contexts
+    assert [c.path for c in one] == [c.path for c in two]
+    assert all(a.path is b.path for a, b in zip(one, two))
+    totals = [t for c in one + two for t in (c.start_token, c.end_token) if t == "total"]
+    assert len(totals) >= 2 and all(t is totals[0] for t in totals)
+
+
+def test_dump_lines_that_share_a_token_and_a_path_read_back_as_one_object(tmp_path):
+    path = f"NameExpr{UP}AssignExpr{DOWN}IntegerLiteralExpr"
+    out = tmp_path / "dump.txt"
+    out.write_text(f"m count,{path},17\nn count,{path},42 total,{path},17\n", encoding="utf-8")
+    contexts = [c for sample in read_context_dump(out) for c in sample.contexts]
+    assert len(contexts) == 3
+    assert all(c.path is contexts[0].path for c in contexts)
+    assert contexts[1].start_token is contexts[0].start_token  # "count"
+    assert contexts[2].end_token is contexts[0].end_token  # "17"
+
+
+def test_a_read_dump_holds_well_under_half_its_unshared_bytes_per_context(tmp_path):
+    # Each context holding its own three strings cost about 437 B here
+    # (80 files, 8,360 contexts); shared strings bring that near 110 B.
+    synth.generate_corpus(tmp_path / "corpus", files_per_class=40, seed=1)
+    files = sorted(p.relative_to(tmp_path / "corpus").as_posix()
+                   for p in (tmp_path / "corpus").rglob("*.java"))
+    cfg = ExtractionConfig(seed=3)
+    samples = [s for _, unit in _read_units(tmp_path / "corpus", files)
+               for s in extract_unit_samples(unit, cfg)]
+    write_context_dump(samples, tmp_path / "dump.txt")
+    del samples
+    tracemalloc.start()
+    try:
+        loaded = read_context_dump(tmp_path / "dump.txt")
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    contexts = sum(len(s.contexts) for s in loaded)
+    assert contexts > 8000
+    assert held / contexts < 160
 
 
 def test_extraction_of_a_long_sum_runs_deep_in_the_callers_stack(tmp_path):
