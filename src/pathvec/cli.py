@@ -226,7 +226,9 @@ def cmd_train(args) -> int:
 
     samples = read_context_dump(args.contexts)
     vocab = build_vocabulary(samples, min_count=args.min_count)
-    result = train(model_config, samples, vocab)
+    indexed = [vocab.index_sample(s) for s in samples]
+    del samples  # training reads only the id arrays; free the parsed dump
+    result = train(model_config, indexed, vocab)
     for stats in result.history:
         print(
             f"epoch {stats.epoch}: train_loss={stats.train_loss:.6f} "
@@ -239,7 +241,7 @@ def cmd_train(args) -> int:
     save_checkpoint(args.out, trained)
     summary = {
         "best_epoch": result.best_epoch,
-        "samples": len(samples),
+        "samples": len(indexed),
         "tokens": vocab.n_tokens,
         "paths": vocab.n_paths,
         "targets": vocab.n_targets,

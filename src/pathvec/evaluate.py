@@ -17,11 +17,27 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import stdtr
 
 from .pathctx import split_target
 from .util import atomic_open, derive_seed
+
+
+# scipy is imported on first call, not with this module: only evaluate and
+# compare need it, and loading scipy.optimize would cost every other command
+# about 40 MB of resident memory and half a second. Both stay module-level
+# names, looked up when a fit or a test runs, so a caller can replace them.
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
+
+
+def stdtr(df, t):
+    """scipy.special.stdtr: Student's t distribution function."""
+    from scipy.special import stdtr
+
+    return stdtr(df, t)
 
 
 class DegenerateData(Exception):

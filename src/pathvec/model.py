@@ -399,18 +399,18 @@ def adam_update(
 
 
 def train(
-    config: ModelConfig, samples: list[MethodSample], vocab: Vocabulary
+    config: ModelConfig, indexed: list[IndexedSample], vocab: Vocabulary
 ) -> TrainResult:
     """Minibatch Adam on the name-prediction objective.
 
-    Splits samples into train/validation with the config seed, keeps the
-    params of the epoch with the best validation subtoken F1 and stops
-    early once F1 has not improved for `patience` epochs. Deterministic
-    for a fixed seed.
+    Takes samples already indexed by `vocab`, so a caller can let go of
+    the parsed samples before training starts. Splits them into
+    train/validation with the config seed, keeps the params of the epoch
+    with the best validation subtoken F1 and stops early once F1 has not
+    improved for `patience` epochs. Deterministic for a fixed seed.
     """
-    if not samples:
+    if not indexed:
         raise ConfigError("no training samples")
-    indexed = [vocab.index_sample(s) for s in samples]
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(indexed))
     n_val = min(len(indexed) - 1, max(1, round(len(indexed) * config.val_fraction)))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import re
-import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -145,6 +144,11 @@ def obfuscate_unit(
     return "".join(out), rename
 
 
+def _copy_bytes(src: Path, dst: Path) -> None:
+    with atomic_open(dst, "wb") as fh:
+        fh.write(src.read_bytes())
+
+
 def obfuscate_tree(
     input_dir: str | Path, output_dir: str | Path, scheme: ObfuscationScheme
 ) -> dict:
@@ -152,10 +156,10 @@ def obfuscate_tree(
 
     Files are read and written without newline translation, so a rewritten
     file keeps every byte outside the renamed identifiers, line endings
-    included; it replaces its output path whole or not at all. Unparseable
-    files are copied byte for byte and counted as skipped; other files are
-    copied untouched. Per-file IO problems land in the report instead of
-    aborting the batch.
+    included. Unparseable files are copied byte for byte and counted as
+    skipped; other files are copied untouched. Every output file, rewritten
+    or copied, replaces its path whole or not at all. Per-file IO problems
+    land in the report instead of aborting the batch.
     """
     input_dir = Path(input_dir)
     output_dir = Path(output_dir)
@@ -168,7 +172,7 @@ def obfuscate_tree(
         dst = output_dir / rel
         dst.parent.mkdir(parents=True, exist_ok=True)
         if src.suffix != ".java":
-            shutil.copyfile(src, dst)
+            _copy_bytes(src, dst)
             continue
         try:
             with open(src, encoding="utf-8", newline="") as fh:
@@ -177,7 +181,7 @@ def obfuscate_tree(
             report["errors"].append(f"{rel}: {exc}")
             report["skipped"] += 1
             try:
-                shutil.copyfile(src, dst)
+                _copy_bytes(src, dst)
             except OSError:
                 pass
             continue
@@ -187,7 +191,7 @@ def obfuscate_tree(
         except (ParseError, ObfuscationError) as exc:
             logger.warning("skipping %s: %s", rel, exc)
             report["skipped"] += 1
-            shutil.copyfile(src, dst)
+            _copy_bytes(src, dst)
             continue
         with atomic_open(dst, "w", encoding="utf-8", newline="") as fh:
             fh.write(rewritten)

@@ -145,6 +145,26 @@ def test_obfuscate_tree_that_fails_midway_leaves_the_previous_file(tmp_path, dis
     assert (out / "Holder.java").read_bytes() == b"previous artifact\r\n"
 
 
+@pytest.mark.parametrize(
+    "name, source",
+    [("notes.txt", "not Java\n"), ("Broken.java", fx.MALFORMED_REJECT)],
+    ids=["non_java", "unparseable"],
+)
+def test_obfuscate_tree_copy_that_fails_midway_leaves_the_previous_file(
+    name, source, tmp_path, disk_full
+):
+    src, out = tmp_path / "src", tmp_path / "out"
+    src.mkdir()
+    out.mkdir()
+    (src / name).write_text(source * 50, encoding="utf-8")
+    (out / name).write_bytes(b"previous artifact\r\n")
+    disk_full()
+    with pytest.raises(OSError, match="No space left"):
+        obfuscate_tree(src, out, ObfuscationScheme(mode="type"))
+    assert [p.name for p in out.iterdir()] == [name]
+    assert (out / name).read_bytes() == b"previous artifact\r\n"
+
+
 def test_atomic_open_replaces_only_on_success(tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("old\n", encoding="utf-8")

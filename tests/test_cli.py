@@ -19,7 +19,7 @@ from pathvec.aggregate import read_dataset_csv
 from pathvec.cli import _read_units, main
 from pathvec.config import PipelineConfig, manifest_path_for, read_manifest
 from pathvec.java.parser import MAX_NESTING
-from pathvec.model import load_checkpoint
+from pathvec.model import load_checkpoint, loss_and_grads
 from pathvec.obfuscate import ObfuscationScheme, obfuscate_tree
 from pathvec.pathctx import DOWN, UP, build_vocabulary, read_context_dump
 
@@ -189,6 +189,35 @@ def test_cli_train_same_seed_identical_checkpoints(pipeline, tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() == pipeline["ckpt"].read_bytes()
+
+
+def test_cli_train_frees_the_parsed_samples_before_the_first_step(pipeline, tmp_path, monkeypatch):
+    parsed = []  # a weak reference to every sample read from the dump
+    live_at_first_step = []
+    real_read = cli.read_context_dump
+
+    def tracking_read(*args, **kwargs):
+        samples = real_read(*args, **kwargs)
+        parsed.extend(weakref.ref(sample) for sample in samples)
+        return samples
+
+    def first_step(*args, **kwargs):
+        if not live_at_first_step:
+            live_at_first_step.append(sum(ref() is not None for ref in parsed))
+        return loss_and_grads(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_context_dump", tracking_read)
+    monkeypatch.setattr("pathvec.model.loss_and_grads", first_step)
+    ckpt = tmp_path / "model.ckpt"
+    assert main([
+        "train", "--contexts", str(pipeline["dump"]), "--out", str(ckpt),
+        "--d-emb", "6", "--epochs", "3", "--batch-size", "8", "--seed", "4",
+    ]) == 0
+    assert len(parsed) > 0 and live_at_first_step == [0]
+    assert ckpt.read_bytes() == pipeline["ckpt"].read_bytes()
+    written = read_manifest(manifest_path_for(ckpt))
+    assert written["counts"] == read_manifest(manifest_path_for(pipeline["ckpt"]))["counts"]
+    assert written["counts"]["samples"] == len(parsed)
 
 
 def test_cli_train_inherits_extraction_from_dump_manifest(pipeline):

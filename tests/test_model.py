@@ -369,16 +369,16 @@ def _template_corpus(n_per_template=40, seed=0):
 def test_training_reaches_high_accuracy_on_templates():
     samples = _template_corpus()
     vocab = build_vocabulary(samples, min_count=1)
+    indexed = [vocab.index_sample(s) for s in samples]
     config = ModelConfig(d_emb=8, epochs=20, batch_size=16, seed=7, learning_rate=0.01)
-    result = train(config, samples, vocab)
+    result = train(config, indexed, vocab)
     assert result.history  # trained at least one epoch
     assert max(s.val_top1 for s in result.history) >= 0.9
     assert result.best_epoch <= 20
     # after training, the true target leads the top-k list
     hits = 0
     for sample in samples:
-        indexed = vocab.index_sample(sample)
-        (top,) = predict_name(result.params, [indexed], 1, vocab)
+        (top,) = predict_name(result.params, [vocab.index_sample(sample)], 1, vocab)
         hits += int(top[0][0] == sample.target_name)
     assert hits / len(samples) >= 0.9
 
@@ -389,17 +389,19 @@ def test_training_single_class_perfect_f1():
         for _ in range(20)
     ]
     vocab = build_vocabulary(samples, min_count=1)
+    indexed = [vocab.index_sample(s) for s in samples]
     config = ModelConfig(d_emb=4, epochs=5, batch_size=4, seed=1, learning_rate=0.05)
-    result = train(config, samples, vocab)
+    result = train(config, indexed, vocab)
     assert result.history[-1].val_f1 == pytest.approx(1.0)
 
 
 def test_training_is_bitwise_deterministic():
     samples = _template_corpus(10)
     vocab = build_vocabulary(samples, min_count=1)
+    indexed = [vocab.index_sample(s) for s in samples]
     config = ModelConfig(d_emb=4, epochs=4, batch_size=8, seed=99)
-    run_a = train(config, samples, vocab)
-    run_b = train(config, samples, vocab)
+    run_a = train(config, indexed, vocab)
+    run_b = train(config, indexed, vocab)
     assert [s.train_loss for s in run_a.history] == [s.train_loss for s in run_b.history]
     assert [s.val_loss for s in run_a.history] == [s.val_loss for s in run_b.history]
     for key, value in run_a.params.as_dict().items():
@@ -409,8 +411,9 @@ def test_training_is_bitwise_deterministic():
 def test_zero_epochs_returns_init(tmp_path):
     samples = _template_corpus(5)
     vocab = build_vocabulary(samples, min_count=1)
+    indexed = [vocab.index_sample(s) for s in samples]
     config = ModelConfig(d_emb=4, epochs=0, seed=3)
-    result = train(config, samples, vocab)
+    result = train(config, indexed, vocab)
     assert result.history == []
     assert result.best_epoch == 0
     expected = init_params(config, vocab)
@@ -426,12 +429,13 @@ def test_zero_epochs_returns_init(tmp_path):
 def test_dropout_flag_runs():
     samples = _template_corpus(5)
     vocab = build_vocabulary(samples, min_count=1)
+    indexed = [vocab.index_sample(s) for s in samples]
     config = ModelConfig(d_emb=4, epochs=2, seed=3, dropout_rate=0.3)
-    result = train(config, samples, vocab)
+    result = train(config, indexed, vocab)
     assert len(result.history) == 2
     assert all(np.isfinite(s.train_loss) for s in result.history)
-    again = train(config, samples, vocab)
-    plain = train(ModelConfig(d_emb=4, epochs=2, seed=3), samples, vocab)
+    again = train(config, indexed, vocab)
+    plain = train(ModelConfig(d_emb=4, epochs=2, seed=3), indexed, vocab)
     for key, value in result.params.as_dict().items():
         assert np.array_equal(value, again.params.as_dict()[key])  # seeded masks
     assert [s.train_loss for s in result.history] != [s.train_loss for s in plain.history]
@@ -497,8 +501,9 @@ def test_fig3_vectors_differ_without_obfuscation():
 def test_checkpoint_round_trip(tmp_path):
     samples = _template_corpus(8)
     vocab = build_vocabulary(samples, min_count=1)
+    indexed = [vocab.index_sample(s) for s in samples]
     config = ModelConfig(d_emb=4, epochs=2, batch_size=8, seed=13)
-    result = train(config, samples, vocab)
+    result = train(config, indexed, vocab)
     model = TrainedModel(config, ExtractionConfig(max_contexts=7, seed=3), result.params, vocab)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model)
@@ -517,10 +522,11 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_bytes_deterministic(tmp_path):
     samples = _template_corpus(6)
     vocab = build_vocabulary(samples, min_count=1)
+    indexed = [vocab.index_sample(s) for s in samples]
     config = ModelConfig(d_emb=4, epochs=2, batch_size=8, seed=17)
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(a, TrainedModel(config, ExtractionConfig(), train(config, samples, vocab).params, vocab))
-    save_checkpoint(b, TrainedModel(config, ExtractionConfig(), train(config, samples, vocab).params, vocab))
+    save_checkpoint(a, TrainedModel(config, ExtractionConfig(), train(config, indexed, vocab).params, vocab))
+    save_checkpoint(b, TrainedModel(config, ExtractionConfig(), train(config, indexed, vocab).params, vocab))
     assert a.read_bytes() == b.read_bytes()
 
 
