@@ -15,6 +15,7 @@ import itertools
 import logging
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -325,8 +326,6 @@ def write_dataset_csv(
         picks = [[dataset.functions.index(f) for f in spec.functions] for spec in specs]
     if len(picks) != len(paths):
         raise ValueError(f"{len(paths)} paths for {len(picks)} column selections")
-    quoted: dict[str, str] = {}
-
     with ExitStack() as stack:
         files = [
             stack.enter_context(atomic_open(path, "w", encoding="utf-8", newline=""))
@@ -335,19 +334,32 @@ def write_dataset_csv(
         for fh, pick in zip(files, picks):
             fh.write(",".join([f"f{i}" for i in range(len(pick) * width)] + ["label"]) + "\n")
         for row in dataset.rows:
-            texts = [
-                ",".join(map(repr, row.values[k * width : (k + 1) * width].tolist()))
-                for k in range(n_blocks)
-            ]
-            if row.label not in quoted:
-                quoted[row.label] = _csv_field(row.label)
-            label = quoted[row.label]
+            texts = [_csv_floats(row.values[k * width : (k + 1) * width]) for k in range(n_blocks)]
+            label = _csv_field(row.label)
             for fh, pick in zip(files, picks):
                 fh.write(",".join([texts[k] for k in pick] + [label]) + "\n")
 
 
+def write_embedding_csv(path: str | Path, rows: list[tuple[str, str, np.ndarray]]) -> None:
+    """Per-method embedding dump: sourcePath,methodName,v0..v{d-1}."""
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+        if rows:
+            width = len(rows[0][2])
+            fh.write(",".join(["sourcePath", "methodName", *(f"v{i}" for i in range(width))]) + "\n")
+        for source_path, name, vec in rows:
+            fh.write(f"{_csv_field(source_path)},{_csv_field(name)},{_csv_floats(vec)}\n")
+
+
+def _csv_floats(values: np.ndarray) -> str:
+    """The values as CSV fields, each written as repr(float)."""
+    return ",".join(map(repr, values.tolist()))
+
+
+@lru_cache(maxsize=4096)
 def _csv_field(text: str) -> str:
-    """`text` as csv.writer writes it as a field after the first in a row."""
+    """`text` as a field of a row of two or more, quoted as csv.writer
+    quotes it. Rows repeat their labels, paths and names, so each is
+    quoted once."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(["", text])
     return buf.getvalue()[1:-1]

@@ -12,9 +12,10 @@ import argparse
 import json
 import logging
 import sys
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from . import __version__
 from .aggregate import (
@@ -25,8 +26,8 @@ from .aggregate import (
     parse_aggregation_name,
     read_dataset_csv,
     standard_agg_suite,
-    suite_name_order,
     write_dataset_csv,
+    write_embedding_csv,
 )
 from .config import RunManifest, manifest_path_for, read_manifest, settle
 from .evaluate import (
@@ -42,7 +43,7 @@ from .evaluate import (
     read_report,
     write_report,
 )
-from .java import ParseError, SourceUnit, parse_file
+from .java import ParseError, SourceUnit, java_files, parse_file, read_sources
 from .model import (
     ConfigError,
     ModelConfig,
@@ -50,7 +51,6 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
     train,
-    write_embedding_csv,
 )
 from .obfuscate import ObfuscationError, ObfuscationScheme, obfuscate_tree, obfuscate_unit
 from .pathctx import (
@@ -84,32 +84,6 @@ def _limit(value: int) -> int | None:
     return None if value <= 0 else value
 
 
-def _java_files(root: Path, sub: str = "") -> list[str]:
-    """Paths, relative to root, of the .java files under root/sub, sorted."""
-    if not root.is_dir():
-        raise FileNotFoundError(f"corpus directory not found: {root}")
-    return sorted(p.relative_to(root).as_posix() for p in (root / sub).rglob("*.java"))
-
-
-# A file that raises one of these is logged and skipped: it cannot be
-# read, is not UTF-8, or is outside the Java subset (which includes
-# nesting deeper than the parser's MAX_NESTING).
-_SKIPPED_FILE_ERRORS = (OSError, UnicodeDecodeError, ParseError)
-
-
-def _read_units(root: Path, rels: Sequence[str]) -> Iterator[tuple[str, SourceUnit | None]]:
-    """Read, decode and parse root/rel for each rel, one at a time on the
-    caller's thread, yielding (rel, unit) in input order, with None for a
-    file that is skipped."""
-    for rel in rels:
-        try:
-            unit = parse_file((root / rel).read_text(encoding="utf-8"), path=rel)
-        except _SKIPPED_FILE_ERRORS as exc:
-            logger.warning("skipping %s: %s", rel, exc)
-            unit = None
-        yield rel, unit
-
-
 def _read_pair_manifest(path: str) -> list[tuple[str, str, str]]:
     """(label, pathA, pathB) per non-empty line of a label<TAB>pathA<TAB>pathB file."""
     pairs = []
@@ -126,7 +100,7 @@ def _read_pair_manifest(path: str) -> list[tuple[str, str, str]]:
 
 
 def _pair_items(
-    corpus: Path, pairs: list[tuple[str, str, str]]
+    corpus: Path, pairs: list[tuple[str, str, str]], skipped: Counter
 ) -> Iterator[tuple[str, tuple[SourceUnit | None, SourceUnit | None]]]:
     """(label, (unit a, unit b)) per pair. Each distinct path is read once,
     at the first pair that names it, and let go after the last one."""
@@ -134,7 +108,7 @@ def _pair_items(
     units: dict[str, SourceUnit | None] = {}
     for k, (label, a, b) in enumerate(pairs):
         unread = [rel for rel in dict.fromkeys((a, b)) if rel not in units]
-        units.update(_read_units(corpus, unread))
+        units.update(read_sources(corpus, unread, skipped))
         yield label, (units[a], units[b])
         for rel in (a, b):
             if last_use[rel] == k:
@@ -159,13 +133,12 @@ def cmd_extract(args) -> int:
         seed=args.seed,
     )
     corpus = Path(args.corpus)
-    files = _java_files(corpus)
+    files = java_files(corpus)
     samples = []
     methods_total = 0
-    skipped_files = 0
-    for _, unit in _read_units(corpus, files):
+    skipped: Counter = Counter()
+    for _, unit in read_sources(corpus, files, skipped):
         if unit is None:
-            skipped_files += 1
             continue
         methods_total += sum(len(cls.methods) for cls in unit.classes)
         samples.extend(extract_unit_samples(unit, extraction))
@@ -176,7 +149,8 @@ def cmd_extract(args) -> int:
     tokens, paths, targets = count_distinct(samples)
     stats = {
         "files": len(files),
-        "skipped_files": skipped_files,
+        "skipped_files": skipped.total(),
+        "skip_reasons": dict(skipped),
         "methods": methods_total,
         "methods_dumped": len(samples),
         "distinct_tokens": tokens,
@@ -266,17 +240,18 @@ def cmd_embed(args) -> int:
     corpus = Path(args.corpus)
 
     labels: list[str] = []  # label directories; each must yield a row
+    skipped: Counter = Counter()
     if args.pairs:
-        items = _pair_items(corpus, _read_pair_manifest(args.pairs))
+        items = _pair_items(corpus, _read_pair_manifest(args.pairs), skipped)
     else:
         if not corpus.is_dir():
             raise FileNotFoundError(f"corpus directory not found: {corpus}")
         labels = sorted(d.name for d in corpus.iterdir() if d.is_dir())
         if not labels:
             raise EmptyClass(f"{corpus}: no label subdirectories")
-        rels = [rel for label in labels for rel in _java_files(corpus, label)]
+        rels = [rel for label in labels for rel in java_files(corpus, label)]
         items = (
-            (rel.split("/", 1)[0], (unit,)) for rel, unit in _read_units(corpus, rels)
+            (rel.split("/", 1)[0], (unit,)) for rel, unit in read_sources(corpus, rels, skipped)
         )
     methods = {} if args.methods_csv else None
     dataset, stats = build_dataset_suite(
@@ -293,6 +268,7 @@ def cmd_embed(args) -> int:
         for agg in aggregations
     ]
     write_dataset_csv(dataset, *outs, specs=aggregations)
+    counts = {**stats.as_dict(), "skip_reasons": dict(skipped)}
     inputs = {
         "corpus": str(args.corpus),
         "model": str(args.model),
@@ -304,7 +280,7 @@ def cmd_embed(args) -> int:
         RunManifest(
             stage="embed",
             config={**inputs, **args.settings, "aggregation": agg.name},
-            counts=stats.as_dict(),
+            counts=counts,
             checkpoint_hash=checkpoint_hash,
         ).write(manifest_path_for(out))
     outputs = [str(out) for out in outs]
@@ -314,12 +290,7 @@ def cmd_embed(args) -> int:
         write_embedding_csv(args.methods_csv, rows)
         outputs.append(str(args.methods_csv))
 
-    print(
-        json.dumps(
-            {"outputs": outputs, "counts": stats.as_dict()},
-            sort_keys=True,
-        )
-    )
+    print(json.dumps({"outputs": outputs, "counts": counts}, sort_keys=True))
     return 0
 
 
@@ -434,12 +405,7 @@ def cmd_rank(args) -> int:
         dataset: {agg: sum(v) / len(v) for agg, v in aggs.items()}
         for dataset, aggs in collected.items()
     }
-    totals = rank_aggregations(per_dataset)
-    order = {name: i for i, name in enumerate(suite_name_order())}
-    ranked = sorted(
-        totals.items(), key=lambda kv: (-kv[1], order.get(kv[0], len(order)), kv[0])
-    )
-    for name, score in ranked:
+    for name, score in rank_aggregations(per_dataset).items():
         print(f"{score}\t{name}")
     return 0
 
@@ -457,7 +423,8 @@ def cmd_xobf(args) -> int:
     parsed = 0
     plain: list[tuple[str, str]] = []
     obfuscated: list[tuple[str, str]] = []
-    for _, unit in _read_units(corpus, _java_files(corpus)):
+    skipped: Counter = Counter()
+    for _, unit in read_sources(corpus, java_files(corpus), skipped):
         if unit is None:
             continue
         parsed += 1
@@ -477,6 +444,7 @@ def cmd_xobf(args) -> int:
                 "f1_plain": f1_plain,
                 "f1_obfuscated": f1_obf,
                 "drop": f1_plain - f1_obf,
+                "skip_reasons": dict(skipped),
             },
             sort_keys=True,
         )

@@ -376,33 +376,29 @@ def paired_ttest(
     )
 
 
-def rank_aggregations(
-    per_dataset: dict[str, dict[str, float]],
-    name_order: list[str] | None = None,
-) -> dict[str, int]:
-    """Score aggregation names 5..1 by per-dataset kappa rank, summed.
+def rank_aggregations(per_dataset: dict[str, dict[str, float]]) -> dict[str, int]:
+    """Score aggregation names 5..1 by per-dataset kappa rank, summed, in
+    rank order: highest total first.
 
-    Ties break by canonical suite-name order (unknown names sort after,
-    alphabetically) so scoring is deterministic.
+    Ties, of kappas and of totals alike, break by canonical suite-name
+    order (unknown names sort after, alphabetically) so scoring and its
+    order are deterministic.
     """
-    if name_order is None:
-        from .aggregate import suite_name_order
+    from .aggregate import suite_name_order
 
-        name_order = suite_name_order()
-    rank_of = {name: i for i, name in enumerate(name_order)}
+    rank_of = {name: i for i, name in enumerate(suite_name_order())}
 
-    def tie_key(name: str):
-        return (rank_of.get(name, len(rank_of)), name)
+    def by_score(kv: tuple[str, float]):
+        return (-kv[1], rank_of.get(kv[0], len(rank_of)), kv[0])
 
     totals: dict[str, int] = {}
     for dataset in sorted(per_dataset):
         scores = per_dataset[dataset]
         for name in scores:
             totals.setdefault(name, 0)
-        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], tie_key(kv[0])))
-        for pos, (name, _) in enumerate(ranked[:5]):
+        for pos, (name, _) in enumerate(sorted(scores.items(), key=by_score)[:5]):
             totals[name] += 5 - pos
-    return totals
+    return dict(sorted(totals.items(), key=by_score))
 
 
 # --- report records ------------------------------------------------------------

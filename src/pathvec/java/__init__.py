@@ -10,7 +10,7 @@ from .ast import (
     VariableBinding,
     UNK_TYPE,
 )
-from .parser import parse_file
+from .parser import java_files, parse_file, read_sources
 from .bindings import resolve_bindings
 
 __all__ = [
@@ -22,7 +22,9 @@ __all__ = [
     "Token",
     "UNK_TYPE",
     "VariableBinding",
+    "java_files",
     "parse_file",
+    "read_sources",
     "resolve_bindings",
     "tokenize",
 ]

@@ -54,7 +54,6 @@ class MethodDecl:
     body: AstNode
     line_count: int
     node: AstNode  # the MethodDeclaration node
-    return_type: str = "void"
 
     @property
     def span(self) -> tuple[int, int]:

@@ -9,12 +9,23 @@ Everything else (generics, lambdas, inner classes, annotations,
 constructors, object creation, arrays subscripts, try/switch/do, ...)
 raises ParseError; batch commands log and skip the file. So does a file
 that nests deeper than MAX_NESTING.
+
+read_sources is the one reader of corpus files: every command lists,
+decodes and parses Java files through it, and skips a file for the same
+counted reason.
 """
 
 from __future__ import annotations
 
+import logging
+from collections import Counter
+from pathlib import Path
+from typing import Iterable, Iterator
+
 from .ast import AstNode, ClassDecl, MethodDecl, SourceUnit
 from .lexer import BINARY_PRECEDENCE, PRIMITIVE_TYPES, ParseError, Token, tokenize
+
+logger = logging.getLogger(__name__)
 
 _MODIFIERS = frozenset(
     {"public", "private", "protected", "static", "final", "abstract",
@@ -52,6 +63,43 @@ def parse_file(text: str, path: str = "<memory>") -> SourceUnit:
 
     resolve_bindings(unit)
     return unit
+
+
+def java_files(root: Path, sub: str = "") -> list[str]:
+    """Paths, relative to root, of the .java files under root/sub, sorted."""
+    if not root.is_dir():
+        raise FileNotFoundError(f"corpus directory not found: {root}")
+    return sorted(p.relative_to(root).as_posix() for p in (root / sub).rglob("*.java"))
+
+
+def read_sources(
+    root: Path, rels: Iterable[str], skipped: Counter
+) -> Iterator[tuple[str, SourceUnit | None]]:
+    """Read, decode and parse root/rel for each rel, one at a time on the
+    caller's thread, yielding (rel, unit) in input order.
+
+    Files are decoded as UTF-8 without newline translation, so unit.text
+    is the file's exact text. A file that is skipped yields None, logs a
+    warning and counts one in `skipped` under its reason: "unreadable",
+    "not_utf8", "nesting_too_deep" (past MAX_NESTING) or "parse_error".
+    """
+    for rel in rels:
+        try:
+            with open(root / rel, encoding="utf-8", newline="") as fh:
+                unit = parse_file(fh.read(), path=rel)
+        except OSError as exc:
+            unit = _skip(rel, exc, "unreadable", skipped)
+        except UnicodeDecodeError as exc:
+            unit = _skip(rel, exc, "not_utf8", skipped)
+        except ParseError as exc:
+            deep = exc.message == "nesting too deep"
+            unit = _skip(rel, exc, "nesting_too_deep" if deep else "parse_error", skipped)
+        yield rel, unit
+
+
+def _skip(rel: str, exc: Exception, reason: str, skipped: Counter) -> None:
+    logger.warning("skipping %s: %s", rel, exc)
+    skipped[reason] += 1
 
 
 class _Parser:
@@ -223,7 +271,7 @@ class _Parser:
         name_idx = self.pos
         name = self._expect_ident("member name")
         if self.at("("):
-            return self._method_rest(start, mods, type_text, type_leaf, name, methods)
+            return self._method_rest(start, mods, type_leaf, name, methods)
         if type_text == "void":
             raise self.error("fields cannot have type void")
         return self._field_rest(start, mods, type_leaf, name_idx)
@@ -232,7 +280,6 @@ class _Parser:
         self,
         start: int,
         mods: list[str],
-        return_type: str,
         type_leaf: AstNode,
         name: str,
         methods: list[MethodDecl],
@@ -264,7 +311,6 @@ class _Parser:
                 body=body,
                 line_count=line_count,
                 node=node,
-                return_type=return_type,
             )
         )
         return node

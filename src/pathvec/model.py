@@ -585,17 +585,3 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: checkpoint header does not describe a model: {exc}") from exc
 
-
-def write_embedding_csv(
-    path: str | Path, rows: list[tuple[str, str, np.ndarray]]
-) -> None:
-    """Per-method embedding dump: sourcePath,methodName,v0..v{d-1}."""
-    import csv
-
-    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if rows:
-            width = len(rows[0][2])
-            writer.writerow(["sourcePath", "methodName", *[f"v{i}" for i in range(width)]])
-        for source_path, name, vec in rows:
-            writer.writerow([source_path, name, *[repr(float(x)) for x in vec]])

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .java import ParseError, SourceUnit, VariableBinding, parse_file
+from .java import SourceUnit, VariableBinding, java_files, read_sources
 from .java.ast import UNK_TYPE
 from .java.lexer import KEYWORDS
 from .util import atomic_open, derive_seed
@@ -144,9 +145,10 @@ def obfuscate_unit(
     return "".join(out), rename
 
 
-def _copy_bytes(src: Path, dst: Path) -> None:
-    with atomic_open(dst, "wb") as fh:
-        fh.write(src.read_bytes())
+def _write(path: Path, data: bytes) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with atomic_open(path, "wb") as fh:
+        fh.write(data)
 
 
 def obfuscate_tree(
@@ -154,46 +156,40 @@ def obfuscate_tree(
 ) -> dict:
     """Obfuscate every .java file under input_dir into a mirrored tree.
 
-    Files are read and written without newline translation, so a rewritten
-    file keeps every byte outside the renamed identifiers, line endings
-    included. Unparseable files are copied byte for byte and counted as
-    skipped; other files are copied untouched. Every output file, rewritten
-    or copied, replaces its path whole or not at all. Per-file IO problems
-    land in the report instead of aborting the batch.
+    Java files are read through read_sources, as every command reads them,
+    and rewritten without newline translation, so a rewritten file keeps
+    every byte outside the renamed identifiers, line endings included. A
+    file that read_sources skips, or whose names cannot be replaced
+    ("obfuscation_error"), is counted under its reason and copied byte for
+    byte if it can be read at all; other files are copied untouched. Every
+    output file replaces its path whole or not at all.
     """
     input_dir = Path(input_dir)
     output_dir = Path(output_dir)
     if not input_dir.is_dir():
         raise FileNotFoundError(f"input directory not found: {input_dir}")
-    report = {"processed": 0, "skipped": 0, "errors": []}
-
-    for src in sorted(p for p in input_dir.rglob("*") if p.is_file()):
-        rel = src.relative_to(input_dir)
-        dst = output_dir / rel
-        dst.parent.mkdir(parents=True, exist_ok=True)
-        if src.suffix != ".java":
-            _copy_bytes(src, dst)
-            continue
-        try:
-            with open(src, encoding="utf-8", newline="") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            report["errors"].append(f"{rel}: {exc}")
-            report["skipped"] += 1
+    rels = java_files(input_dir)
+    skipped: Counter = Counter()
+    processed = 0
+    for rel, unit in read_sources(input_dir, rels, skipped):
+        data = None
+        if unit is not None:
             try:
-                _copy_bytes(src, dst)
+                data = obfuscate_unit(unit, scheme)[0].encode("utf-8")
+                processed += 1
+            except ObfuscationError as exc:
+                logger.warning("skipping %s: %s", rel, exc)
+                skipped["obfuscation_error"] += 1
+        if data is None:
+            try:
+                data = (input_dir / rel).read_bytes()
             except OSError:
-                pass
-            continue
-        try:
-            unit = parse_file(text, path=rel.as_posix())
-            rewritten, _ = obfuscate_unit(unit, scheme)
-        except (ParseError, ObfuscationError) as exc:
-            logger.warning("skipping %s: %s", rel, exc)
-            report["skipped"] += 1
-            _copy_bytes(src, dst)
-            continue
-        with atomic_open(dst, "w", encoding="utf-8", newline="") as fh:
-            fh.write(rewritten)
-        report["processed"] += 1
-    return report
+                continue  # counted as unreadable; there is nothing to copy
+        _write(output_dir / rel, data)
+
+    java = set(rels)
+    for src in sorted(p for p in input_dir.rglob("*") if p.is_file()):
+        rel = src.relative_to(input_dir).as_posix()
+        if rel not in java:
+            _write(output_dir / rel, src.read_bytes())
+    return {"processed": processed, "skipped": skipped.total(), "skip_reasons": dict(skipped)}

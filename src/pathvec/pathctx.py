@@ -56,7 +56,6 @@ class PathContext(NamedTuple):
 @dataclass
 class MethodSample:
     target_name: str
-    target_subtokens: list[str]
     contexts: list[PathContext]
     line_count: int
     source_path: str
@@ -82,22 +81,14 @@ def split_target(name: str) -> list[str]:
     return parts or [name.lower()]
 
 
-def extract_contexts(
-    method: MethodDecl,
-    max_len: int | None = 8,
-    max_width: int | None = 2,
-) -> list[PathContext]:
-    """The leaf-to-leaf path-contexts of a method body within both limits,
-    by (earlier leaf, later leaf) in source order."""
-    return _build_contexts(_context_pairs(method, max_len, max_width))
-
-
 def _context_pairs(
     method: MethodDecl, max_len: int | None, max_width: int | None
 ) -> list[tuple[str, str, str, str]]:
-    """extract_contexts's contexts, in its order, each as a plain tuple
+    """The leaf-to-leaf path-contexts of a method body within both limits,
+    by (earlier leaf, later leaf) in source order, each as a plain tuple
     (start token, path from the start leaf through the apex, path down
-    to the end leaf, end token) that _build_contexts turns into one.
+    to the end leaf, end token) that _build_contexts turns into a
+    PathContext.
 
     One bottom-up pass: each subtree hands its parent an entry per leaf that
     can still pair (leaf index, edges up to the subtree root, the path from
@@ -190,7 +181,6 @@ def extract_unit_samples(unit: SourceUnit, cfg: ExtractionConfig) -> list[Method
             samples.append(
                 MethodSample(
                     target_name=method.name,
-                    target_subtokens=split_target(method.name),
                     contexts=_build_contexts(cap_contexts(pairs, cfg.max_contexts, rng)),
                     line_count=method.line_count,
                     source_path=unit.path,
@@ -311,7 +301,7 @@ def count_distinct(samples: list[MethodSample]) -> tuple[int, int, int]:
 #
 # One method per line: "targetName ctx ctx ..." with ctx =
 # "startToken,pathString,endToken". Commas and whitespace inside tokens
-# become '_': extract_contexts does it to every leaf token, so in-memory
+# become '_': _context_pairs does it to every leaf token, so in-memory
 # samples match what the dump reads back, and the writer sanitizes any line
 # that is not already clean, so that no sample can break the format.
 
@@ -375,7 +365,6 @@ def read_context_dump(path: str | Path) -> list[MethodSample]:
             samples.append(
                 MethodSample(
                     target_name=target,
-                    target_subtokens=split_target(target),
                     contexts=contexts,
                     line_count=1,
                     source_path=f"{path}:{lineno}",

@@ -12,7 +12,6 @@ from pathvec.pathctx import (
     MethodSample,
     PathContext,
     build_vocabulary,
-    split_target,
 )
 
 import fixtures_java as fx
@@ -63,7 +62,7 @@ def random_samples(rng: np.random.Generator, n_samples=8, n_tokens=5, n_paths=4,
             for _ in range(int(rng.integers(1, n_contexts + 1)))
         ]
         name = targets[i % len(targets)]
-        samples.append(MethodSample(name, split_target(name), contexts, 3, "mem.java"))
+        samples.append(MethodSample(name, contexts, 3, "mem.java"))
     return samples
 
 

@@ -11,7 +11,7 @@ from pathvec.java.ast import UNK_TYPE, AstNode
 from pathvec.java.bindings import _Resolver
 from pathvec.java.lexer import BINARY_PRECEDENCE, KEYWORDS, PUNCTUATION
 from pathvec.model import EmptyBag
-from pathvec.pathctx import sanitize_token
+from pathvec.pathctx import _build_contexts, _context_pairs, sanitize_token
 
 UP = "↑"
 DOWN = "↓"
@@ -208,6 +208,25 @@ def numeric_gradients(params, batch, loss_fn, h=1e-6):
             it.iternext()
         grads[key] = num
     return grads
+
+
+def extract_contexts(method, max_len=8, max_width=2):
+    """Every path-context of a method body within both limits, uncapped,
+    by (earlier leaf, later leaf) in source order."""
+    return _build_contexts(_context_pairs(method, max_len, max_width))
+
+
+def csv_module_embedding_bytes(rows):
+    """A per-method embedding CSV written row by row through csv.writer:
+    header sourcePath,methodName,v0..v{d-1}, then the path, the name and
+    repr(float) of every value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if rows:
+        writer.writerow(["sourcePath", "methodName", *[f"v{i}" for i in range(len(rows[0][2]))]])
+    for source_path, name, vec in rows:
+        writer.writerow([source_path, name, *[repr(float(x)) for x in vec]])
+    return buf.getvalue().encode("utf-8")
 
 
 def csv_module_dataset_bytes(dataset):

@@ -19,6 +19,7 @@ import synth
 from conftest import random_samples
 from oracles import (
     brute_force_contexts,
+    extract_contexts,
     leaves,
     numeric_gradients,
     scalar_aggregate,
@@ -57,7 +58,6 @@ from pathvec.pathctx import (
     UP,
     ExtractionConfig,
     build_vocabulary,
-    extract_contexts,
     extract_unit_samples,
 )
 

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fixtures_java as fx
-from oracles import csv_module_dataset_bytes, forward_reference, scalar_aggregate
+from oracles import (
+    csv_module_dataset_bytes,
+    csv_module_embedding_bytes,
+    forward_reference,
+    scalar_aggregate,
+)
 from pathvec.aggregate import (
     AggregationSpec,
     NoMethods,
@@ -19,6 +24,7 @@ from pathvec.aggregate import (
     standard_agg_suite,
     union_spec,
     write_dataset_csv,
+    write_embedding_csv,
 )
 from pathvec.cli import main
 from pathvec.java import parse_file
@@ -524,6 +530,27 @@ def test_dataset_csv_matches_csv_module(tmp_path, label):
     path = tmp_path / "data.csv"
     write_dataset_csv(dataset, path)
     assert path.read_bytes() == csv_module_dataset_bytes(dataset)
+
+
+_CSV_TEXT = st.one_of(
+    st.sampled_from(['odd,"label"', "comma,only", 'quote"only', "line\nbreak", "cr\rend",
+                     "tab\tand space ", "", " lead", "caf\u00e9/\u2028.java"]),
+    st.text(max_size=12),
+)
+_CSV_VALUES = st.one_of(
+    st.lists(st.floats(width=64), min_size=1, max_size=4).map(np.array),
+    st.lists(st.floats(width=32), min_size=1, max_size=4).map(lambda v: np.array(v, np.float32)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_CSV_TEXT, _CSV_TEXT, _CSV_VALUES), max_size=4))
+def test_embedding_csv_matches_csv_module(tmp_path_factory, rows):
+    width = len(rows[0][2]) if rows else 0
+    rows = [(path, name, v[:width]) for path, name, v in rows if len(v) >= width]
+    path = tmp_path_factory.mktemp("methods") / "methods.csv"
+    write_embedding_csv(path, rows)
+    assert path.read_bytes() == csv_module_embedding_bytes(rows)
 
 
 def test_dataset_csv_rejects_paths_specs_mismatch(tmp_path):

@@ -13,11 +13,17 @@ import numpy as np
 import pytest
 
 import fixtures_java as fx
-from pathvec.aggregate import AggregationSpec, ClassEmbedding, LabeledDataset, write_dataset_csv
+from pathvec.aggregate import (
+    AggregationSpec,
+    ClassEmbedding,
+    LabeledDataset,
+    write_dataset_csv,
+    write_embedding_csv,
+)
 from pathvec.cli import main
 from pathvec.config import RunManifest
 from pathvec.evaluate import EvalReport, write_report
-from pathvec.model import TrainedModel, save_checkpoint, write_embedding_csv
+from pathvec.model import TrainedModel, save_checkpoint
 from pathvec.obfuscate import ObfuscationScheme, obfuscate_tree
 from pathvec.pathctx import ExtractionConfig, write_context_dump
 from pathvec.util import atomic_open

@@ -3,6 +3,7 @@ import io
 import json
 import tempfile
 import weakref
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,8 +17,9 @@ from conftest import call_at_depth
 from oracles import csv_module_dataset_bytes
 from pathvec import aggregate, cli
 from pathvec.aggregate import read_dataset_csv
-from pathvec.cli import _read_units, main
+from pathvec.cli import main
 from pathvec.config import PipelineConfig, manifest_path_for, read_manifest
+from pathvec.java import parser
 from pathvec.java.parser import MAX_NESTING
 from pathvec.model import load_checkpoint, loss_and_grads
 from pathvec.obfuscate import ObfuscationScheme, obfuscate_tree
@@ -420,8 +422,11 @@ def test_read_units_yields_one_result_per_file_in_order(contents):
             (root / rel).write_bytes(data)
             rels.append(rel)
         rels.insert(len(rels) // 2, "missing.java")  # unreadable
-        results = [(rel, unit and (unit.path, unit.text)) for rel, unit in _read_units(root, rels)]
+        skipped = Counter()
+        results = [(rel, unit and (unit.path, unit.text))
+                   for rel, unit in parser.read_sources(root, rels, skipped)]
     assert [rel for rel, _ in results] == rels
+    assert skipped.total() == sum(unit is None for _, unit in results)
     units = dict(results)
     assert units.pop("missing.java") is None
     for (rel, unit), data in zip(units.items(), contents):
@@ -487,7 +492,7 @@ def test_results_do_not_depend_on_the_callers_stack_depth(pipeline, contents):
 
         def read():
             return [(rel, unit and (unit.text, len(unit.bindings), len(unit.unbound)))
-                    for rel, unit in _read_units(root, rels)]
+                    for rel, unit in parser.read_sources(root, rels, Counter())]
 
         def obfuscate(out):
             report = obfuscate_tree(root, out, ObfuscationScheme("random", seed=3))
@@ -510,7 +515,7 @@ def test_xobf_processes_a_long_sum_deep_in_the_callers_stack(pipeline, tmp_path,
             depth, run, capsys, "xobf", "--model", str(pipeline["ckpt"]), "--corpus", str(tmp_path)
         )
         assert code == 0, stderr
-        assert set(json.loads(stdout)) == {"f1_plain", "f1_obfuscated", "drop"}
+        assert set(json.loads(stdout)) == {"f1_plain", "f1_obfuscated", "drop", "skip_reasons"}
 
 
 def test_cli_embed_skips_non_utf8_file(pipeline, tmp_path, capsys):
@@ -584,7 +589,7 @@ def test_cli_embed_pairs_reads_and_embeds_each_file_once(pipeline, tmp_path, mon
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(cli, "parse_file", counting("parse_file", cli.parse_file))
+    monkeypatch.setattr(parser, "parse_file", counting("parse_file", parser.parse_file))
     monkeypatch.setattr(
         aggregate, "method_vectors", counting("method_vectors", aggregate.method_vectors)
     )
@@ -786,7 +791,7 @@ def test_cli_xobf_runs(pipeline, capsys):
     )
     assert code == 0
     record = json.loads(stdout.strip())
-    assert set(record) == {"f1_plain", "f1_obfuscated", "drop"}
+    assert set(record) == {"f1_plain", "f1_obfuscated", "drop", "skip_reasons"}
     assert 0.0 <= record["f1_obfuscated"] <= 1.0
 
 
@@ -800,7 +805,8 @@ def _xobf_all_units_first(checkpoint, corpus, seed):
 
     model = load_checkpoint(checkpoint)
     rels = sorted(p.relative_to(corpus).as_posix() for p in corpus.rglob("*.java"))
-    units = [u for _, u in _read_units(corpus, rels) if u is not None]
+    skipped = Counter()
+    units = [u for _, u in parser.read_sources(corpus, rels, skipped) if u is not None]
     scheme = ObfuscationScheme(mode="random", random_length=8, seed=seed)
     obfuscated = [cli.parse_file(obfuscate_unit(u, scheme)[0], path=u.path) for u in units]
 
@@ -812,13 +818,14 @@ def _xobf_all_units_first(checkpoint, corpus, seed):
         return name_prediction_f1(pairs).f1
 
     f1_plain, f1_obf = f1(units), f1(obfuscated)
-    return {"f1_plain": f1_plain, "f1_obfuscated": f1_obf, "drop": f1_plain - f1_obf}
+    return {"f1_plain": f1_plain, "f1_obfuscated": f1_obf, "drop": f1_plain - f1_obf,
+            "skip_reasons": dict(skipped)}
 
 
 def test_cli_xobf_holds_one_file_at_a_time_and_scores_as_before(pipeline, monkeypatch, capsys):
     parsed = []  # a weak reference to every unit parsed so far
     live_at_parse = []
-    real_parse = cli.parse_file
+    real_parse = parser.parse_file
 
     def counting_parse(*args, **kwargs):
         live_at_parse.append(sum(ref() is not None for ref in parsed))
@@ -826,7 +833,8 @@ def test_cli_xobf_holds_one_file_at_a_time_and_scores_as_before(pipeline, monkey
         parsed.append(weakref.ref(unit))
         return unit
 
-    monkeypatch.setattr(cli, "parse_file", counting_parse)
+    monkeypatch.setattr(parser, "parse_file", counting_parse)  # the files read
+    monkeypatch.setattr(cli, "parse_file", counting_parse)  # their obfuscated text
     code, stdout, _ = run(
         capsys, "xobf", "--model", str(pipeline["ckpt"]), "--corpus", str(pipeline["corpus"]),
         "--seed", "11",

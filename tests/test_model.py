@@ -40,7 +40,6 @@ from pathvec.pathctx import (
     PathContext,
     build_vocabulary,
     extract_unit_samples,
-    split_target,
 )
 
 
@@ -73,7 +72,7 @@ def test_config_invariants():
 def test_single_context_attention_is_one(tiny_model):
     _, params, vocab, samples = tiny_model
     sample = vocab.index_sample(
-        MethodSample("x", ["x"], [samples[0].contexts[0]], 1, "m")
+        MethodSample("x", [samples[0].contexts[0]], 1, "m")
     )
     result = forward(params, [sample])
     assert result.attention[0].shape == (1,)
@@ -94,8 +93,8 @@ def test_single_context_attention_is_one(tiny_model):
 def test_two_identical_contexts_split_attention(tiny_model):
     _, params, vocab, samples = tiny_model
     ctx = samples[0].contexts[0]
-    single = vocab.index_sample(MethodSample("x", ["x"], [ctx], 1, "m"))
-    double = vocab.index_sample(MethodSample("x", ["x"], [ctx, ctx], 1, "m"))
+    single = vocab.index_sample(MethodSample("x", [ctx], 1, "m"))
+    double = vocab.index_sample(MethodSample("x", [ctx, ctx], 1, "m"))
     res_one = forward(params, [single])
     res_two = forward(params, [double])
     assert np.allclose(res_two.attention[0], [0.5, 0.5], atol=1e-15)
@@ -240,7 +239,7 @@ def test_validate_matches_a_loop_over_the_reference():
     rng = np.random.default_rng(35)
     names = ["getValue", "setValue", "isEmpty", "size", "clear"]
     vocab = build_vocabulary(
-        [MethodSample(name, split_target(name), [PathContext("a", "p", "b")], 1, "x")
+        [MethodSample(name, [PathContext("a", "p", "b")], 1, "x")
          for name in names],
         min_count=1,
     )
@@ -300,7 +299,6 @@ def test_permutation_invariance(tiny_model):
     sample = random_samples(rng, n_samples=1, n_contexts=4)[0]
     shuffled = MethodSample(
         sample.target_name,
-        sample.target_subtokens,
         list(reversed(sample.contexts)),
         sample.line_count,
         sample.source_path,
@@ -362,7 +360,7 @@ def _template_corpus(n_per_template=40, seed=0):
             # order jitter keeps bags permutation-varied but separable
             if rng.random() < 0.5:
                 ctxs = list(reversed(ctxs))
-            samples.append(MethodSample(name, split_target(name), ctxs, 2, f"{name}{i}"))
+            samples.append(MethodSample(name, ctxs, 2, f"{name}{i}"))
     return samples
 
 
@@ -385,7 +383,7 @@ def test_training_reaches_high_accuracy_on_templates():
 
 def test_training_single_class_perfect_f1():
     samples = [
-        MethodSample("onlyName", ["only", "name"], [PathContext("a", "p", "b")], 1, "x")
+        MethodSample("onlyName", [PathContext("a", "p", "b")], 1, "x")
         for _ in range(20)
     ]
     vocab = build_vocabulary(samples, min_count=1)

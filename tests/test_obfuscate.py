@@ -209,7 +209,7 @@ def test_obfuscate_tree_empty(tmp_path):
     src = tmp_path / "empty"
     src.mkdir()
     report = obfuscate_tree(src, tmp_path / "out", ObfuscationScheme("type"))
-    assert report == {"processed": 0, "skipped": 0, "errors": []}
+    assert report == {"processed": 0, "skipped": 0, "skip_reasons": {}}
 
 
 def test_obfuscate_tree_missing_input(tmp_path):

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -8,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 import fixtures_java as fx
 import synth
 from conftest import call_at_depth
-from oracles import brute_force_contexts, format_dump_line_reference, leaves
-from pathvec.cli import _read_units
-from pathvec.java import parse_file
+from oracles import brute_force_contexts, extract_contexts, format_dump_line_reference, leaves
+from pathvec.java import parse_file, read_sources
 from pathvec.java.ast import AstNode, MethodDecl
 from pathvec.java.lexer import tokenize
 from pathvec.pathctx import (
@@ -23,7 +23,6 @@ from pathvec.pathctx import (
     build_vocabulary,
     cap_contexts,
     count_distinct,
-    extract_contexts,
     extract_unit_samples,
     format_dump_line,
     read_context_dump,
@@ -329,8 +328,8 @@ def test_vocab_contains_everything_at_min_count_one():
 
 def test_vocab_threshold_excludes_rare():
     samples = [
-        MethodSample("one", ["one"], [PathContext("a", "p", "b")], 1, "x"),
-        MethodSample("two", ["two"], [PathContext("a", "p", "c")], 1, "y"),
+        MethodSample("one", [PathContext("a", "p", "b")], 1, "x"),
+        MethodSample("two", [PathContext("a", "p", "c")], 1, "y"),
     ]
     vocab = build_vocabulary(samples, min_count=2)
     assert vocab.token_id("a") >= 2  # appears twice
@@ -386,7 +385,6 @@ def test_count_distinct_matches_vocabulary_sizes():
         samples = [
             MethodSample(
                 str(rng.choice(["get", "set", "<unk>", "<pad>"])),
-                [],
                 [
                     PathContext(*rng.choice(["a", "b", "<unk>", "<pad>", "c"], 3))
                     for _ in range(int(rng.integers(1, 6)))
@@ -435,7 +433,7 @@ _dump_field = st.text(alphabet=st.sampled_from("ab_, \t\n\r\xa0\u2028"), max_siz
     st.lists(st.tuples(_dump_field, _dump_field, _dump_field), max_size=4),
 )
 def test_dump_line_matches_field_by_field_writer(target, fields):
-    sample = MethodSample(target, [], [PathContext(*f) for f in fields], 1, "x")
+    sample = MethodSample(target, [PathContext(*f) for f in fields], 1, "x")
     assert format_dump_line(sample) == format_dump_line_reference(sample)
 
 
@@ -445,7 +443,7 @@ def test_dump_line_sanitizes_one_bad_field_anywhere():
         for i, defect in product(range(len(clean)), defects):
             fields = clean[:i] + [defect] + clean[i + 1 :]
             contexts = [PathContext(*fields[j : j + 3]) for j in range(1, len(fields), 3)]
-            sample = MethodSample(fields[0], [], contexts, 1, "x")
+            sample = MethodSample(fields[0], contexts, 1, "x")
             assert format_dump_line(sample) == format_dump_line_reference(sample), fields
 
 
@@ -494,7 +492,7 @@ def test_a_read_dump_holds_well_under_half_its_unshared_bytes_per_context(tmp_pa
     files = sorted(p.relative_to(tmp_path / "corpus").as_posix()
                    for p in (tmp_path / "corpus").rglob("*.java"))
     cfg = ExtractionConfig(seed=3)
-    samples = [s for _, unit in _read_units(tmp_path / "corpus", files)
+    samples = [s for _, unit in read_sources(tmp_path / "corpus", files, Counter())
                for s in extract_unit_samples(unit, cfg)]
     write_context_dump(samples, tmp_path / "dump.txt")
     del samples
@@ -513,7 +511,7 @@ def test_extraction_of_a_long_sum_runs_deep_in_the_callers_stack(tmp_path):
     (tmp_path / "Sum.java").write_text(fx.LONG_SUM, encoding="utf-8")
 
     def parse_and_extract():
-        [(_, unit)] = list(_read_units(tmp_path, ["Sum.java"]))
+        [(_, unit)] = list(read_sources(tmp_path, ["Sum.java"], Counter()))
         return extract_unit_samples(unit, ExtractionConfig())
 
     for depth in (0, 20, 60):
