@@ -54,11 +54,12 @@ from .model import (
 )
 from .obfuscate import ObfuscationError, ObfuscationScheme, obfuscate_tree, obfuscate_unit
 from .pathctx import (
+    PAD_TOKEN,
+    UNK_TOKEN,
     ExtractionConfig,
-    build_vocabulary,
-    count_distinct,
+    MethodSample,
     extract_unit_samples,
-    read_context_dump,
+    read_indexed_dump,
     write_context_dump,
 )
 from .util import atomic_open, sha256_file
@@ -134,28 +135,41 @@ def cmd_extract(args) -> int:
     )
     corpus = Path(args.corpus)
     files = java_files(corpus)
-    samples = []
-    methods_total = 0
     skipped: Counter = Counter()
-    for _, unit in read_sources(corpus, files, skipped):
-        if unit is None:
-            continue
-        methods_total += sum(len(cls.methods) for cls in unit.classes)
-        samples.extend(extract_unit_samples(unit, extraction))
-    if not samples:
-        raise EmptyClass(f"{args.corpus}: no extractable methods")
-    write_context_dump(samples, args.out)
+    methods: Counter = Counter()
+    tokens: set[str] = set()
+    paths: set[str] = set()
+    targets: set[str] = set()
 
-    tokens, paths, targets = count_distinct(samples)
+    def samples() -> Iterator[MethodSample]:
+        """Each file's samples as the dump writer takes them, tallied on the
+        way, so no list of every sample is built."""
+        for _, unit in read_sources(corpus, files, skipped):
+            if unit is None:
+                continue
+            methods["total"] += sum(len(cls.methods) for cls in unit.classes)
+            for sample in extract_unit_samples(unit, extraction):
+                methods["dumped"] += 1
+                targets.add(sample.target_name)
+                starts, mids, ends = zip(*sample.contexts)
+                tokens.update(starts, ends)
+                paths.update(mids)
+                yield sample
+        if not methods["dumped"]:  # raised inside the write: the old dump stays
+            raise EmptyClass(f"{args.corpus}: no extractable methods")
+
+    write_context_dump(samples(), args.out)
+
+    reserved = {UNK_TOKEN, PAD_TOKEN}  # the vocabulary has them already
     stats = {
         "files": len(files),
         "skipped_files": skipped.total(),
         "skip_reasons": dict(skipped),
-        "methods": methods_total,
-        "methods_dumped": len(samples),
-        "distinct_tokens": tokens,
-        "distinct_paths": paths,
-        "distinct_targets": targets,
+        "methods": methods["total"],
+        "methods_dumped": methods["dumped"],
+        "distinct_tokens": len(tokens - reserved),
+        "distinct_paths": len(paths - reserved),
+        "distinct_targets": len(targets - reserved),
     }
     RunManifest(
         stage="extract", config={"corpus": str(args.corpus), **args.settings}, counts=stats
@@ -198,10 +212,7 @@ def cmd_train(args) -> int:
         dropout_rate=args.dropout_rate,
     )
 
-    samples = read_context_dump(args.contexts)
-    vocab = build_vocabulary(samples, min_count=args.min_count)
-    indexed = [vocab.index_sample(s) for s in samples]
-    del samples  # training reads only the id arrays; free the parsed dump
+    indexed, vocab = read_indexed_dump(args.contexts, min_count=args.min_count)
     result = train(model_config, indexed, vocab)
     for stats in result.history:
         print(

@@ -154,13 +154,16 @@ def _scatter_rows(
     table[index[firsts]] += np.add.reduceat(rows[source[order]], firsts, axis=0)
 
 
-def _work_arrays(params: ModelParams, runs: list[list[IndexedSample]]) -> tuple:
-    """Run-sized work arrays (E, tanh, dropout, weighted sum / gradient),
-    reused by every run of a call: fresh ones per run would cost page
-    faults that outweigh the arithmetic."""
+def _work_arrays(params: ModelParams, rows: int) -> tuple:
+    """Work arrays of `rows` contexts (E, tanh, dropout, weighted sum /
+    gradient), reused by every run they hold: fresh ones per run would
+    cost page faults that outweigh the arithmetic."""
     d, dc = params.token_emb.shape[1], params.d_code
-    rows_max = max((sum(len(sample) for sample in run) for run in runs), default=0)
-    return tuple(np.empty((rows_max, width)) for width in (3 * d, dc, dc, dc))
+    return tuple(np.empty((rows, width)) for width in (3 * d, dc, dc, dc))
+
+
+def _longest_run(runs: list[list[IndexedSample]]) -> int:
+    return max((sum(len(sample) for sample in run) for run in runs), default=0)
 
 
 @dataclass
@@ -231,13 +234,17 @@ def _forward_run(
     )
 
 
-def forward(params: ModelParams, samples: list[IndexedSample]) -> ForwardResult:
+def forward(
+    params: ModelParams, samples: list[IndexedSample], work: tuple | None = None
+) -> ForwardResult:
     """Code vectors, target probabilities and attention of every sample, in
     the stacked runs of the training step (without dropout). A sample's
     values depend, by rounding only, on which samples share its run: the
-    matrix products block by row count."""
+    matrix products block by row count. `work` (from _work_arrays) must
+    hold the longest run; by default it is allocated for this call."""
     runs = _runs(samples)
-    work = _work_arrays(params, runs)
+    if work is None:
+        work = _work_arrays(params, _longest_run(runs))
     code_vectors = np.empty((len(samples), params.d_code))
     target_probs = np.empty((len(samples), len(params.target_emb)))
     attention: list[np.ndarray] = []
@@ -272,6 +279,8 @@ def loss_and_grads(
     batch: list[IndexedSample],
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
+    grads: dict[str, np.ndarray] | None = None,
+    work: tuple | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over the batch plus exact gradients.
 
@@ -279,7 +288,10 @@ def loss_and_grads(
     RUN_CONTEXTS); each run takes the forward pass of _forward_run, two
     more matrix products and one sorted scatter per embedding table.
     Dropout masks are drawn per run in context order, the same stream as
-    one draw per sample.
+    one draw per sample. Given `grads` (arrays shaped as the params), the
+    gradients go there, zeroed first; given `work` (from _work_arrays,
+    holding the longest run), the runs use it. Either is otherwise
+    allocated for this call.
     """
     if not batch:
         raise ValueError("empty batch")
@@ -287,10 +299,15 @@ def loss_and_grads(
     if dropout_rate > 0.0 and rng is None:
         raise ValueError("dropout requires an rng")
     d = params.token_emb.shape[1]
-    grads = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
+    if grads is None:
+        grads = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
+    else:
+        for g in grads.values():
+            g.fill(0.0)
     total_loss = 0.0
     scale = 1.0 / len(batch)
-    work = _work_arrays(params, runs)
+    if work is None:
+        work = _work_arrays(params, _longest_run(runs))
     H_buf, G_buf = work[2:]
 
     for run in runs:
@@ -354,11 +371,14 @@ class TrainResult:
 
 
 def _validate(
-    params: ModelParams, samples: list[IndexedSample], vocab: Vocabulary
+    params: ModelParams,
+    samples: list[IndexedSample],
+    vocab: Vocabulary,
+    work: tuple | None = None,
 ) -> tuple[float, float, float]:
     from .evaluate import name_prediction_f1
 
-    probs = forward(params, samples).target_probs
+    probs = forward(params, samples, work).target_probs
     targets = np.array([sample.target_id for sample in samples])
     picked = np.maximum(probs[np.arange(len(samples)), targets], 1e-300)
     preds = np.argmax(probs, axis=1)
@@ -369,6 +389,11 @@ def _validate(
     ]
     metrics = name_prediction_f1(pairs)
     return float(np.mean(-np.log(picked))), hits / len(samples), metrics.f1
+
+
+# Elements per block of Adam's scratch: training allocates one block,
+# whatever the size of the model.
+ADAM_CHUNK = 1 << 15
 
 
 def adam_update(
@@ -386,16 +411,27 @@ def adam_update(
 
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
         p -= lr * (m / (1-b1**step)) / (sqrt(v / (1-b2**step)) + eps)
+
+    p, g, m and v are C-contiguous arrays of one shape, updated in chunks
+    of scratch.size elements; every operation is elementwise, so the chunk
+    size does not change a bit.
     """
     b1, b2, eps = config.adam_beta1, config.adam_beta2, 1e-8
-    m *= b1
-    m += np.multiply(g, 1 - b1, out=scratch)
-    v *= b2
-    v += np.multiply(np.multiply(g, 1 - b2, out=scratch), g, out=scratch)
-    m_hat = np.divide(m, 1 - b1**step, out=scratch)
-    v_hat = np.divide(v, 1 - b2**step, out=g)
-    denom = np.add(np.sqrt(v_hat, out=v_hat), eps, out=v_hat)
-    p -= np.divide(np.multiply(m_hat, config.learning_rate, out=m_hat), denom, out=m_hat)
+    if not all(a.flags.c_contiguous for a in (p, g, m, v)):
+        raise ValueError("adam_update needs C-contiguous arrays")
+    flat = [a.reshape(-1) for a in (p, g, m, v)]
+    scratch = scratch.reshape(-1)
+    for lo in range(0, p.size, scratch.size):
+        p_, g_, m_, v_ = (a[lo : lo + scratch.size] for a in flat)
+        s_ = scratch[: len(p_)]
+        m_ *= b1
+        m_ += np.multiply(g_, 1 - b1, out=s_)
+        v_ *= b2
+        v_ += np.multiply(np.multiply(g_, 1 - b2, out=s_), g_, out=s_)
+        m_hat = np.divide(m_, 1 - b1**step, out=s_)
+        v_hat = np.divide(v_, 1 - b2**step, out=g_)
+        denom = np.add(np.sqrt(v_hat, out=v_hat), eps, out=v_hat)
+        p_ -= np.divide(np.multiply(m_hat, config.learning_rate, out=m_hat), denom, out=m_hat)
 
 
 def train(
@@ -403,11 +439,12 @@ def train(
 ) -> TrainResult:
     """Minibatch Adam on the name-prediction objective.
 
-    Takes samples already indexed by `vocab`, so a caller can let go of
-    the parsed samples before training starts. Splits them into
+    Takes samples already indexed by `vocab`. Splits them into
     train/validation with the config seed, keeps the params of the epoch
     with the best validation subtoken F1 and stops early once F1 has not
-    improved for `patience` epochs. Deterministic for a fixed seed.
+    improved for `patience` epochs. Deterministic for a fixed seed. Every
+    buffer (gradients, Adam's moments and scratch, the best params, the
+    run work arrays) is allocated once per call.
     """
     if not indexed:
         raise ConfigError("no training samples")
@@ -428,9 +465,15 @@ def train(
     stale = 0
     history: list[EpochStats] = []
 
+    grads = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
     adam_m = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
     adam_v = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
-    scratch = {k: np.empty_like(v) for k, v in params.as_dict().items()}
+    scratch = np.empty(ADAM_CHUNK)
+    # A run is at most RUN_CONTEXTS contexts or one longer sample.
+    longest = max(len(sample) for sample in indexed)
+    work = _work_arrays(
+        params, min(max(RUN_CONTEXTS, longest), sum(len(sample) for sample in indexed))
+    )
     step = 0
 
     for epoch in range(1, config.epochs + 1):
@@ -438,17 +481,16 @@ def train(
         epoch_losses = []
         for lo in range(0, len(tr), config.batch_size):
             batch = [tr[i] for i in perm[lo : lo + config.batch_size]]
-            loss, grads = loss_and_grads(
-                params, batch, dropout_rate=config.dropout_rate, rng=rng
+            loss, _ = loss_and_grads(
+                params, batch, dropout_rate=config.dropout_rate, rng=rng,
+                grads=grads, work=work,
             )
             epoch_losses.append(loss)
             step += 1
             for key, p in params.as_dict().items():
-                adam_update(
-                    p, grads[key], adam_m[key], adam_v[key], scratch[key], step, config
-                )
+                adam_update(p, grads[key], adam_m[key], adam_v[key], scratch, step, config)
 
-        val_loss, val_top1, val_f1 = _validate(params, val, vocab)
+        val_loss, val_top1, val_f1 = _validate(params, val, vocab, work)
         history.append(
             EpochStats(
                 epoch=epoch,
@@ -464,7 +506,8 @@ def train(
         )
         if val_f1 > best_f1:
             best_f1 = val_f1
-            best_params = params.copy()
+            for key, value in params.as_dict().items():
+                np.copyto(getattr(best_params, key), value)
             best_epoch = epoch
             stale = 0
         else:

@@ -13,7 +13,8 @@ built. Leaf tokens are sanitized for the dump format when they are
 extracted, so the dump, train, embed and xobf see the same tokens.
 Tokens and paths are interned where they are made, by extraction or by
 the dump reader, so equal strings are one object however many contexts
-hold them.
+hold them. Training reads a dump straight into id arrays and their
+vocabulary (read_indexed_dump), without building a sample per line.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from __future__ import annotations
 import logging
 import re
 import sys
-from collections import Counter
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, TypeVar
+from typing import Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -151,8 +152,11 @@ def _build_contexts(pairs: list[tuple[str, str, str, str]]) -> list[PathContext]
 _T = TypeVar("_T")
 
 
-def cap_contexts(contexts: list[_T], max_contexts: int, rng: np.random.Generator) -> list[_T]:
-    """Uniform, order-stable sample without replacement when over the cap."""
+def cap_contexts(
+    contexts: list[_T], max_contexts: int, rng: np.random.Generator | None
+) -> list[_T]:
+    """Uniform, order-stable sample without replacement when over the cap;
+    rng is drawn from only then, and may be None when under it."""
     if max_contexts < 1:
         raise ValueError("max_contexts must be >= 1")
     if len(contexts) <= max_contexts:
@@ -175,8 +179,11 @@ def extract_unit_samples(unit: SourceUnit, cfg: ExtractionConfig) -> list[Method
                 continue
             if not pairs:
                 continue
-            rng = np.random.default_rng(
-                derive_seed(cfg.seed, unit.path, ordinal, method.name)
+            # Only a method over the cap draws, so only it needs its stream.
+            rng = (
+                np.random.default_rng(derive_seed(cfg.seed, unit.path, ordinal, method.name))
+                if len(pairs) > cfg.max_contexts
+                else None
             )
             samples.append(
                 MethodSample(
@@ -250,7 +257,7 @@ class IndexedSample:
         return len(self.starts)
 
 
-def _vocab_map(counts: Counter, min_count: int) -> dict[str, int]:
+def _vocab_map(counts: Mapping[str, int], min_count: int) -> dict[str, int]:
     mapping = {UNK_TOKEN: 0, PAD_TOKEN: 1}
     kept = sorted(
         (s for s, c in counts.items() if c >= min_count and s not in mapping),
@@ -261,40 +268,23 @@ def _vocab_map(counts: Counter, min_count: int) -> dict[str, int]:
     return mapping
 
 
-def build_vocabulary(samples: list[MethodSample], min_count: int = 1) -> Vocabulary:
-    if not samples:
-        raise ValueError("cannot build a vocabulary from zero samples")
-    token_counts: Counter = Counter()
-    path_counts: Counter = Counter()
-    target_counts: Counter = Counter()
-    for sample in samples:
-        target_counts[sample.target_name] += 1
-        for ctx in sample.contexts:
-            token_counts[ctx.start_token] += 1
-            token_counts[ctx.end_token] += 1
-            path_counts[ctx.path] += 1
+def vocabulary_from_counts(
+    token_counts: Mapping[str, int],
+    path_counts: Mapping[str, int],
+    target_counts: Mapping[str, int],
+    min_count: int,
+) -> Vocabulary:
+    """The vocabulary of the counted strings: <unk> = 0 and <pad> = 1, then
+    every string counted at least min_count times by count descending, ties
+    by string. The rest map to <unk>."""
     vocab = Vocabulary(
         token_to_id=_vocab_map(token_counts, min_count),
         path_to_id=_vocab_map(path_counts, min_count),
         target_to_id=_vocab_map(target_counts, min_count),
         min_count=min_count,
     )
-    vocab.id_to_target = [""] * len(vocab.target_to_id)
-    for name, idx in vocab.target_to_id.items():
-        vocab.id_to_target[idx] = name
+    vocab.id_to_target = list(vocab.target_to_id)  # insertion order is id order
     return vocab
-
-
-def count_distinct(samples: list[MethodSample]) -> tuple[int, int, int]:
-    """Distinct tokens, paths and targets of the samples, leaving out the
-    reserved <unk> and <pad>: the entries build_vocabulary(samples, 1)
-    would add after them, without building it."""
-    reserved = {UNK_TOKEN, PAD_TOKEN}
-    tokens = {ctx.start_token for sample in samples for ctx in sample.contexts}
-    tokens.update(ctx.end_token for sample in samples for ctx in sample.contexts)
-    paths = {ctx.path for sample in samples for ctx in sample.contexts}
-    targets = {sample.target_name for sample in samples}
-    return len(tokens - reserved), len(paths - reserved), len(targets - reserved)
 
 
 # --- dump interchange format -------------------------------------------------
@@ -338,36 +328,103 @@ def format_dump_line(sample: MethodSample) -> str:
     return " ".join(parts)
 
 
-def write_context_dump(samples: list[MethodSample], path: str | Path) -> None:
+def write_context_dump(samples: Iterable[MethodSample], path: str | Path) -> None:
+    """Write the samples, one line each, as they are produced: `samples` may
+    be a generator, and an exception it raises leaves the previous file."""
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for sample in samples:
             fh.write(format_dump_line(sample))
             fh.write("\n")
 
 
-def read_context_dump(path: str | Path) -> list[MethodSample]:
-    samples: list[MethodSample] = []
+def _dump_records(path: str | Path) -> Iterator[tuple[int, str, list[list[str]]]]:
+    """(line number, target, [start, path, end] of each context) per
+    non-blank line of a dump. A malformed line raises ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            parts = line.split(" ")
-            target = parts[0]
-            contexts = []
-            for chunk in parts[1:]:
-                fields = chunk.split(",")
+            target, *chunks = line.split(" ")
+            contexts = [chunk.split(",") for chunk in chunks]
+            for chunk, fields in zip(chunks, contexts):
                 if len(fields) != 3:
                     raise ValueError(f"{path}:{lineno}: malformed context {chunk!r}")
-                contexts.append(PathContext(*map(sys.intern, fields)))
             if not contexts:
                 raise ValueError(f"{path}:{lineno}: method with no contexts")
-            samples.append(
-                MethodSample(
-                    target_name=target,
-                    contexts=contexts,
-                    line_count=1,
-                    source_path=f"{path}:{lineno}",
-                )
-            )
-    return samples
+            yield lineno, target, contexts
+
+
+def read_context_dump(path: str | Path) -> list[MethodSample]:
+    intern = sys.intern
+    return [
+        MethodSample(
+            target_name=target,
+            contexts=[PathContext(*map(intern, fields)) for fields in contexts],
+            line_count=1,
+            source_path=f"{path}:{lineno}",
+        )
+        for lineno, target, contexts in _dump_records(path)
+    ]
+
+
+def read_indexed_dump(
+    path: str | Path, min_count: int = 1
+) -> tuple[list[IndexedSample], Vocabulary]:
+    """The samples of a dump as id arrays, and the vocabulary of the dump at
+    min_count: what index_sample gives for each sample of
+    read_context_dump(path) under the vocabulary of all of them, read in one
+    pass that keeps no string per context.
+
+    Each token, path and target gets a provisional id where it first
+    appears; the counts of those ids give the vocabulary, and one index per
+    table maps them to vocabulary ids.
+    """
+    tokens: dict[str, int] = {}
+    paths: dict[str, int] = {}
+    targets: dict[str, int] = {}
+    token_id, path_id = tokens.setdefault, paths.setdefault
+    ids = array("q")  # start, path and end of every context, in dump order
+    names: list[str] = []
+    target_ids = array("q")
+    bounds = [0]  # each sample's first context, and the end of the last
+    for _, target, contexts in _dump_records(path):
+        names.append(target)
+        target_ids.append(targets.setdefault(target, len(targets)))
+        for start, mid, end in contexts:
+            ids.append(token_id(start, len(tokens)))
+            ids.append(path_id(mid, len(paths)))
+            ids.append(token_id(end, len(tokens)))
+        bounds.append(len(ids) // 3)
+    if not names:
+        raise ValueError("cannot build a vocabulary from zero samples")
+
+    table = np.frombuffer(ids, dtype=np.int64).reshape(-1, 3)
+    provisional_targets = np.frombuffer(target_ids, dtype=np.int64)
+    token_counts = np.bincount(table[:, 0], minlength=len(tokens))
+    token_counts += np.bincount(table[:, 2], minlength=len(tokens))
+    vocab = vocabulary_from_counts(
+        dict(zip(tokens, token_counts.tolist())),
+        dict(zip(paths, np.bincount(table[:, 1], minlength=len(paths)).tolist())),
+        dict(zip(targets, np.bincount(provisional_targets, minlength=len(targets)).tolist())),
+        min_count,
+    )
+
+    def remap(provisional: dict[str, int], final: dict[str, int]) -> np.ndarray:
+        return np.array([final.get(s, vocab.unk_id) for s in provisional], dtype=np.int64)
+
+    token_map = remap(tokens, vocab.token_to_id)
+    starts = token_map[table[:, 0]]
+    mids = remap(paths, vocab.path_to_id)[table[:, 1]]
+    ends = token_map[table[:, 2]]
+    sample_targets = remap(targets, vocab.target_to_id)[provisional_targets].tolist()
+    return [
+        IndexedSample(
+            target_id=target_id,
+            starts=starts[lo:hi],
+            paths=mids[lo:hi],
+            ends=ends[lo:hi],
+            target_name=name,
+        )
+        for target_id, name, lo, hi in zip(sample_targets, names, bounds, bounds[1:])
+    ], vocab

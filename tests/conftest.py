@@ -8,13 +8,10 @@ sys.path.insert(0, str(Path(__file__).parent))  # fixtures_java, oracles, synth
 
 from pathvec.java import parse_file
 from pathvec.model import ModelConfig, init_params
-from pathvec.pathctx import (
-    MethodSample,
-    PathContext,
-    build_vocabulary,
-)
+from pathvec.pathctx import MethodSample, PathContext
 
 import fixtures_java as fx
+from oracles import build_vocabulary
 
 
 DEFAULT_RECURSION_LIMIT = sys.getrecursionlimit()

@@ -4,14 +4,30 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 
 import numpy as np
 
 from pathvec.java.ast import UNK_TYPE, AstNode
 from pathvec.java.bindings import _Resolver
 from pathvec.java.lexer import BINARY_PRECEDENCE, KEYWORDS, PUNCTUATION
-from pathvec.model import EmptyBag
-from pathvec.pathctx import _build_contexts, _context_pairs, sanitize_token
+from pathvec.model import (
+    EmptyBag,
+    EpochStats,
+    ModelParams,
+    TrainResult,
+    _validate,
+    init_params,
+    loss_and_grads,
+)
+from pathvec.pathctx import (
+    PAD_TOKEN,
+    UNK_TOKEN,
+    _build_contexts,
+    _context_pairs,
+    sanitize_token,
+    vocabulary_from_counts,
+)
 
 UP = "↑"
 DOWN = "↓"
@@ -214,6 +230,36 @@ def extract_contexts(method, max_len=8, max_width=2):
     """Every path-context of a method body within both limits, uncapped,
     by (earlier leaf, later leaf) in source order."""
     return _build_contexts(_context_pairs(method, max_len, max_width))
+
+
+# --- vocabularies ---------------------------------------------------------
+
+
+def build_vocabulary(samples, min_count=1):
+    """The vocabulary of in-memory samples, counted string by string, as
+    train built it before it read dumps straight into ids."""
+    if not samples:
+        raise ValueError("cannot build a vocabulary from zero samples")
+    token_counts, path_counts, target_counts = Counter(), Counter(), Counter()
+    for sample in samples:
+        target_counts[sample.target_name] += 1
+        for ctx in sample.contexts:
+            token_counts[ctx.start_token] += 1
+            token_counts[ctx.end_token] += 1
+            path_counts[ctx.path] += 1
+    return vocabulary_from_counts(token_counts, path_counts, target_counts, min_count)
+
+
+def count_distinct(samples):
+    """Distinct tokens, paths and targets of the samples, leaving out the
+    reserved <unk> and <pad>: the entries build_vocabulary(samples, 1)
+    would add after them."""
+    reserved = {UNK_TOKEN, PAD_TOKEN}
+    tokens = {ctx.start_token for sample in samples for ctx in sample.contexts}
+    tokens.update(ctx.end_token for sample in samples for ctx in sample.contexts)
+    paths = {ctx.path for sample in samples for ctx in sample.contexts}
+    targets = {sample.target_name for sample in samples}
+    return len(tokens - reserved), len(paths - reserved), len(targets - reserved)
 
 
 def csv_module_embedding_bytes(rows):
@@ -421,6 +467,50 @@ def adam_update_reference(p, g, m, v, step, lr, b1, b2, eps=1e-8):
     m_hat = m / (1 - b1**step)
     v_hat = v / (1 - b2**step)
     return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def train_allocating(config, indexed, vocab):
+    """model.train with fresh arrays everywhere: gradients and work arrays
+    per step, each Adam step a new array, a new copy of the best params at
+    each better epoch and validation with its own work arrays."""
+    rng = np.random.default_rng(config.seed)
+    order = rng.permutation(len(indexed))
+    n_val = min(len(indexed) - 1, max(1, round(len(indexed) * config.val_fraction)))
+    if len(indexed) < 2:
+        n_val = 0
+    val = [indexed[i] for i in order[:n_val]]
+    tr = [indexed[i] for i in order[n_val:]]
+    if not val:
+        val = tr
+    params = init_params(config, vocab)
+    moments = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in params.as_dict().items()}
+    best_params, best_f1, best_epoch, stale, history, step = params.copy(), -1.0, 0, 0, [], 0
+    for epoch in range(1, config.epochs + 1):
+        perm = rng.permutation(len(tr))
+        losses = []
+        for lo in range(0, len(tr), config.batch_size):
+            batch = [tr[i] for i in perm[lo : lo + config.batch_size]]
+            loss, grads = loss_and_grads(params, batch, config.dropout_rate, rng)
+            losses.append(loss)
+            step += 1
+            updated = {}
+            for key, p in params.as_dict().items():
+                m, v = moments[key]
+                updated[key], m, v = adam_update_reference(
+                    p, grads[key], m, v, step, config.learning_rate,
+                    config.adam_beta1, config.adam_beta2,
+                )
+                moments[key] = (m, v)
+            params = ModelParams(**updated)
+        val_loss, val_top1, val_f1 = _validate(params, val, vocab)
+        history.append(EpochStats(epoch, float(np.mean(losses)), val_loss, val_top1, val_f1))
+        if val_f1 > best_f1:
+            best_params, best_f1, best_epoch, stale = params.copy(), val_f1, epoch, 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    return TrainResult(params=best_params, history=history, best_epoch=best_epoch)
 
 
 # --- AST comparison, for parser and obfuscator tests ------------------------

@@ -19,6 +19,7 @@ import synth
 from conftest import random_samples
 from oracles import (
     brute_force_contexts,
+    build_vocabulary,
     extract_contexts,
     leaves,
     numeric_gradients,
@@ -57,7 +58,6 @@ from pathvec.pathctx import (
     DOWN,
     UP,
     ExtractionConfig,
-    build_vocabulary,
     extract_unit_samples,
 )
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import fixtures_java as fx
 from oracles import (
+    build_vocabulary,
     csv_module_dataset_bytes,
     csv_module_embedding_bytes,
     forward_reference,
@@ -29,7 +30,7 @@ from pathvec.aggregate import (
 from pathvec.cli import main
 from pathvec.java import parse_file
 from pathvec.model import ModelConfig, TrainedModel, init_params, save_checkpoint
-from pathvec.pathctx import ExtractionConfig, build_vocabulary, extract_unit_samples
+from pathvec.pathctx import ExtractionConfig, extract_unit_samples
 
 
 # --- specs and the 23-suite ----------------------------------------------------

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import fixtures_java as fx
+import synth
+from pathvec import cli
 from pathvec.aggregate import (
     AggregationSpec,
     ClassEmbedding,
@@ -30,12 +32,17 @@ from pathvec.util import atomic_open
 
 
 class _DiskFull:
-    """A file whose first write stores half of its data, then fails."""
+    """A file whose write stores half of its data, then fails, after
+    `good_writes` writes that succeed."""
 
-    def __init__(self, fh):
+    def __init__(self, fh, good_writes=0):
         self.fh = fh
+        self.good_writes = good_writes
 
     def write(self, data):
+        if self.good_writes > 0:
+            self.good_writes -= 1
+            return self.fh.write(data)
         self.fh.write(data[: len(data) // 2])
         raise OSError(errno.ENOSPC, "No space left on device")
 
@@ -53,11 +60,11 @@ class _DiskFull:
 def disk_full(monkeypatch):
     real_open = builtins.open
 
-    def failing_open(file, mode="r", *args, **kwargs):
-        fh = real_open(file, mode, *args, **kwargs)
-        return _DiskFull(fh) if "w" in mode else fh
+    def fail_from_now_on(good_writes=0):
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return _DiskFull(fh, good_writes) if "w" in mode else fh
 
-    def fail_from_now_on():
         monkeypatch.setattr(builtins, "open", failing_open)
         monkeypatch.setattr(io, "open", failing_open)  # what Path.write_text calls
 
@@ -184,3 +191,76 @@ def test_atomic_open_replaces_only_on_success(tmp_path):
     assert path.read_bytes() == b"new\r\n"
     assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
 
+
+
+# --- extract streams its samples into the dump ---------------------------------
+
+
+@pytest.fixture
+def extracted(tmp_path):
+    """A corpus and the dump and manifest extract made of it: the previous
+    artifacts that a failed extract must leave as they are."""
+    corpus = tmp_path / "corpus"
+    synth.generate_corpus(corpus, files_per_class=4, seed=2)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["extract", "--corpus", str(corpus), "--out", str(out / "dump.txt"), "--seed", "3"]
+    assert main(argv) == 0
+    previous = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(previous) == ["dump.txt", "dump.txt.manifest.json"]
+    assert previous["dump.txt"].count(b"\n") == 16  # one line per method
+
+    def unchanged():
+        return {p.name: p.read_bytes() for p in out.iterdir()} == previous
+
+    return corpus, argv, unchanged
+
+
+def test_extract_on_a_disk_that_fills_midway_through_the_dump_leaves_the_previous_one(
+    extracted, disk_full
+):
+    _, argv, unchanged = extracted
+    disk_full(good_writes=8)  # four whole lines, then half of the fifth
+    with pytest.raises(OSError, match="No space left"):
+        main(argv)
+    assert unchanged()
+
+
+def test_extract_that_fails_on_the_nth_file_leaves_the_previous_dump(extracted, monkeypatch):
+    _, argv, unchanged = extracted
+    real_extract = cli.extract_unit_samples
+    calls = []
+
+    def failing_extract(unit, cfg):
+        calls.append(unit.path)
+        if len(calls) == 3:
+            raise RuntimeError(f"extraction failed on {unit.path}")
+        return real_extract(unit, cfg)
+
+    monkeypatch.setattr(cli, "extract_unit_samples", failing_extract)
+    with pytest.raises(RuntimeError, match="extraction failed"):
+        main(argv)
+    assert len(calls) == 3
+    assert unchanged()
+
+
+@pytest.mark.parametrize(
+    "files",
+    [
+        {"Bad.java": b"class {", "Latin.java": b"class L { int f() { return 1; } } // \xff"},
+        {"Empty.java": b"class E { void m() { } }"},
+    ],
+    ids=["all_skipped", "no_extractable_method"],
+)
+def test_extract_of_a_corpus_with_nothing_to_dump_fails_and_keeps_the_previous_dump(
+    files, extracted, tmp_path, capsys
+):
+    _, argv, unchanged = extracted
+    corpus = tmp_path / "nothing"
+    corpus.mkdir()
+    for name, data in files.items():
+        (corpus / name).write_bytes(data)
+    argv[argv.index("--corpus") + 1] = str(corpus)
+    assert main(argv) == 1
+    assert "no extractable methods" in capsys.readouterr().err
+    assert unchanged()

@@ -14,16 +14,24 @@ from hypothesis import given, settings, strategies as st
 import fixtures_java as fx
 import synth
 from conftest import call_at_depth
-from oracles import csv_module_dataset_bytes
+from oracles import build_vocabulary, count_distinct, csv_module_dataset_bytes
 from pathvec import aggregate, cli
 from pathvec.aggregate import read_dataset_csv
 from pathvec.cli import main
 from pathvec.config import PipelineConfig, manifest_path_for, read_manifest
-from pathvec.java import parser
+from pathvec.java import java_files, parser, read_sources
 from pathvec.java.parser import MAX_NESTING
-from pathvec.model import load_checkpoint, loss_and_grads
+from pathvec.model import TrainedModel, load_checkpoint, save_checkpoint, train
 from pathvec.obfuscate import ObfuscationScheme, obfuscate_tree
-from pathvec.pathctx import DOWN, UP, build_vocabulary, read_context_dump
+from pathvec.pathctx import (
+    DOWN,
+    UP,
+    ExtractionConfig,
+    MethodSample,
+    PathContext,
+    extract_unit_samples,
+    read_context_dump,
+)
 
 
 def run(capsys, *argv):
@@ -166,6 +174,43 @@ def test_cli_extract_parallel_matches_serial(pipeline, tmp_path):
         ]) == 0
         assert dump2.read_bytes() == pipeline["dump"].read_bytes()
 
+
+def _extract_stats_of_all_samples(corpus, cfg):
+    """extract's counts, tallied over a list of every sample of the corpus."""
+    files = java_files(corpus)
+    skipped = Counter()
+    samples, methods = [], 0
+    for _, unit in read_sources(corpus, files, skipped):
+        if unit is not None:
+            methods += sum(len(cls.methods) for cls in unit.classes)
+            samples.extend(extract_unit_samples(unit, cfg))
+    tokens, paths, targets = count_distinct(samples)
+    return {
+        "files": len(files), "skipped_files": skipped.total(), "skip_reasons": dict(skipped),
+        "methods": methods, "methods_dumped": len(samples), "distinct_tokens": tokens,
+        "distinct_paths": paths, "distinct_targets": targets,
+    }
+
+
+def test_cli_extract_counts_equal_those_of_a_list_of_every_sample(pipeline, tmp_path, capsys):
+    mixed = tmp_path / "mixed"
+    synth.generate_corpus(mixed, files_per_class=3, seed=8)
+    (mixed / "Nest.java").write_text(fx.DEEP_PARENS, encoding="utf-8")
+    (mixed / "Sum.java").write_text(fx.LONG_SUM, encoding="utf-8")
+    (mixed / "Empty.java").write_text("class E { void m() { } }", encoding="utf-8")
+    (mixed / "Bad.java").write_text("class {", encoding="utf-8")
+    (mixed / "Latin.java").write_bytes(b"class L { int f() { return 1; } } // \xff")
+    for corpus, seed in ((pipeline["corpus"], 3), (mixed, 5)):
+        dump = tmp_path / f"{corpus.name}.txt"
+        code, stdout, _ = run(capsys, "extract", "--corpus", str(corpus), "--out", str(dump),
+                              "--seed", str(seed))
+        assert code == 0
+        want = _extract_stats_of_all_samples(corpus, ExtractionConfig(seed=seed))
+        assert stdout == json.dumps(want, sort_keys=True) + "\n"
+        assert read_manifest(manifest_path_for(dump))["counts"] == want
+    assert want["skipped_files"] == 3 and want["methods"] > want["methods_dumped"]
+
+
 # --- train -----------------------------------------------------------------------
 
 
@@ -193,33 +238,44 @@ def test_cli_train_same_seed_identical_checkpoints(pipeline, tmp_path):
     assert a.read_bytes() == pipeline["ckpt"].read_bytes()
 
 
-def test_cli_train_frees_the_parsed_samples_before_the_first_step(pipeline, tmp_path, monkeypatch):
-    parsed = []  # a weak reference to every sample read from the dump
-    live_at_first_step = []
-    real_read = cli.read_context_dump
+def test_cli_train_builds_no_method_sample_or_path_context(pipeline, tmp_path, monkeypatch):
+    built = Counter()
+    real_init, real_new = MethodSample.__init__, PathContext.__new__
 
-    def tracking_read(*args, **kwargs):
-        samples = real_read(*args, **kwargs)
-        parsed.extend(weakref.ref(sample) for sample in samples)
-        return samples
+    def counting_init(self, *args, **kwargs):
+        built["MethodSample"] += 1
+        real_init(self, *args, **kwargs)
 
-    def first_step(*args, **kwargs):
-        if not live_at_first_step:
-            live_at_first_step.append(sum(ref() is not None for ref in parsed))
-        return loss_and_grads(*args, **kwargs)
+    def counting_new(cls, *args, **kwargs):
+        built["PathContext"] += 1
+        return real_new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "read_context_dump", tracking_read)
-    monkeypatch.setattr("pathvec.model.loss_and_grads", first_step)
+    monkeypatch.setattr(MethodSample, "__init__", counting_init)
+    monkeypatch.setattr(PathContext, "__new__", counting_new)
+    parsed = read_context_dump(pipeline["dump"])  # the counters see a parsed dump
+    assert built == {"MethodSample": len(parsed), "PathContext": sum(len(s.contexts) for s in parsed)}
+    built.clear()
     ckpt = tmp_path / "model.ckpt"
     assert main([
         "train", "--contexts", str(pipeline["dump"]), "--out", str(ckpt),
         "--d-emb", "6", "--epochs", "3", "--batch-size", "8", "--seed", "4",
     ]) == 0
-    assert len(parsed) > 0 and live_at_first_step == [0]
+    assert built == Counter()
+
+    # the same checkpoint as training on the parsed samples, indexed one by one
+    model = load_checkpoint(ckpt)
+    vocab = build_vocabulary(parsed, min_count=1)
+    result = train(model.config, [vocab.index_sample(s) for s in parsed], vocab)
+    save_checkpoint(tmp_path / "oracle.ckpt", TrainedModel(model.config, model.extraction, result.params, vocab))
+    assert ckpt.read_bytes() == (tmp_path / "oracle.ckpt").read_bytes()
     assert ckpt.read_bytes() == pipeline["ckpt"].read_bytes()
     written = read_manifest(manifest_path_for(ckpt))
     assert written["counts"] == read_manifest(manifest_path_for(pipeline["ckpt"]))["counts"]
     assert written["counts"]["samples"] == len(parsed)
+    assert written["counts"]["best_epoch"] == result.best_epoch
+    assert (written["counts"]["tokens"], written["counts"]["paths"], written["counts"]["targets"]) == (
+        vocab.n_tokens, vocab.n_paths, vocab.n_targets
+    )
 
 
 def test_cli_train_inherits_extraction_from_dump_manifest(pipeline):

@@ -10,9 +10,11 @@ import fixtures_java as fx
 from conftest import random_samples
 from oracles import (
     adam_update_reference,
+    build_vocabulary,
     forward_reference,
     loss_and_grads_reference,
     numeric_gradients,
+    train_allocating,
 )
 from pathvec.evaluate import name_prediction_f1
 from pathvec.java import parse_file
@@ -38,7 +40,6 @@ from pathvec.pathctx import (
     IndexedSample,
     MethodSample,
     PathContext,
-    build_vocabulary,
     extract_unit_samples,
 )
 
@@ -404,6 +405,48 @@ def test_training_is_bitwise_deterministic():
     assert [s.val_loss for s in run_a.history] == [s.val_loss for s in run_b.history]
     for key, value in run_a.params.as_dict().items():
         assert np.array_equal(value, run_b.params.as_dict()[key])
+
+
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.3])
+def test_training_with_buffers_allocated_once_equals_fresh_arrays(dropout_rate):
+    rng = np.random.default_rng(0)
+    longer_than_a_run = MethodSample(
+        "longOne",
+        [PathContext(f"t{rng.integers(0, 30)}", f"p{rng.integers(0, 5)}", f"t{rng.integers(0, 30)}")
+         for _ in range(700)],
+        1,
+        "l",
+    )
+    samples = _template_corpus(10) + [longer_than_a_run]
+    vocab = build_vocabulary(samples, min_count=1)
+    indexed = [vocab.index_sample(s) for s in samples]
+    config = ModelConfig(
+        d_emb=4, epochs=6, batch_size=8, seed=1, learning_rate=0.05, patience=6,
+        val_fraction=0.3, dropout_rate=dropout_rate,
+    )
+    got = train(config, indexed, vocab)
+    want = train_allocating(config, indexed, vocab)
+    assert got.history == want.history
+    assert got.best_epoch == want.best_epoch
+    for key, value in got.params.as_dict().items():
+        assert np.array_equal(value, want.params.as_dict()[key]), key
+    if dropout_rate == 0.0:  # the best params were copied twice, then kept
+        assert 1 < got.best_epoch < len(got.history)
+
+
+def test_adam_update_in_chunks_equals_one_pass():
+    rng = np.random.default_rng(8)
+    config = ModelConfig(learning_rate=0.01)
+    p = rng.normal(size=(37, 5))
+    m, v = np.zeros_like(p), np.zeros_like(p)
+    p2, m2, v2 = p.copy(), m.copy(), v.copy()
+    for step in range(1, 4):
+        g = rng.normal(size=p.shape)
+        adam_update(p, g.copy(), m, v, np.empty(p.size), step, config)
+        adam_update(p2, g.copy(), m2, v2, np.empty(16), step, config)  # 12 chunks, one short
+        assert np.array_equal(p, p2) and np.array_equal(m, m2) and np.array_equal(v, v2)
+    with pytest.raises(ValueError, match="contiguous"):
+        adam_update(p[:, ::2], g[:, ::2], m[:, ::2], v[:, ::2], np.empty(16), 4, config)
 
 
 def test_zero_epochs_returns_init(tmp_path):

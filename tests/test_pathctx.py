@@ -9,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 import fixtures_java as fx
 import synth
 from conftest import call_at_depth
-from oracles import brute_force_contexts, extract_contexts, format_dump_line_reference, leaves
+from oracles import (
+    brute_force_contexts,
+    build_vocabulary,
+    count_distinct,
+    extract_contexts,
+    format_dump_line_reference,
+    leaves,
+)
 from pathvec.java import parse_file, read_sources
 from pathvec.java.ast import AstNode, MethodDecl
 from pathvec.java.lexer import tokenize
@@ -20,12 +27,11 @@ from pathvec.pathctx import (
     ExtractionConfig,
     MethodSample,
     PathContext,
-    build_vocabulary,
     cap_contexts,
-    count_distinct,
     extract_unit_samples,
     format_dump_line,
     read_context_dump,
+    read_indexed_dump,
     split_target,
     write_context_dump,
 )
@@ -252,6 +258,26 @@ def test_capped_samples_equal_cap_of_the_uncapped_contexts():
         assert sample.contexts == cap_contexts(contexts, cfg.max_contexts, rng)
     assert len(extract_contexts(methods[1], cfg.max_len, cfg.max_width)) > 5 * cfg.max_contexts
     assert len(samples[1].contexts) == cfg.max_contexts
+
+
+def test_only_methods_over_the_cap_build_a_random_stream(monkeypatch):
+    unit = parse_file(_long_method_source(), "long/Long0.java")
+    sizes = [len(extract_contexts(m, 8, 2)) for m in unit.methods()]
+    real_rng = np.random.default_rng
+    calls = []
+
+    def counting_rng(*args, **kwargs):
+        calls.append(args)
+        return real_rng(*args, **kwargs)
+
+    for max_contexts in (1, sizes[0], sizes[0] + 1, max(sizes), max(sizes) + 1):
+        cfg = ExtractionConfig(max_contexts=max_contexts, seed=17)
+        monkeypatch.undo()
+        expected = extract_unit_samples(unit, cfg)
+        calls.clear()
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        assert extract_unit_samples(unit, cfg) == expected
+        assert len(calls) == sum(size > max_contexts for size in sizes)
 
 
 def test_token_and_path_context_are_immutable():
@@ -505,6 +531,80 @@ def test_a_read_dump_holds_well_under_half_its_unshared_bytes_per_context(tmp_pa
     contexts = sum(len(s.contexts) for s in loaded)
     assert contexts > 8000
     assert held / contexts < 160
+
+
+def test_the_one_pass_reader_holds_a_fraction_of_a_read_dump(tmp_path):
+    # read_context_dump holds about 108 B per context here (80 files, 8,360
+    # contexts); three int64 ids are 24 B, and the samples and vocabulary
+    # of the one-pass reader come to about 41 B.
+    synth.generate_corpus(tmp_path / "corpus", files_per_class=40, seed=1)
+    files = sorted(p.relative_to(tmp_path / "corpus").as_posix()
+                   for p in (tmp_path / "corpus").rglob("*.java"))
+    cfg = ExtractionConfig(seed=3)
+    samples = [s for _, unit in read_sources(tmp_path / "corpus", files, Counter())
+               for s in extract_unit_samples(unit, cfg)]
+    write_context_dump(samples, tmp_path / "dump.txt")
+    del samples
+    tracemalloc.start()
+    try:
+        indexed, vocab = read_indexed_dump(tmp_path / "dump.txt")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    contexts = sum(len(s) for s in indexed)
+    assert contexts > 8000 and vocab.n_tokens > 2
+    assert held / contexts < 56
+    assert peak / contexts < 100
+
+
+_dump_string = st.sampled_from(["a", "b", "ab", "<unk>", "<pad>", "x_1", "é"])
+_dump_context = st.tuples(_dump_string, _dump_string, _dump_string).map(",".join)
+_dump_method = st.tuples(_dump_string, st.lists(_dump_context, min_size=1, max_size=4)).map(
+    lambda method: " ".join([method[0], *method[1]])
+)
+_bad_dump_line = st.sampled_from(
+    ["m", "m a,b", "m a,b,c,d", "m a,b,c ", "m  a,b,c", " a,b,c", "m a,b,c a,,b,"]
+)
+
+
+def _parse_then_index(path, min_count):
+    samples = read_context_dump(path)
+    vocab = build_vocabulary(samples, min_count)
+    return [vocab.index_sample(s) for s in samples], vocab
+
+
+def _outcome(read, path, min_count):
+    try:
+        return read(path, min_count), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(_dump_method, st.just("")), max_size=8),
+    st.one_of(st.none(), st.tuples(st.integers(0, 8), _bad_dump_line)),
+    st.integers(1, 3),
+)
+def test_one_pass_reader_equals_parse_then_index(tmp_path_factory, lines, bad, min_count):
+    if bad is not None:
+        lines = lines[: bad[0]] + [bad[1]] + lines[bad[0] :]
+    path = tmp_path_factory.getbasetemp() / "one_pass_dump.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    want, want_error = _outcome(_parse_then_index, path, min_count)
+    got, got_error = _outcome(read_indexed_dump, path, min_count)
+    assert got_error == want_error
+    if want is None:
+        assert bad is not None or not any(lines)
+        return
+    (got_samples, got_vocab), (want_samples, want_vocab) = got, want
+    assert got_vocab == want_vocab
+    assert len(got_samples) == len(want_samples)
+    for a, b in zip(got_samples, want_samples):
+        assert (a.target_id, a.target_name) == (b.target_id, b.target_name)
+        for field in ("starts", "paths", "ends"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def test_extraction_of_a_long_sum_runs_deep_in_the_callers_stack(tmp_path):
