@@ -6,6 +6,19 @@ v = sum_i a_i h_i, scores = targetEmb v. The code vector doubles as the
 method embedding. Training and inference run the same forward pass
 (_forward_run) over stacked runs of samples. Gradients are exact and
 finite-difference checked.
+
+Training runs in float32, the precision the checkpoint stores: init_params
+rounds its float64 draws to float32, and every array train allocates takes
+the params' dtype. forward and loss_and_grads compute in the dtype of the
+params they are given. load_checkpoint returns float64 params, so inference
+runs in float64 on exactly the weights validation chose. On the same
+float32-representable params, the float32 step's loss is within 1e-5 of the
+float64 step's (relative), and each gradient within 1e-4 of its largest
+entry; the worst seen over random batches was 4.5e-7 and 6.4e-6.
+
+A train's checkpoint and manifest are byte-identical at OPENBLAS_NUM_THREADS
+1 and 2 and at PYTHONHASHSEED 0 and 123 (see REDUCE_BLOCK). This was checked
+on one host (2 cores, OpenBLAS 0.3.31), not across BLAS builds or CPUs.
 """
 
 from __future__ import annotations
@@ -98,6 +111,10 @@ class ModelParams:
     def d_code(self) -> int:
         return self.transform.shape[0]
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.transform.dtype
+
 
 @dataclass
 class ForwardResult:
@@ -107,16 +124,20 @@ class ForwardResult:
 
 
 def init_params(config: ModelConfig, vocab: Vocabulary) -> ModelParams:
-    """Seeded uniform(-0.05, 0.05) initialization, fixed draw order."""
+    """Seeded uniform(-0.05, 0.05) initialization, fixed draw order, each
+    float64 draw rounded to float32, the precision training runs in."""
     rng = np.random.default_rng(config.seed)
-    lo, hi = -0.05, 0.05
     d, dc = config.d_emb, config.d_code
+
+    def draw(*shape: int) -> np.ndarray:
+        return rng.uniform(-0.05, 0.05, size=shape).astype(np.float32)
+
     return ModelParams(
-        token_emb=rng.uniform(lo, hi, size=(vocab.n_tokens, d)),
-        path_emb=rng.uniform(lo, hi, size=(vocab.n_paths, d)),
-        transform=rng.uniform(lo, hi, size=(dc, dc)),
-        attention=rng.uniform(lo, hi, size=dc),
-        target_emb=rng.uniform(lo, hi, size=(vocab.n_targets, dc)),
+        token_emb=draw(vocab.n_tokens, d),
+        path_emb=draw(vocab.n_paths, d),
+        transform=draw(dc, dc),
+        attention=draw(dc),
+        target_emb=draw(vocab.n_targets, dc),
     )
 
 
@@ -124,6 +145,12 @@ def init_params(config: ModelConfig, vocab: Vocabulary) -> ModelParams:
 # that a run's (contexts x d_code) temporaries stay in cache; a longer sample
 # is a run by itself.
 RUN_CONTEXTS = 512
+
+# The training step's two long sums, the transform gradient over a run's
+# contexts and the code-vector gradient over the targets, are taken in
+# blocks of at most this many terms: OpenBLAS splits a longer sum
+# differently at different thread counts, which changes its last bits.
+REDUCE_BLOCK = 256
 
 
 def _runs(batch: list[IndexedSample]) -> list[list[IndexedSample]]:
@@ -154,12 +181,19 @@ def _scatter_rows(
     table[index[firsts]] += np.add.reduceat(rows[source[order]], firsts, axis=0)
 
 
+def _add_product(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """out += a @ b, one product per block of at most REDUCE_BLOCK along
+    the summed axis, added in order."""
+    for lo in range(0, a.shape[1], REDUCE_BLOCK):
+        out += a[:, lo : lo + REDUCE_BLOCK] @ b[lo : lo + REDUCE_BLOCK]
+
+
 def _work_arrays(params: ModelParams, rows: int) -> tuple:
     """Work arrays of `rows` contexts (E, tanh, dropout, weighted sum /
-    gradient), reused by every run they hold: fresh ones per run would
-    cost page faults that outweigh the arithmetic."""
+    gradient) in the params' dtype, reused by every run they hold: fresh
+    ones per run would cost page faults that outweigh the arithmetic."""
     d, dc = params.token_emb.shape[1], params.d_code
-    return tuple(np.empty((rows, width)) for width in (3 * d, dc, dc, dc))
+    return tuple(np.empty((rows, width), params.dtype) for width in (3 * d, dc, dc, dc))
 
 
 def _longest_run(runs: list[list[IndexedSample]]) -> int:
@@ -214,6 +248,7 @@ def _forward_run(
     np.tanh(H_raw, out=H_raw)
     if dropout_rate > 0.0:
         mask = (rng.random((n, dc)) >= dropout_rate) / (1.0 - dropout_rate)
+        mask = mask.astype(params.dtype, copy=False)
         H = np.multiply(H_raw, mask, out=H_buf[:n])
     else:
         mask = None
@@ -241,12 +276,13 @@ def forward(
     the stacked runs of the training step (without dropout). A sample's
     values depend, by rounding only, on which samples share its run: the
     matrix products block by row count. `work` (from _work_arrays) must
-    hold the longest run; by default it is allocated for this call."""
+    hold the longest run; by default it is allocated for this call. The
+    outputs take the params' dtype."""
     runs = _runs(samples)
     if work is None:
         work = _work_arrays(params, _longest_run(runs))
-    code_vectors = np.empty((len(samples), params.d_code))
-    target_probs = np.empty((len(samples), len(params.target_emb)))
+    code_vectors = np.empty((len(samples), params.d_code), params.dtype)
+    target_probs = np.empty((len(samples), len(params.target_emb)), params.dtype)
     attention: list[np.ndarray] = []
     lo = 0
     for run in runs:
@@ -323,9 +359,11 @@ def loss_and_grads(
         ds[rows, targets] -= 1.0
         ds *= scale
         grads["target_emb"] += ds.T @ r.V
+        dV = np.zeros_like(r.V)  # dL/dv of each sample
+        _add_product(dV, ds, params.target_emb)
         # dL/dv of each context's sample; owner is in range, and mode="clip"
         # lets take write straight into the work array
-        G = np.take(ds @ params.target_emb, r.owner, axis=0, out=G_buf[:n], mode="clip")
+        G = np.take(dV, r.owner, axis=0, out=G_buf[:n], mode="clip")
 
         H, alpha, offsets, owner = r.H, r.alpha, r.offsets, r.owner
         q = np.einsum("ij,ij->i", H, G)
@@ -338,7 +376,7 @@ def loss_and_grads(
             dH *= r.mask
         slope = np.multiply(r.H_raw, r.H_raw, out=r.H_raw)
         dU = np.multiply(dH, np.subtract(1.0, slope, out=slope), out=dH)
-        grads["transform"] += dU.T @ r.E
+        _add_product(grads["transform"], dU.T, r.E)
         # row 3i + k of dE is the gradient of context i's start (k = 0),
         # path (k = 1) or end (k = 2) embedding
         dE = np.matmul(dU, params.transform, out=r.E).reshape(3 * n, d)
@@ -380,9 +418,10 @@ def _validate(
 
     probs = forward(params, samples, work).target_probs
     targets = np.array([sample.target_id for sample in samples])
-    picked = np.maximum(probs[np.arange(len(samples)), targets], 1e-300)
+    picked = np.maximum(probs[np.arange(len(samples)), targets], np.finfo(probs.dtype).tiny)
     preds = np.argmax(probs, axis=1)
-    hits = int(np.count_nonzero(preds == targets))
+    # a method whose name is out of the vocabulary was not named
+    hits = int(np.count_nonzero((preds == targets) & (targets != vocab.unk_id)))
     pairs = [
         (sample.target_name, vocab.id_to_target[pred])
         for sample, pred in zip(samples, preds.tolist())
@@ -444,7 +483,8 @@ def train(
     with the best validation subtoken F1 and stops early once F1 has not
     improved for `patience` epochs. Deterministic for a fixed seed. Every
     buffer (gradients, Adam's moments and scratch, the best params, the
-    run work arrays) is allocated once per call.
+    run work arrays) is allocated once per call, in float32 like the
+    params. A validation method whose name is <unk> counts as a top-1 miss.
     """
     if not indexed:
         raise ConfigError("no training samples")
@@ -468,7 +508,7 @@ def train(
     grads = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
     adam_m = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
     adam_v = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
-    scratch = np.empty(ADAM_CHUNK)
+    scratch = np.empty(ADAM_CHUNK, params.dtype)
     # A run is at most RUN_CONTEXTS contexts or one longer sample.
     longest = max(len(sample) for sample in indexed)
     work = _work_arrays(

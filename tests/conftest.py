@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # fixtures_java, oracles, synth
 
 from pathvec.java import parse_file
-from pathvec.model import ModelConfig, init_params
+from pathvec.model import ModelConfig, ModelParams, init_params
 from pathvec.pathctx import MethodSample, PathContext
 
 import fixtures_java as fx
@@ -63,12 +63,19 @@ def random_samples(rng: np.random.Generator, n_samples=8, n_tokens=5, n_paths=4,
     return samples
 
 
+def params_as(params: ModelParams, dtype) -> ModelParams:
+    """A copy of the params in dtype. load_checkpoint returns a checkpoint's
+    float32 tensors in float64, the precision inference runs in."""
+    return ModelParams(**{k: v.astype(dtype) for k, v in params.as_dict().items()})
+
+
 @pytest.fixture
 def tiny_model():
-    """Random-init params over a small vocabulary, plus the samples."""
+    """Random-init params over a small vocabulary, in float64, plus the
+    samples."""
     rng = np.random.default_rng(11)
     samples = random_samples(rng)
     vocab = build_vocabulary(samples, min_count=1)
     config = ModelConfig(d_emb=6, epochs=1, seed=5)
-    params = init_params(config, vocab)
+    params = params_as(init_params(config, vocab), np.float64)
     return config, params, vocab, samples

@@ -472,7 +472,8 @@ def adam_update_reference(p, g, m, v, step, lr, b1, b2, eps=1e-8):
 def train_allocating(config, indexed, vocab):
     """model.train with fresh arrays everywhere: gradients and work arrays
     per step, each Adam step a new array, a new copy of the best params at
-    each better epoch and validation with its own work arrays."""
+    each better epoch and validation with its own work arrays. Every array
+    takes the dtype of init_params' float32 params."""
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(indexed))
     n_val = min(len(indexed) - 1, max(1, round(len(indexed) * config.val_fraction)))

@@ -16,7 +16,7 @@ import pytest
 
 import fixtures_java as fx
 import synth
-from conftest import random_samples
+from conftest import params_as, random_samples
 from oracles import (
     brute_force_contexts,
     build_vocabulary,
@@ -143,7 +143,7 @@ def test_criterion_3_gradient_check():
             vocab = build_vocabulary(samples, min_count=1)
             assert vocab.n_tokens <= 12 and vocab.n_paths <= 12  # vocab <= 10 + reserved
             config = ModelConfig(d_emb=int(rng.integers(2, 9)), seed=int(rng.integers(10_000)))
-            params = init_params(config, vocab)
+            params = params_as(init_params(config, vocab), np.float64)
             batch = [vocab.index_sample(s) for s in samples]
             _, grads = loss_and_grads(params, batch)
             numeric = numeric_gradients(params, batch, lambda p, b: loss_and_grads(p, b)[0])

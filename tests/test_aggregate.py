@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fixtures_java as fx
+from conftest import params_as
 from oracles import (
     build_vocabulary,
     csv_module_dataset_bytes,
@@ -207,7 +208,7 @@ def _toy_model(sources, d_emb=4, seed=5):
     return TrainedModel(
         config=config,
         extraction=ExtractionConfig(None, None, 200),
-        params=init_params(config, vocab),
+        params=params_as(init_params(config, vocab), np.float64),
         vocab=vocab,
     )
 

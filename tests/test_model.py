@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fixtures_java as fx
-from conftest import random_samples
+from conftest import params_as, random_samples
 from oracles import (
     adam_update_reference,
     build_vocabulary,
@@ -22,6 +22,7 @@ from pathvec.model import (
     ConfigError,
     EmptyBag,
     ModelConfig,
+    REDUCE_BLOCK,
     ModelParams,
     TrainedModel,
     _validate,
@@ -151,7 +152,7 @@ def test_gradients_match_finite_differences():
         )
         vocab = build_vocabulary(samples, min_count=1)
         config = ModelConfig(d_emb=int(rng.integers(2, 9)), seed=int(rng.integers(1000)))
-        params = init_params(config, vocab)
+        params = params_as(init_params(config, vocab), np.float64)
         batch = [vocab.index_sample(s) for s in samples]
         _, grads = loss_and_grads(params, batch)
         numeric = numeric_gradients(
@@ -207,6 +208,15 @@ def test_stacked_step_matches_per_sample_loop(sizes):
         )
 
 
+def test_stacked_step_matches_per_sample_loop_over_blocks_of_targets():
+    rng = np.random.default_rng(38)
+    params = _random_params(rng, n_targets=2 * REDUCE_BLOCK + 3)
+    batch = _random_batch(rng, params, [700, 40, 3, 90])
+    _assert_matches_reference(
+        loss_and_grads(params, batch), loss_and_grads_reference(params, batch)
+    )
+
+
 @pytest.mark.parametrize("sizes", ["random", [300, 300, 1], [700], [1], [512, 1, 511]])
 def test_forward_matches_single_sample_reference(sizes):
     rng = np.random.default_rng(34)
@@ -253,13 +263,47 @@ def test_validate_matches_a_loop_over_the_reference():
         _, _, probs = forward_reference(params, sample)
         losses.append(-np.log(max(float(probs[sample.target_id]), 1e-300)))
         pred = int(np.argmax(probs))
-        hits += int(pred == sample.target_id)
+        hits += int(pred == sample.target_id != vocab.unk_id)
         pairs.append((sample.target_name, vocab.id_to_target[pred]))
     loss, top1, f1 = _validate(params, batch, vocab)
     assert abs(loss - float(np.mean(losses))) <= 1e-12 * abs(loss)
     assert top1 == hits / len(batch)
     assert f1 == name_prediction_f1(pairs).f1
     assert 0.0 < top1 < 1.0  # both hits and misses are compared
+
+
+def test_validate_loss_is_finite_in_float32_when_a_target_probability_underflows():
+    rng = np.random.default_rng(37)
+    vocab = build_vocabulary(
+        [MethodSample(name, [PathContext("a", "p", "b")], 1, "x") for name in ("getValue", "size")],
+        min_count=1,
+    )
+    params = _random_params(rng, n_targets=vocab.n_targets)
+    params = params_as(params, np.float32)
+    (sample,) = _random_batch(rng, params, [5])
+    sample.target_id, sample.target_name = vocab.target_id("getValue"), "getValue"
+    v = _vector(params, sample)
+    params.target_emb[:] = 0.0
+    params.target_emb[vocab.target_id("size")] = 1e3 * v / (v @ v)  # a score of 1000
+    assert forward(params, [sample]).target_probs[0, sample.target_id] == 0.0
+    loss, top1, f1 = _validate(params, [sample], vocab)
+    assert loss == float(-np.log(np.finfo(np.float32).tiny))
+    assert (top1, f1) == (0.0, 0.0)
+
+
+def test_float32_step_within_stated_tolerance_of_float64():
+    # the same float32-representable params in both precisions, with runs
+    # longer than a block and more targets than a block (REDUCE_BLOCK)
+    rng = np.random.default_rng(36)
+    for sizes, n_targets in (([300, 300, 1], 7), ([700], 600), (rng.integers(1, 200, 9), 300)):
+        p32 = params_as(_random_params(rng, d=16, n_targets=n_targets), np.float32)
+        batch = _random_batch(rng, p32, sizes)
+        loss32, grads32 = loss_and_grads(p32, batch)
+        loss64, grads64 = loss_and_grads(params_as(p32, np.float64), batch)
+        assert abs(loss32 - loss64) <= 1e-5 * abs(loss64)
+        for key, want in grads64.items():
+            assert grads32[key].dtype == np.float32
+            assert np.max(np.abs(grads32[key] - want)) <= 1e-4 * np.max(np.abs(want)), key
 
 
 def test_stacked_step_draws_the_per_sample_dropout_masks():
@@ -394,6 +438,23 @@ def test_training_single_class_perfect_f1():
     assert result.history[-1].val_f1 == pytest.approx(1.0)
 
 
+def test_val_top1_counts_an_unk_target_as_a_miss():
+    # min_count above every name's count maps every target to <unk>, which
+    # the model then learns to predict: no method's name was predicted
+    samples = _template_corpus(10)
+    vocab = build_vocabulary(samples, min_count=11)
+    assert set(vocab.target_to_id) == {"<unk>", "<pad>"}
+    indexed = [vocab.index_sample(s) for s in samples]
+    config = ModelConfig(d_emb=4, epochs=3, batch_size=8, seed=5, learning_rate=0.05)
+    result = train(config, indexed, vocab)
+    assert [s.val_top1 for s in result.history] == [0.0] * 3
+    assert [s.val_f1 for s in result.history] == [0.0] * 3
+    val = indexed[:10]
+    probs = forward(result.params, val).target_probs
+    assert (np.argmax(probs, axis=1) == vocab.unk_id).all()  # predicted as <unk>
+    assert _validate(result.params, val, vocab)[1] == 0.0
+
+
 def test_training_is_bitwise_deterministic():
     samples = _template_corpus(10)
     vocab = build_vocabulary(samples, min_count=1)
@@ -429,6 +490,7 @@ def test_training_with_buffers_allocated_once_equals_fresh_arrays(dropout_rate):
     assert got.history == want.history
     assert got.best_epoch == want.best_epoch
     for key, value in got.params.as_dict().items():
+        assert value.dtype == np.float32
         assert np.array_equal(value, want.params.as_dict()[key]), key
     if dropout_rate == 0.0:  # the best params were copied twice, then kept
         assert 1 < got.best_epoch < len(got.history)
@@ -457,9 +519,11 @@ def test_zero_epochs_returns_init(tmp_path):
     result = train(config, indexed, vocab)
     assert result.history == []
     assert result.best_epoch == 0
-    expected = init_params(config, vocab)
+    draws = np.random.default_rng(config.seed)  # the params' draw order
     for key, value in result.params.as_dict().items():
-        assert np.array_equal(value, expected.as_dict()[key])
+        expected = draws.uniform(-0.05, 0.05, size=value.shape).astype(np.float32)
+        assert value.dtype == np.float32
+        assert np.array_equal(value, expected), key
     model = TrainedModel(config, ExtractionConfig(), result.params, vocab)
     path = tmp_path / "init.ckpt"
     save_checkpoint(path, model)
@@ -553,11 +617,9 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.extraction == ExtractionConfig(max_contexts=7, seed=3)
     assert loaded.vocab.token_to_id == vocab.token_to_id
     assert loaded.vocab.id_to_target == vocab.id_to_target
-    for key, value in model.params.as_dict().items():
-        assert np.array_equal(
-            loaded.params.as_dict()[key],
-            value.astype(np.float32).astype(np.float64),
-        )
+    for key, value in result.params.as_dict().items():  # the weights validation chose
+        assert loaded.params.as_dict()[key].dtype == np.float64
+        assert np.array_equal(loaded.params.as_dict()[key], value), key
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
