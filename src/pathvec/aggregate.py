@@ -1,5 +1,7 @@
 """Selection and column-wise aggregation of method embeddings into
-file-level vectors, plus labeled dataset assembly from parsed units.
+file-level vectors, plus labeled dataset assembly from parsed units: a
+dataset is one float64 matrix, a row per file (or pair of files), and
+the label of each row.
 
 Aggregation functions run per column over the selected method vectors and
 their outputs are concatenated in canonical order (min, max, sum, mean,
@@ -135,27 +137,18 @@ class SelectionSpec:
 
 
 @dataclass
-class ClassEmbedding:
-    values: np.ndarray
-    label: str
-    source_path: str
-
-
-@dataclass
 class LabeledDataset:
-    rows: list[ClassEmbedding]
-    feature_width: int
-    labels: list[str]  # ordered distinct labels
+    X: np.ndarray  # (rows, features), float64
+    y: list[str]  # the label of each row
     # Aggregation functions whose equal-width column blocks make up each
     # row, in canonical order; empty when the layout is unknown (read back
     # from a CSV or built by hand).
     functions: tuple[str, ...] = ()
 
-    def feature_matrix(self) -> np.ndarray:
-        return np.stack([r.values for r in self.rows]) if self.rows else np.zeros((0, 0))
-
-    def label_list(self) -> list[str]:
-        return [r.label for r in self.rows]
+    @property
+    def labels(self) -> list[str]:
+        """The distinct labels, in order of first appearance."""
+        return list(dict.fromkeys(self.y))
 
 
 def select_methods(
@@ -236,9 +229,9 @@ def build_dataset_suite(
 
     Labels keep the order in which they first yield a row; a label that
     yields none is left out, and callers decide whether that is an
-    error. Rows of a label are sorted by source path and downsampled
-    with a seed, so the result does not depend on item order within a
-    label.
+    error. Rows of a label are sorted by source path (the item's paths,
+    joined by "|") and downsampled to at most per_class_cap (>= 1) with
+    a seed, so the result does not depend on item order within a label.
 
     A unit's path names its file: a file is embedded once, at its first
     item, and later items that name it reuse its row (selection is
@@ -248,9 +241,11 @@ def build_dataset_suite(
     (method name, vector) list, before selection and the per-class cap,
     in the order the files were first embedded.
     """
+    if per_class_cap < 1:
+        raise ValueError(f"per_class_cap must be >= 1, got {per_class_cap}")
     union = union_spec(aggregations)
     stats = BuildStats()
-    per_label: dict[str, list[ClassEmbedding]] = {}
+    per_label: dict[str, list[tuple[str, np.ndarray]]] = {}  # (source, row)
     file_rows: dict[str, np.ndarray | NoMethods] = {}
 
     def file_row(unit: SourceUnit) -> np.ndarray:
@@ -283,22 +278,19 @@ def build_dataset_suite(
             continue
         values = blocks[0] if len(blocks) == 1 else blocks[0] - blocks[1]
         source = "|".join(unit.path for unit in units)
-        per_label.setdefault(label, []).append(ClassEmbedding(values, label, source))
+        per_label.setdefault(label, []).append((source, values))
 
-    rows: list[ClassEmbedding] = []
+    rows: list[np.ndarray] = []
+    y: list[str] = []
     for label, label_rows in per_label.items():
-        label_rows.sort(key=lambda r: r.source_path)
+        label_rows.sort(key=lambda r: r[0])
         keep = _cap_indices(len(label_rows), per_class_cap, seed, label)
         stats.rows_per_label[label] = len(keep)
-        rows.extend(label_rows[i] for i in keep)
-
-    dataset = LabeledDataset(
-        rows=rows,
-        feature_width=len(union.functions) * model.config.d_code,
-        labels=list(per_label),
-        functions=union.functions,
-    )
-    return dataset, stats
+        rows.extend(label_rows[i][1] for i in keep)
+        y.extend([label] * len(keep))
+    width = len(union.functions) * model.config.d_code
+    X = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+    return LabeledDataset(X, y, union.functions), stats
 
 
 # --- dataset CSV --------------------------------------------------------------
@@ -319,7 +311,7 @@ def write_dataset_csv(
     as repr(float), labels quoted as csv.writer quotes them.
     """
     n_blocks = len(dataset.functions) or 1
-    width = dataset.feature_width // n_blocks
+    width = dataset.X.shape[1] // n_blocks
     if specs is None:
         picks = [list(range(n_blocks))]
     else:
@@ -333,9 +325,9 @@ def write_dataset_csv(
         ]
         for fh, pick in zip(files, picks):
             fh.write(",".join([f"f{i}" for i in range(len(pick) * width)] + ["label"]) + "\n")
-        for row in dataset.rows:
-            texts = [_csv_floats(row.values[k * width : (k + 1) * width]) for k in range(n_blocks)]
-            label = _csv_field(row.label)
+        for values, label in zip(dataset.X, dataset.y):
+            texts = [_csv_floats(values[k * width : (k + 1) * width]) for k in range(n_blocks)]
+            label = _csv_field(label)
             for fh, pick in zip(files, picks):
                 fh.write(",".join([texts[k] for k in pick] + [label]) + "\n")
 
@@ -366,8 +358,10 @@ def _csv_field(text: str) -> str:
 
 
 def read_dataset_csv(path: str | Path) -> LabeledDataset:
-    rows: list[ClassEmbedding] = []
-    labels: list[str] = []
+    """The dataset of a CSV that write_dataset_csv wrote. A ragged row or a
+    field that is not a finite number raises ValueError naming the file."""
+    rows: list[np.ndarray] = []
+    y: list[str] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -377,9 +371,10 @@ def read_dataset_csv(path: str | Path) -> LabeledDataset:
         for record in reader:
             if len(record) != width + 1:
                 raise ValueError(f"{path}: ragged row of {len(record)} fields")
-            values = np.array([float(x) for x in record[:width]])
-            label = record[width]
-            if label not in labels:
-                labels.append(label)
-            rows.append(ClassEmbedding(values=values, label=label, source_path=""))
-    return LabeledDataset(rows=rows, feature_width=width, labels=labels)
+            rows.append(np.array([float(x) for x in record[:width]]))
+            y.append(record[width])
+    X = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{path}: row {bad[0] + 1} has a field that is not finite")
+    return LabeledDataset(X, y)

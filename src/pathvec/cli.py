@@ -272,7 +272,7 @@ def cmd_embed(args) -> int:
     for label in labels:
         if label not in stats.rows_per_label:
             raise EmptyClass(f"label {label!r} yielded zero embeddable files")
-    if not dataset.rows:
+    if args.pairs and not dataset.y:
         raise EmptyClass("pair manifest yielded zero usable pairs")
     outs = [
         _suite_csv_path(args.out, agg.name) if use_suite else Path(args.out)
@@ -347,7 +347,7 @@ def cmd_evaluate(args) -> int:
             **args.settings,
         },
         counts={
-            "rows": len(dataset.rows),
+            "rows": len(dataset.y),
             "labels": len(dataset.labels),
             "lbfgs_max_iterations": report.lbfgs_max_iterations,
             "unconverged_fits": report.unconverged_fits,

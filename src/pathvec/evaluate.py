@@ -11,6 +11,7 @@ predictions.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,10 +64,10 @@ class ClassifierConfig:
     max_iterations: int = 1000
 
     def __post_init__(self) -> None:
-        if self.c <= 0:
-            raise ValueError("C must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("C must be positive and finite")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -133,14 +134,6 @@ class LinearModel:
         return [self.classes[i] for i in np.argmax(scores, axis=1)]
 
 
-def _first_appearance(labels: Sequence[str]) -> list[str]:
-    seen: list[str] = []
-    for label in labels:
-        if label not in seen:
-            seen.append(label)
-    return seen
-
-
 def _fit_squared_hinge(
     X: np.ndarray, ybin: np.ndarray, c: float, tol: float, max_iter: int
 ) -> tuple[np.ndarray, int, bool]:
@@ -175,10 +168,11 @@ def train_linear(
     config: ClassifierConfig = ClassifierConfig(),
     classes: list[str] | None = None,
 ) -> LinearModel:
-    """One-vs-rest L2-regularized squared-hinge linear models."""
+    """One-vs-rest L2-regularized squared-hinge linear models, one per
+    class (by default the labels of y, in order of first appearance)."""
     X = np.asarray(X, dtype=float)
     if classes is None:
-        classes = _first_appearance(y)
+        classes = list(dict.fromkeys(y))
     if len(classes) < 2:
         raise DegenerateData("need at least two distinct labels")
     y_arr = np.asarray(list(y))
@@ -218,7 +212,7 @@ def stratified_fold_assignment(
     rng = np.random.default_rng(derive_seed(seed, "cv-run", run))
     assign = np.full(len(labels), -1, dtype=np.int64)
     arr = np.asarray(list(labels))
-    for label in _first_appearance(labels):
+    for label in dict.fromkeys(labels):  # in order of first appearance
         idx = np.flatnonzero(arr == label)
         rng.shuffle(idx)
         for pos, row in enumerate(idx):
@@ -258,9 +252,8 @@ def cross_validate(
     the same corpus evaluated with the same plan share fold partitions
     and their per-fold kappas can be compared pairwise.
     """
-    X = dataset.feature_matrix()
-    y = dataset.label_list()
-    label_order = list(dataset.labels)
+    X, y = dataset.X, dataset.y
+    label_order = dataset.labels
     counts = Counter(y)
     if len(counts) < 2:
         raise DegenerateData("need at least two distinct labels")

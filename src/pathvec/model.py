@@ -16,6 +16,10 @@ float32-representable params, the float32 step's loss is within 1e-5 of the
 float64 step's (relative), and each gradient within 1e-4 of its largest
 entry; the worst seen over random batches was 4.5e-7 and 6.4e-6.
 
+A checkpoint stores the vocabulary's id-ordered lists as they are
+(pathctx.Vocabulary), and loading checks that every tensor is finite and
+shaped by that vocabulary and d_emb.
+
 A train's checkpoint and manifest are byte-identical at OPENBLAS_NUM_THREADS
 1 and 2 and at PYTHONHASHSEED 0 and 123 (see REDUCE_BLOCK). This was checked
 on one host (2 cores, OpenBLAS 0.3.31), not across BLAS builds or CPUs.
@@ -25,18 +29,14 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .pathctx import (
-    ExtractionConfig,
-    IndexedSample,
-    MethodSample,
-    Vocabulary,
-)
+from .pathctx import UNK_ID, ExtractionConfig, IndexedSample, MethodSample, Vocabulary
 from .util import atomic_open
 
 logger = logging.getLogger(__name__)
@@ -75,8 +75,8 @@ class ModelConfig:
             raise ConfigError("d_emb must be >= 1")
         if self.max_contexts < 1:
             raise ConfigError("max_contexts must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be positive and finite")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -123,22 +123,26 @@ class ForwardResult:
     attention: list[np.ndarray]  # per sample, one weight per context
 
 
-def init_params(config: ModelConfig, vocab: Vocabulary) -> ModelParams:
-    """Seeded uniform(-0.05, 0.05) initialization, fixed draw order, each
-    float64 draw rounded to float32, the precision training runs in."""
-    rng = np.random.default_rng(config.seed)
+def _param_shapes(config: ModelConfig, vocab: Vocabulary) -> dict[str, tuple[int, ...]]:
+    """The shape of each ModelParams tensor, in ModelParams order."""
     d, dc = config.d_emb, config.d_code
+    return {
+        "token_emb": (vocab.n_tokens, d),
+        "path_emb": (vocab.n_paths, d),
+        "transform": (dc, dc),
+        "attention": (dc,),
+        "target_emb": (vocab.n_targets, dc),
+    }
 
-    def draw(*shape: int) -> np.ndarray:
-        return rng.uniform(-0.05, 0.05, size=shape).astype(np.float32)
 
-    return ModelParams(
-        token_emb=draw(vocab.n_tokens, d),
-        path_emb=draw(vocab.n_paths, d),
-        transform=draw(dc, dc),
-        attention=draw(dc),
-        target_emb=draw(vocab.n_targets, dc),
-    )
+def init_params(config: ModelConfig, vocab: Vocabulary) -> ModelParams:
+    """Seeded uniform(-0.05, 0.05) initialization, in _param_shapes order,
+    each float64 draw rounded to float32, the precision training runs in."""
+    rng = np.random.default_rng(config.seed)
+    return ModelParams(**{
+        name: rng.uniform(-0.05, 0.05, size=shape).astype(np.float32)
+        for name, shape in _param_shapes(config, vocab).items()
+    })
 
 
 # Consecutive samples are stacked into runs of at most this many contexts, so
@@ -305,7 +309,7 @@ def predict_name(
     probs = forward(params, samples).target_probs
     order = np.argsort(-probs, axis=1, kind="stable")[:, :k]
     return [
-        [(vocab.id_to_target[i], float(row[i])) for i in top]
+        [(vocab.targets[i], float(row[i])) for i in top]
         for row, top in zip(probs, order)
     ]
 
@@ -421,9 +425,9 @@ def _validate(
     picked = np.maximum(probs[np.arange(len(samples)), targets], np.finfo(probs.dtype).tiny)
     preds = np.argmax(probs, axis=1)
     # a method whose name is out of the vocabulary was not named
-    hits = int(np.count_nonzero((preds == targets) & (targets != vocab.unk_id)))
+    hits = int(np.count_nonzero((preds == targets) & (targets != UNK_ID)))
     pairs = [
-        (sample.target_name, vocab.id_to_target[pred])
+        (sample.target_name, vocab.targets[pred])
         for sample, pred in zip(samples, preds.tolist())
     ]
     metrics = name_prediction_f1(pairs)
@@ -577,41 +581,19 @@ class TrainedModel:
         return predict_name(self.params, indexed, k, self.vocab)
 
 
-def _vocab_to_lists(vocab: Vocabulary) -> dict:
-    def ordered(mapping: dict[str, int]) -> list[str]:
-        out = [""] * len(mapping)
-        for s, i in mapping.items():
-            out[i] = s
-        return out
-
-    return {
-        "tokens": ordered(vocab.token_to_id),
-        "paths": ordered(vocab.path_to_id),
-        "targets": ordered(vocab.target_to_id),
-        "min_count": vocab.min_count,
-    }
-
-
-def _vocab_from_lists(data: dict) -> Vocabulary:
-    vocab = Vocabulary(
-        token_to_id={s: i for i, s in enumerate(data["tokens"])},
-        path_to_id={s: i for i, s in enumerate(data["paths"])},
-        target_to_id={s: i for i, s in enumerate(data["targets"])},
-        min_count=int(data["min_count"]),
-    )
-    vocab.id_to_target = list(data["targets"])
-    return vocab
-
-
 def save_checkpoint(path: str | Path, model: TrainedModel) -> None:
     """Self-describing binary: magic, JSON header, float32 LE tensors,
-    written atomically."""
-    tensors = model.params.as_dict()
+    written atomically. A tensor that is not finite in float32 raises
+    ValueError, and nothing is written."""
+    tensors = {k: np.ascontiguousarray(v, dtype="<f4") for k, v in model.params.as_dict().items()}
+    for name, value in tensors.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{path}: tensor {name!r} holds NaN or infinity; not saved")
     header = {
         "format": 1,
         "model": asdict(model.config),
         "extraction": asdict(model.extraction),
-        "vocab": _vocab_to_lists(model.vocab),
+        "vocab": asdict(model.vocab),
         "tensors": [{"name": k, "shape": list(v.shape)} for k, v in tensors.items()],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -620,13 +602,14 @@ def save_checkpoint(path: str | Path, model: TrainedModel) -> None:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for value in tensors.values():
-            fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
+            fh.write(value.tobytes())
 
 
 def load_checkpoint(path: str | Path) -> TrainedModel:
     """Read a checkpoint written by save_checkpoint. A file that is not one,
-    or whose header, tensor bytes or length do not agree, raises ValueError
-    naming it."""
+    whose header, tensor bytes or length do not agree, whose tensor shapes
+    are not those of its vocabulary and d_emb, or whose tensors hold NaN or
+    infinity, raises ValueError naming it."""
     raw = Path(path).read_bytes()
     if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path} is not a pathvec checkpoint")
@@ -654,17 +637,26 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             )
         data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
         offset += count * 4
+        if not np.isfinite(data).all():
+            raise ValueError(f"{path}: tensor {spec['name']!r} holds NaN or infinity")
         arrays[spec["name"]] = data.reshape(shape).astype(np.float64)
     if offset != len(raw):
         raise ValueError(f"{path}: {len(raw) - offset} bytes trail the checkpoint tensors")
 
     try:
-        return TrainedModel(
+        model = TrainedModel(
             config=ModelConfig(**header["model"]),
             extraction=ExtractionConfig(**header["extraction"]),
             params=ModelParams(**arrays),
-            vocab=_vocab_from_lists(header["vocab"]),
+            vocab=Vocabulary(**header["vocab"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: checkpoint header does not describe a model: {exc}") from exc
+    for name, shape in _param_shapes(model.config, model.vocab).items():
+        if arrays[name].shape != shape:
+            raise ValueError(
+                f"{path}: tensor {name!r} has shape {arrays[name].shape}; "
+                f"the vocabulary and d_emb = {model.config.d_emb} make it {shape}"
+            )
+    return model
 

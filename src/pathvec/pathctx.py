@@ -14,7 +14,9 @@ extracted, so the dump, train, embed and xobf see the same tokens.
 Tokens and paths are interned where they are made, by extraction or by
 the dump reader, so equal strings are one object however many contexts
 hold them. Training reads a dump straight into id arrays and their
-vocabulary (read_indexed_dump), without building a sample per line.
+vocabulary (read_indexed_dump), without building a sample per line. A
+Vocabulary is the token, path and target lists in id order, as the
+checkpoint stores them, with lookup dicts built from them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import logging
 import re
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
@@ -39,6 +41,7 @@ DOWN = "↓"  # toward the leaves
 
 UNK_TOKEN = "<unk>"
 PAD_TOKEN = "<pad>"
+UNK_ID = 0  # the id of <unk> in every vocabulary table; <pad> is 1
 
 _SUBTOKEN_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+|[0-9]+")
 _SANITIZE_RE = re.compile(r"[,\s]")
@@ -201,46 +204,44 @@ def extract_unit_samples(unit: SourceUnit, cfg: ExtractionConfig) -> list[Method
 
 @dataclass
 class Vocabulary:
-    """Dense 0-based string-to-id maps with unk/pad fixed at 0 and 1."""
+    """The tokens, paths and target names a model has rows for, each list
+    in id order and starting with <unk> (UNK_ID) and <pad>, as the
+    checkpoint stores them. A string not listed maps to <unk>."""
 
-    token_to_id: dict[str, int]
-    path_to_id: dict[str, int]
-    target_to_id: dict[str, int]
+    tokens: list[str]
+    paths: list[str]
+    targets: list[str]
     min_count: int
-    unk_id: int = 0
-    pad_id: int = 1
-    id_to_target: list[str] = field(default_factory=list)
 
-    def token_id(self, token: str) -> int:
-        return self.token_to_id.get(token, self.unk_id)
-
-    def path_id(self, path: str) -> int:
-        return self.path_to_id.get(path, self.unk_id)
-
-    def target_id(self, target: str) -> int:
-        return self.target_to_id.get(target, self.unk_id)
+    def __post_init__(self) -> None:
+        for name in ("tokens", "paths", "targets"):
+            listed = getattr(self, name)
+            if listed[:2] != [UNK_TOKEN, PAD_TOKEN] or len(set(listed)) != len(listed):
+                raise ValueError(f"vocabulary {name} must be distinct and start with <unk>, <pad>")
+        self.token_to_id = {s: i for i, s in enumerate(self.tokens)}
+        self.path_to_id = {s: i for i, s in enumerate(self.paths)}
+        self.target_to_id = {s: i for i, s in enumerate(self.targets)}
 
     @property
     def n_tokens(self) -> int:
-        return len(self.token_to_id)
+        return len(self.tokens)
 
     @property
     def n_paths(self) -> int:
-        return len(self.path_to_id)
+        return len(self.paths)
 
     @property
     def n_targets(self) -> int:
-        return len(self.target_to_id)
+        return len(self.targets)
 
     def index_sample(self, sample: MethodSample) -> "IndexedSample":
-        starts = np.array([self.token_id(c.start_token) for c in sample.contexts], dtype=np.int64)
-        paths = np.array([self.path_id(c.path) for c in sample.contexts], dtype=np.int64)
-        ends = np.array([self.token_id(c.end_token) for c in sample.contexts], dtype=np.int64)
+        token, path = self.token_to_id.get, self.path_to_id.get
+        contexts = sample.contexts
         return IndexedSample(
-            target_id=self.target_id(sample.target_name),
-            starts=starts,
-            paths=paths,
-            ends=ends,
+            target_id=self.target_to_id.get(sample.target_name, UNK_ID),
+            starts=np.array([token(c.start_token, UNK_ID) for c in contexts], dtype=np.int64),
+            paths=np.array([path(c.path, UNK_ID) for c in contexts], dtype=np.int64),
+            ends=np.array([token(c.end_token, UNK_ID) for c in contexts], dtype=np.int64),
             target_name=sample.target_name,
         )
 
@@ -257,34 +258,21 @@ class IndexedSample:
         return len(self.starts)
 
 
-def _vocab_map(counts: Mapping[str, int], min_count: int) -> dict[str, int]:
-    mapping = {UNK_TOKEN: 0, PAD_TOKEN: 1}
-    kept = sorted(
-        (s for s, c in counts.items() if c >= min_count and s not in mapping),
-        key=lambda s: (-counts[s], s),
-    )
-    for s in kept:
-        mapping[s] = len(mapping)
-    return mapping
-
-
 def vocabulary_from_counts(
     token_counts: Mapping[str, int],
     path_counts: Mapping[str, int],
     target_counts: Mapping[str, int],
     min_count: int,
 ) -> Vocabulary:
-    """The vocabulary of the counted strings: <unk> = 0 and <pad> = 1, then
-    every string counted at least min_count times by count descending, ties
-    by string. The rest map to <unk>."""
-    vocab = Vocabulary(
-        token_to_id=_vocab_map(token_counts, min_count),
-        path_to_id=_vocab_map(path_counts, min_count),
-        target_to_id=_vocab_map(target_counts, min_count),
-        min_count=min_count,
-    )
-    vocab.id_to_target = list(vocab.target_to_id)  # insertion order is id order
-    return vocab
+    """The vocabulary of the counted strings: <unk> and <pad>, then every
+    string counted at least min_count times by count descending, ties by
+    string. The rest map to <unk>."""
+
+    def id_order(counts: Mapping[str, int]) -> list[str]:
+        kept = (s for s, c in counts.items() if c >= min_count and s not in (UNK_TOKEN, PAD_TOKEN))
+        return [UNK_TOKEN, PAD_TOKEN, *sorted(kept, key=lambda s: (-counts[s], s))]
+
+    return Vocabulary(id_order(token_counts), id_order(path_counts), id_order(target_counts), min_count)
 
 
 # --- dump interchange format -------------------------------------------------
@@ -411,7 +399,7 @@ def read_indexed_dump(
     )
 
     def remap(provisional: dict[str, int], final: dict[str, int]) -> np.ndarray:
-        return np.array([final.get(s, vocab.unk_id) for s in provisional], dtype=np.int64)
+        return np.array([final.get(s, UNK_ID) for s in provisional], dtype=np.int64)
 
     token_map = remap(tokens, vocab.token_to_id)
     starts = token_map[table[:, 0]]

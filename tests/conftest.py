@@ -1,3 +1,5 @@
+import json
+import struct
 import sys
 from pathlib import Path
 
@@ -79,3 +81,14 @@ def tiny_model():
     config = ModelConfig(d_emb=6, epochs=1, seed=5)
     params = params_as(init_params(config, vocab), np.float64)
     return config, params, vocab, samples
+
+
+def rewrite_checkpoint_header(path, edit):
+    """Rewrite the JSON header of the checkpoint at `path` in place:
+    edit(header) changes the parsed header; the tensor bytes are kept."""
+    raw = Path(path).read_bytes()
+    header_end = 12 + struct.unpack_from("<I", raw, 8)[0]
+    header = json.loads(raw[12:header_end])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    Path(path).write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[header_end:])

@@ -280,9 +280,9 @@ def csv_module_dataset_bytes(dataset):
     f0..f{w-1},label, repr(float) of every value, then the label."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"f{i}" for i in range(dataset.feature_width)] + ["label"])
-    for row in dataset.rows:
-        writer.writerow([repr(float(x)) for x in row.values] + [row.label])
+    writer.writerow([f"f{i}" for i in range(dataset.X.shape[1])] + ["label"])
+    for values, label in zip(dataset.X, dataset.y):
+        writer.writerow([repr(float(x)) for x in values] + [label])
     return buf.getvalue().encode("utf-8")
 
 

@@ -224,8 +224,8 @@ def test_criterion_5_aggregation_suite():
         dataset, _ = build_dataset_suite(
             [("same", pair)], model, SelectionSpec("all"), [AggregationSpec(("mean", "stddev"))]
         )
-        assert len(dataset.rows) == 1
-        assert np.all(dataset.rows[0].values == 0.0)
+        assert len(dataset.y) == 1
+        assert np.all(dataset.X[0] == 0.0)
 
 
 def test_criterion_6_metrics():

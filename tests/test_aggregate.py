@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -224,20 +225,21 @@ def _build(items, model, *specs, **kwargs):
     )
 
 
-def _row(model, spec, *units):
+def _row(model, spec, *units, methods=None):
     """The row of one file, or the difference row of a pair of files."""
-    dataset, _ = _build([("x", units)], model, spec)
-    assert len(dataset.rows) == 1
-    return dataset.rows[0]
+    dataset, _ = _build([("x", units)], model, spec, methods=methods)
+    assert len(dataset.y) == 1
+    return dataset.X[0]
 
 
 def test_embed_file_singleton_mean_equals_method_vector():
     model = _toy_model(MODEL_SOURCES)
     unit = parse_file(fx.FIG1_FACTORIAL, "f.java")
-    emb = _row(model, AggregationSpec(("mean",)), unit)
+    methods = {}
+    emb = _row(model, AggregationSpec(("mean",)), unit, methods=methods)
     sample = extract_unit_samples(unit, model.extraction)[0]
-    assert np.array_equal(emb.values, model.embed([sample])[0])
-    assert emb.source_path == "f.java"
+    assert np.array_equal(emb, model.embed([sample])[0])
+    assert list(methods) == ["f.java"]
 
 
 def test_method_embedded_alone_agrees_with_its_file_batch():
@@ -261,7 +263,7 @@ def test_embed_file_deterministic():
     spec = AggregationSpec(("min", "mean"))
     emb_a = _row(model, spec, unit_a)
     emb_b = _row(model, spec, unit_b)
-    assert np.array_equal(emb_a.values, emb_b.values)
+    assert np.array_equal(emb_a, emb_b)
 
 
 def test_embed_file_order_free_with_select_all():
@@ -271,7 +273,7 @@ def test_embed_file_order_free_with_select_all():
     spec = AggregationSpec(("min", "max", "sum", "mean", "median", "stddev"))
     emb_ab = _row(model, spec, parse_file(source_ab, "ab.java"))
     emb_ba = _row(model, spec, parse_file(source_ba, "ab.java"))
-    assert np.allclose(emb_ab.values, emb_ba.values, atol=1e-12)
+    assert np.allclose(emb_ab, emb_ba, atol=1e-12)
 
 
 def test_embed_file_no_methods():
@@ -280,7 +282,8 @@ def test_embed_file_no_methods():
     with pytest.raises(NoMethods):
         method_vectors(unit, model)
     dataset, stats = _build([("x", (unit,))], model)
-    assert dataset.rows == [] and dataset.labels == []
+    assert dataset.X.shape == (0, model.config.d_code)
+    assert dataset.y == [] and dataset.labels == []
     assert stats.skipped_empty == 1 and stats.files == 1
 
 
@@ -288,9 +291,10 @@ def test_pair_difference_identical_is_exact_zero():
     model = _toy_model(MODEL_SOURCES)
     unit_a = parse_file(fx.FIG4_ORIGINAL, "same.java")
     unit_b = parse_file(fx.FIG4_ORIGINAL, "same.java")
-    diff = _row(model, AggregationSpec(("mean",)), unit_a, unit_b)
-    assert np.all(diff.values == 0.0)
-    assert diff.source_path == "same.java|same.java"
+    methods = {}
+    diff = _row(model, AggregationSpec(("mean",)), unit_a, unit_b, methods=methods)
+    assert np.all(diff == 0.0)
+    assert list(methods) == ["same.java"]  # embedded once, for both sides
 
 
 def test_pair_difference_antisymmetric():
@@ -300,7 +304,7 @@ def test_pair_difference_antisymmetric():
     spec = AggregationSpec(("mean",))
     ab = _row(model, spec, unit_a, unit_b)
     ba = _row(model, spec, unit_b, unit_a)
-    assert np.array_equal(ab.values, -ba.values)
+    assert np.array_equal(ab, -ba)
 
 
 def test_pair_difference_mean_shift_oracle():
@@ -315,7 +319,7 @@ def test_pair_difference_mean_shift_oracle():
     samples_two = extract_unit_samples(unit_two, model.extraction)
     vecs_two = [model.embed([s])[0] for s in samples_two]
     expected = np.mean(vecs_two, axis=0) - vec_one
-    assert np.allclose(diff.values, expected, atol=1e-12)
+    assert np.allclose(diff, expected, atol=1e-12)
 
 
 # --- dataset building ---------------------------------------------------------------
@@ -368,9 +372,9 @@ def test_build_dataset_shapes():
     model = _toy_model(MODEL_SOURCES)
     dataset, stats = _build(_corpus_items(), model, per_class_cap=2000, seed=1)
     assert dataset.labels == ["alpha", "beta"]
-    assert len(dataset.rows) == 6
-    assert dataset.feature_width == model.config.d_code
-    assert all(len(r.values) == dataset.feature_width for r in dataset.rows)
+    assert len(dataset.y) == 6
+    assert dataset.X.shape[1] == model.config.d_code
+    assert dataset.X.shape == (len(dataset.y), dataset.X.shape[1])
     assert stats.rows_per_label == {"alpha": 3, "beta": 3}
 
 
@@ -378,7 +382,7 @@ def test_build_dataset_cap():
     model = _toy_model(MODEL_SOURCES)
     dataset, stats = _build(_corpus_items(per_label=7), model, per_class_cap=4, seed=1)
     assert stats.rows_per_label == {"alpha": 4, "beta": 4}
-    assert len(dataset.rows) == 8
+    assert len(dataset.y) == 8
 
 
 def test_build_dataset_deterministic():
@@ -390,8 +394,8 @@ def test_build_dataset_deterministic():
     # rows of a label are sorted before the cap, so item order does not matter
     ds_c, _ = _build(items[::-1][6:] + items[::-1][:6], model, **kwargs)
     for other in (ds_b, ds_c):
-        assert [r.source_path for r in ds_a.rows] == [r.source_path for r in other.rows]
-        assert np.array_equal(ds_a.feature_matrix(), other.feature_matrix())
+        assert ds_a.y == other.y
+        assert np.array_equal(ds_a.X, other.X)  # rows of distinct files differ
 
 
 def test_build_dataset_jobs_match_serial(tmp_path, toy_checkpoint, capsys):
@@ -417,7 +421,7 @@ def test_build_dataset_skips_bad_files_and_rejects_empty_label(
     assert code == 0
     assert summary["counts"]["skipped_parse"] == 2
     assert summary["counts"]["skipped_empty"] == 1
-    assert len(read_dataset_csv(out).rows) == 6
+    assert len(read_dataset_csv(out).y) == 6
 
     # the builder counts a unit that could not be read as a parse skip
     model = _toy_model(MODEL_SOURCES)
@@ -445,9 +449,9 @@ def test_pair_dataset_from_manifest(tmp_path, toy_checkpoint, capsys):
     assert code == 0
     dataset = read_dataset_csv(out)
     assert dataset.labels == ["yes", "no"]
-    assert len(dataset.rows) == 2
-    identical = next(r for r in dataset.rows if r.label == "yes")
-    assert np.all(identical.values == 0.0)
+    assert len(dataset.y) == 2
+    identical = dataset.X[dataset.y.index("yes")]
+    assert np.all(identical == 0.0)
 
 
 def test_pair_dataset_skips_non_utf8_file(tmp_path, toy_checkpoint, capsys):
@@ -491,6 +495,14 @@ def test_pair_union_columns_equal_per_spec_differences(tmp_path):
 # --- CSV -----------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+def test_read_dataset_csv_refuses_a_non_finite_field_naming_file_and_row(tmp_path, field):
+    path = tmp_path / "data.csv"
+    path.write_text(f"f0,f1,label\n1.0,2.0,a\n3.0,{field},b\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*row 2"):
+        read_dataset_csv(path)
+
+
 def test_dataset_csv_round_trip(tmp_path):
     model = _toy_model(MODEL_SOURCES)
     dataset, _ = _build(_corpus_items(), model, AggregationSpec(("mean", "stddev")))
@@ -500,8 +512,8 @@ def test_dataset_csv_round_trip(tmp_path):
     assert header.startswith("f0,") and header.endswith(",label")
     loaded = read_dataset_csv(path)
     assert loaded.labels == dataset.labels
-    assert loaded.feature_width == dataset.feature_width
-    assert np.allclose(loaded.feature_matrix(), dataset.feature_matrix(), atol=0)
+    assert loaded.X.shape[1] == dataset.X.shape[1]
+    assert np.allclose(loaded.X, dataset.X, atol=0)
 
 
 def test_suite_csvs_match_per_spec_datasets(tmp_path):
@@ -521,14 +533,10 @@ def test_suite_csvs_match_per_spec_datasets(tmp_path):
     "label", ['odd,"label"', "comma,only", 'quote"only', "line\nbreak", "tab\tand space ", ""]
 )
 def test_dataset_csv_matches_csv_module(tmp_path, label):
-    from pathvec.aggregate import ClassEmbedding, LabeledDataset
+    from pathvec.aggregate import LabeledDataset
 
-    values = [np.array([0.1, -0.0, 1e-300, 3.0]), np.array([np.inf, 2.5, -7.25, 1 / 3])]
-    dataset = LabeledDataset(
-        rows=[ClassEmbedding(v, label, "x") for v in values],
-        feature_width=4,
-        labels=[label],
-    )
+    values = [[0.1, -0.0, 1e-300, 3.0], [np.inf, 2.5, -7.25, 1 / 3]]
+    dataset = LabeledDataset(np.array(values), [label, label])
     path = tmp_path / "data.csv"
     write_dataset_csv(dataset, path)
     assert path.read_bytes() == csv_module_dataset_bytes(dataset)
@@ -556,14 +564,9 @@ def test_embedding_csv_matches_csv_module(tmp_path_factory, rows):
 
 
 def test_dataset_csv_rejects_paths_specs_mismatch(tmp_path):
-    from pathvec.aggregate import ClassEmbedding, LabeledDataset
+    from pathvec.aggregate import LabeledDataset
 
-    dataset = LabeledDataset(
-        rows=[ClassEmbedding(np.array([1.0, 2.0]), "a", "x")],
-        feature_width=2,
-        labels=["a"],
-        functions=("min", "max"),
-    )
+    dataset = LabeledDataset(np.array([[1.0, 2.0]]), ["a"], functions=("min", "max"))
     with pytest.raises(ValueError):
         write_dataset_csv(dataset, tmp_path / "a.csv", tmp_path / "b.csv")
     with pytest.raises(ValueError):
@@ -571,14 +574,10 @@ def test_dataset_csv_rejects_paths_specs_mismatch(tmp_path):
 
 
 def test_dataset_csv_quotes_labels_with_commas(tmp_path):
-    from pathvec.aggregate import ClassEmbedding, LabeledDataset
+    from pathvec.aggregate import LabeledDataset
 
-    dataset = LabeledDataset(
-        rows=[ClassEmbedding(np.array([1.0]), 'odd,"label"', "x")],
-        feature_width=1,
-        labels=['odd,"label"'],
-    )
+    dataset = LabeledDataset(np.array([[1.0]]), ['odd,"label"'])
     path = tmp_path / "quoted.csv"
     write_dataset_csv(dataset, path)
     loaded = read_dataset_csv(path)
-    assert loaded.rows[0].label == 'odd,"label"'
+    assert loaded.y[0] == 'odd,"label"'

@@ -17,7 +17,6 @@ import synth
 from pathvec import cli
 from pathvec.aggregate import (
     AggregationSpec,
-    ClassEmbedding,
     LabeledDataset,
     write_dataset_csv,
     write_embedding_csv,
@@ -89,8 +88,8 @@ def _report():
 
 
 def _dataset():
-    rows = [ClassEmbedding(np.arange(4.0) + i, "ab"[i % 2], f"{i}.java") for i in range(6)]
-    return LabeledDataset(rows=rows, feature_width=4, labels=["a", "b"], functions=("mean", "max"))
+    X = np.stack([np.arange(4.0) + i for i in range(6)])
+    return LabeledDataset(X, ["ab"[i % 2] for i in range(6)], functions=("mean", "max"))
 
 
 def _write_checkpoint(tmp_path, tiny_model):

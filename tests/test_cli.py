@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import fixtures_java as fx
 import synth
-from conftest import call_at_depth
+from conftest import call_at_depth, rewrite_checkpoint_header
 from oracles import build_vocabulary, count_distinct, csv_module_dataset_bytes
 from pathvec import aggregate, cli
 from pathvec.aggregate import read_dataset_csv
@@ -224,6 +224,18 @@ def test_cli_train_epochs_zero_checkpoint_loadable(pipeline, tmp_path, capsys):
     model = load_checkpoint(ckpt)
     assert model.config.epochs == 0
     assert model.params.token_emb.shape[1] == 4
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_cli_train_refuses_a_non_finite_learning_rate(pipeline, tmp_path, capsys, rate):
+    ckpt = tmp_path / "model.ckpt"
+    code, _, stderr = run(
+        capsys, "train", "--contexts", str(pipeline["dump"]), "--out", str(ckpt),
+        "--d-emb", "4", "--epochs", "1", "--learning-rate", rate,
+    )
+    assert code == 1
+    assert "learning_rate" in stderr
+    assert not ckpt.exists()
 
 
 def test_cli_train_same_seed_identical_checkpoints(pipeline, tmp_path):
@@ -586,6 +598,33 @@ def test_cli_embed_skips_non_utf8_file(pipeline, tmp_path, capsys):
     assert counts["rows_per_label"] == {"loops": 1}
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cli_embed_refuses_a_per_class_cap_below_one(pipeline, tmp_path, capsys, cap):
+    out = tmp_path / "d.csv"
+    code, _, stderr = run(
+        capsys, "embed", "--corpus", str(pipeline["corpus"]), "--model", str(pipeline["ckpt"]),
+        "--out", str(out), "--agg", "mean", "--per-class-cap", cap,
+    )
+    assert code == 1
+    assert "per_class_cap" in stderr
+    assert "pair manifest" not in stderr and "negative dimensions" not in stderr
+    assert not out.exists()
+
+
+def test_cli_embed_refuses_a_checkpoint_whose_vocabulary_outgrows_its_tensors(
+    pipeline, tmp_path, capsys
+):
+    ckpt = tmp_path / "damaged.ckpt"
+    ckpt.write_bytes(pipeline["ckpt"].read_bytes())
+    rewrite_checkpoint_header(ckpt, lambda header: header["vocab"]["tokens"].append("extra"))
+    code, _, stderr = run(
+        capsys, "embed", "--corpus", str(pipeline["corpus"]), "--model", str(ckpt),
+        "--out", str(tmp_path / "d.csv"), "--agg", "mean",
+    )
+    assert code == 1
+    assert stderr.startswith(f"pathvec: error: {ckpt}")
+
+
 def test_cli_embed_methods_csv(pipeline, tmp_path, capsys):
     out = tmp_path / "d.csv"
     methods_csv = tmp_path / "methods.csv"
@@ -728,6 +767,19 @@ def test_cli_evaluate_manifest_counts_unconverged_fits(tmp_path, capsys, caplog)
     assert counts["1"]["lbfgs_max_iterations"] == 1
     assert counts["1000"]["unconverged_fits"] == 0
     assert 1 < counts["1000"]["lbfgs_max_iterations"] <= 1000
+
+
+def test_cli_evaluate_refuses_a_non_finite_field(tmp_path, capsys):
+    data = tmp_path / "sep.csv"
+    _write_separable_csv(data)
+    lines = data.read_text(encoding="utf-8").splitlines()
+    lines[3] = "nan," + lines[3].split(",", 1)[1]
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    record = tmp_path / "sep.txt"
+    code, stdout, stderr = run(capsys, "evaluate", "--data", str(data), "--out", str(record))
+    assert code == 1
+    assert f"{data}: row 3" in stderr
+    assert "mean_kappa" not in stdout and not record.exists()
 
 
 def test_cli_compare_and_mismatch(tmp_path, capsys):

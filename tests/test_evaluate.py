@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import ZeroVector, vector_similarity
 from pathvec import evaluate
-from pathvec.aggregate import ClassEmbedding, LabeledDataset
+from pathvec.aggregate import LabeledDataset
 from pathvec.evaluate import (
     ClassifierConfig,
     CvPlan,
@@ -27,15 +27,14 @@ from pathvec.evaluate import (
 
 
 def _dataset(features, labels):
-    rows = [
-        ClassEmbedding(np.asarray(f, dtype=float), label, f"row{i}")
-        for i, (f, label) in enumerate(zip(features, labels))
-    ]
-    ordered = []
-    for label in labels:
-        if label not in ordered:
-            ordered.append(label)
-    return LabeledDataset(rows=rows, feature_width=len(features[0]), labels=ordered)
+    return LabeledDataset(np.asarray(features, dtype=float), list(labels))
+
+
+@pytest.mark.parametrize("field", ["c", "tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_classifier_config_refuses_non_finite_values(field, value):
+    with pytest.raises(ValueError):
+        ClassifierConfig(**{field: value})
 
 
 # --- linear classifier ----------------------------------------------------------
@@ -225,14 +224,8 @@ def test_cross_validate_seeded_rerun_identical():
 
 def test_cross_validate_label_symmetry():
     dataset = _separable_dataset(seed=6)
-    renamed = LabeledDataset(
-        rows=[
-            ClassEmbedding(r.values, {"neg": "zz", "pos": "aa"}[r.label], r.source_path)
-            for r in dataset.rows
-        ],
-        feature_width=dataset.feature_width,
-        labels=["zz", "aa"],
-    )
+    renamed = LabeledDataset(dataset.X, [{"neg": "zz", "pos": "aa"}[label] for label in dataset.y])
+    assert renamed.labels == ["zz", "aa"]
     plan = CvPlan(runs=2, folds=5, seed=3)
     a = cross_validate(dataset, plan=plan)
     b = cross_validate(renamed, plan=plan)

@@ -1,4 +1,3 @@
-import json
 import math
 import re
 import struct
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 
 import fixtures_java as fx
-from conftest import params_as, random_samples
+from conftest import params_as, random_samples, rewrite_checkpoint_header
 from oracles import (
     adam_update_reference,
     build_vocabulary,
@@ -37,10 +36,14 @@ from pathvec.model import (
 )
 from pathvec.obfuscate import ObfuscationScheme, obfuscate_unit
 from pathvec.pathctx import (
+    PAD_TOKEN,
+    UNK_ID,
+    UNK_TOKEN,
     ExtractionConfig,
     IndexedSample,
     MethodSample,
     PathContext,
+    Vocabulary,
     extract_unit_samples,
 )
 
@@ -69,6 +72,9 @@ def test_config_invariants():
         ModelConfig(batch_size=0)
     with pytest.raises(ConfigError):
         ModelConfig(epochs=-1)
+    for rate in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            ModelConfig(learning_rate=rate)
 
 
 def test_single_context_attention_is_one(tiny_model):
@@ -257,14 +263,14 @@ def test_validate_matches_a_loop_over_the_reference():
     params = _random_params(rng, n_targets=vocab.n_targets)
     batch = _random_batch(rng, params, rng.integers(1, 300, 40))
     for sample in batch:
-        sample.target_name = vocab.id_to_target[sample.target_id]
+        sample.target_name = vocab.targets[sample.target_id]
     losses, hits, pairs = [], 0, []
     for sample in batch:
         _, _, probs = forward_reference(params, sample)
         losses.append(-np.log(max(float(probs[sample.target_id]), 1e-300)))
         pred = int(np.argmax(probs))
-        hits += int(pred == sample.target_id != vocab.unk_id)
-        pairs.append((sample.target_name, vocab.id_to_target[pred]))
+        hits += int(pred == sample.target_id != UNK_ID)
+        pairs.append((sample.target_name, vocab.targets[pred]))
     loss, top1, f1 = _validate(params, batch, vocab)
     assert abs(loss - float(np.mean(losses))) <= 1e-12 * abs(loss)
     assert top1 == hits / len(batch)
@@ -281,10 +287,10 @@ def test_validate_loss_is_finite_in_float32_when_a_target_probability_underflows
     params = _random_params(rng, n_targets=vocab.n_targets)
     params = params_as(params, np.float32)
     (sample,) = _random_batch(rng, params, [5])
-    sample.target_id, sample.target_name = vocab.target_id("getValue"), "getValue"
+    sample.target_id, sample.target_name = vocab.target_to_id["getValue"], "getValue"
     v = _vector(params, sample)
     params.target_emb[:] = 0.0
-    params.target_emb[vocab.target_id("size")] = 1e3 * v / (v @ v)  # a score of 1000
+    params.target_emb[vocab.target_to_id["size"]] = 1e3 * v / (v @ v)  # a score of 1000
     assert forward(params, [sample]).target_probs[0, sample.target_id] == 0.0
     loss, top1, f1 = _validate(params, [sample], vocab)
     assert loss == float(-np.log(np.finfo(np.float32).tiny))
@@ -367,6 +373,14 @@ def test_predict_name_contracts(tiny_model):
         predict_name(params, [sample], 0, vocab)
 
 
+@pytest.mark.parametrize(
+    "targets", [["getValue", UNK_TOKEN, PAD_TOKEN], [UNK_TOKEN, PAD_TOKEN, "size", "size"], []]
+)
+def test_vocabulary_refuses_lists_not_in_checkpoint_order(targets):
+    with pytest.raises(ValueError, match="targets"):
+        Vocabulary([UNK_TOKEN, PAD_TOKEN], [UNK_TOKEN, PAD_TOKEN], targets, 1)
+
+
 def test_predict_name_batched_one_list_per_sample(tiny_model):
     _, params, vocab, samples = tiny_model
     batch = [vocab.index_sample(s) for s in samples]
@@ -375,12 +389,12 @@ def test_predict_name_batched_one_list_per_sample(tiny_model):
     for top, sample in zip(got, batch):
         _, _, probs = forward_reference(params, sample)
         order = np.argsort(-probs, kind="stable")[:2]
-        assert [name for name, _ in top] == [vocab.id_to_target[i] for i in order]
+        assert [name for name, _ in top] == [vocab.targets[i] for i in order]
         assert np.allclose([p for _, p in top], probs[order], rtol=0, atol=1e-12)
     # equal probabilities keep target-id order
     zeros = ModelParams(**{k: np.zeros_like(v) for k, v in params.as_dict().items()})
     for top in predict_name(zeros, batch, vocab.n_targets, vocab):
-        assert [name for name, _ in top] == vocab.id_to_target
+        assert [name for name, _ in top] == vocab.targets
     with pytest.raises(ValueError):
         predict_name(params, batch, 0, vocab)
 
@@ -451,7 +465,7 @@ def test_val_top1_counts_an_unk_target_as_a_miss():
     assert [s.val_f1 for s in result.history] == [0.0] * 3
     val = indexed[:10]
     probs = forward(result.params, val).target_probs
-    assert (np.argmax(probs, axis=1) == vocab.unk_id).all()  # predicted as <unk>
+    assert (np.argmax(probs, axis=1) == UNK_ID).all()  # predicted as <unk>
     assert _validate(result.params, val, vocab)[1] == 0.0
 
 
@@ -616,7 +630,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.config == config
     assert loaded.extraction == ExtractionConfig(max_contexts=7, seed=3)
     assert loaded.vocab.token_to_id == vocab.token_to_id
-    assert loaded.vocab.id_to_target == vocab.id_to_target
+    assert loaded.vocab.targets == vocab.targets
     for key, value in result.params.as_dict().items():  # the weights validation chose
         assert loaded.params.as_dict()[key].dtype == np.float64
         assert np.array_equal(loaded.params.as_dict()[key], value), key
@@ -669,12 +683,11 @@ def test_checkpoint_rejects_damaged_file_naming_it(tmp_path, damage):
 
 def test_checkpoint_rejects_unknown_tensor_naming_file(tmp_path):
     path = _saved_checkpoint(tmp_path)
-    raw = path.read_bytes()
-    header_end = 12 + struct.unpack_from("<I", raw, 8)[0]
-    header = json.loads(raw[12:header_end])
-    header["tensors"][0]["name"] = "token_embedding"
-    blob = json.dumps(header).encode("utf-8")
-    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[header_end:])
+
+    def rename(header):
+        header["tensors"][0]["name"] = "token_embedding"
+
+    rewrite_checkpoint_header(path, rename)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load_checkpoint(path)
 
@@ -688,3 +701,42 @@ def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
         save_checkpoint(path, model)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_checkpoint_save_refuses_a_non_finite_tensor(tmp_path, value):
+    path = _saved_checkpoint(tmp_path)
+    before = path.read_bytes()
+    model = load_checkpoint(path)
+    model.params.target_emb[-1, -1] = value
+    with pytest.raises(ValueError, match="target_emb"):
+        save_checkpoint(path, model)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_checkpoint_load_refuses_a_non_finite_tensor_naming_file(tmp_path, value):
+    path = _saved_checkpoint(tmp_path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-4] + struct.pack("<f", value))  # target_emb's last entry
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("table", ["tokens", "paths", "targets"])
+def test_checkpoint_load_refuses_a_vocabulary_longer_than_its_tensor_naming_file(tmp_path, table):
+    path = _saved_checkpoint(tmp_path)
+    rewrite_checkpoint_header(path, lambda header: header["vocab"][table].append("extra"))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+def test_checkpoint_load_refuses_tensor_widths_other_than_d_emb_naming_file(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+
+    def widen(header):
+        header["model"]["d_emb"] += 1
+
+    rewrite_checkpoint_header(path, widen)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_checkpoint(path)

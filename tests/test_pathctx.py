@@ -22,6 +22,9 @@ from pathvec.java.ast import AstNode, MethodDecl
 from pathvec.java.lexer import tokenize
 from pathvec.pathctx import (
     DOWN,
+    PAD_TOKEN,
+    UNK_ID,
+    UNK_TOKEN,
     UP,
     EmptyMethod,
     ExtractionConfig,
@@ -343,11 +346,11 @@ def _samples_from(source, path="mem.java", **cfg):
 def test_vocab_contains_everything_at_min_count_one():
     samples = _samples_from(fx.FIG1_FACTORIAL, max_len=None, max_width=None)
     vocab = build_vocabulary(samples, min_count=1)
-    assert vocab.unk_id == 0 and vocab.pad_id == 1
+    assert UNK_ID == 0 and vocab.tokens[:2] == vocab.paths[:2] == [UNK_TOKEN, PAD_TOKEN]
     for ctx in samples[0].contexts:
-        assert vocab.token_id(ctx.start_token) >= 2
-        assert vocab.path_id(ctx.path) >= 2
-    assert vocab.target_id("f") >= 2
+        assert vocab.token_to_id[ctx.start_token] >= 2
+        assert vocab.path_to_id[ctx.path] >= 2
+    assert vocab.target_to_id["f"] >= 2
     ids = sorted(vocab.token_to_id.values())
     assert ids == list(range(len(ids)))  # dense, 0-based
 
@@ -358,10 +361,10 @@ def test_vocab_threshold_excludes_rare():
         MethodSample("two", [PathContext("a", "p", "c")], 1, "y"),
     ]
     vocab = build_vocabulary(samples, min_count=2)
-    assert vocab.token_id("a") >= 2  # appears twice
-    assert vocab.token_id("b") == vocab.unk_id
-    assert vocab.token_id("c") == vocab.unk_id
-    assert vocab.path_id("p") >= 2
+    assert vocab.token_to_id["a"] >= 2  # appears twice
+    assert vocab.token_to_id.get("b", UNK_ID) == UNK_ID
+    assert vocab.token_to_id.get("c", UNK_ID) == UNK_ID
+    assert vocab.path_to_id["p"] >= 2
 
 
 def test_vocab_requires_samples():
@@ -487,7 +490,7 @@ def test_dump_tokens_equal_in_memory_tokens(tmp_path):
     seen_at_train = vocab.index_sample(loaded[0])
     assert np.array_equal(seen_at_embed.starts, seen_at_train.starts)
     assert np.array_equal(seen_at_embed.ends, seen_at_train.ends)
-    assert vocab.token_id('"x__y"') != vocab.unk_id
+    assert vocab.token_to_id.get('"x__y"', UNK_ID) != UNK_ID
 
 
 def test_files_of_one_shape_share_their_path_and_token_strings():

@@ -1,11 +1,14 @@
-"""train writes the same bytes whatever the BLAS thread count and hash seed.
+"""The pipeline writes the same bytes whatever the BLAS thread count and
+hash seed.
 
-Each `python -m pathvec train` runs in a fresh interpreter under
-OPENBLAS_NUM_THREADS 1 or 2 and PYTHONHASHSEED 0 or 123. Its dump holds
-the two long sums of the training step that a BLAS splits across threads
-(see REDUCE_BLOCK): methods longer than RUN_CONTEXTS contexts, each a run
-of its own, and more method names than a block. This checks the host the
-tests run on, not other BLAS builds or CPUs.
+Each environment is a fresh interpreter under OPENBLAS_NUM_THREADS 1 or 2
+and PYTHONHASHSEED 0 or 123. One test runs `python -m pathvec train` on a
+dump that holds the two long sums of the training step that a BLAS splits
+across threads (see REDUCE_BLOCK): methods longer than RUN_CONTEXTS
+contexts, each a run of its own, and more method names than a block. The
+other runs extract, train, embed and evaluate in one process and compares
+every file they write. This checks the host the tests run on, not other
+BLAS builds or CPUs.
 """
 
 import os
@@ -21,6 +24,13 @@ from pathvec.cli import main
 from pathvec.model import REDUCE_BLOCK, RUN_CONTEXTS
 
 SRC = Path(pathvec.__file__).resolve().parents[1]
+ENVIRONMENTS = [(threads, hash_seed) for threads in ("1", "2") for hash_seed in ("0", "123")]
+
+
+def _env(threads, hash_seed):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def _many_methods(k, n):
@@ -58,18 +68,55 @@ def dump(tmp_path_factory):
 
 def test_train_bytes_do_not_depend_on_blas_threads_or_hash_seed(dump, tmp_path):
     outputs = {}
-    for threads in ("1", "2"):
-        for hash_seed in ("0", "123"):
-            out = tmp_path / f"{threads}-{hash_seed}" / "model.ckpt"
-            out.parent.mkdir()
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONHASHSEED=hash_seed)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-            proc = subprocess.run(
-                [sys.executable, "-m", "pathvec", "train", "--contexts", str(dump),
-                 "--out", str(out), "--d-emb", "16", "--epochs", "3", "--seed", "4"],
-                env=env, capture_output=True, text=True, timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr[-2000:]
-            manifest = out.with_name(out.name + ".manifest.json")
-            outputs[threads, hash_seed] = (out.read_bytes(), manifest.read_bytes())
+    for threads, hash_seed in ENVIRONMENTS:
+        out = tmp_path / f"{threads}-{hash_seed}" / "model.ckpt"
+        out.parent.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pathvec", "train", "--contexts", str(dump),
+             "--out", str(out), "--d-emb", "16", "--epochs", "3", "--seed", "4"],
+            env=_env(threads, hash_seed), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        manifest = out.with_name(out.name + ".manifest.json")
+        outputs[threads, hash_seed] = (out.read_bytes(), manifest.read_bytes())
     assert len(set(outputs.values())) == 1, sorted(outputs)
+
+
+# One process per environment; paths are relative to its own directory, so
+# the manifests, which record them, can be compared byte for byte.
+_PIPELINE = """
+import sys
+from pathvec.cli import main
+for argv in [
+    ["extract", "--corpus", "../corpus", "--out", "contexts.txt", "--seed", "3"],
+    ["train", "--contexts", "contexts.txt", "--out", "model.ckpt",
+     "--d-emb", "8", "--epochs", "2", "--seed", "4"],
+    ["embed", "--corpus", "../corpus", "--model", "model.ckpt", "--out", "data.csv",
+     "--agg", "meanMax", "--seed", "5"],
+    ["evaluate", "--data", "data.csv", "--out", "eval.txt", "--runs", "2", "--folds", "3"],
+]:
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_pipeline_bytes_do_not_depend_on_blas_threads_or_hash_seed(tmp_path):
+    synth.generate_corpus(tmp_path / "corpus", files_per_class=6, seed=2)
+    outputs = {}
+    for threads, hash_seed in ENVIRONMENTS:
+        work = tmp_path / f"{threads}-{hash_seed}"
+        work.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", _PIPELINE], cwd=work,
+            env=_env(threads, hash_seed), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outputs[threads, hash_seed] = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+    first = outputs[ENVIRONMENTS[0]]
+    assert set(first) == {
+        name + suffix
+        for name in ("contexts.txt", "model.ckpt", "data.csv", "eval.txt")
+        for suffix in ("", ".manifest.json")
+    }
+    for environment, files in outputs.items():
+        assert files == first, environment
