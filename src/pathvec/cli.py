@@ -17,6 +17,8 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
+
 from . import __version__
 from .aggregate import (
     EmptyClass,
@@ -49,6 +51,7 @@ from .model import (
     ModelConfig,
     TrainedModel,
     load_checkpoint,
+    predict_name,
     save_checkpoint,
     train,
 )
@@ -57,6 +60,7 @@ from .pathctx import (
     PAD_TOKEN,
     UNK_TOKEN,
     ExtractionConfig,
+    IndexedSample,
     MethodSample,
     extract_unit_samples,
     read_indexed_dump,
@@ -67,8 +71,7 @@ from .util import atomic_open, sha256_file
 logger = logging.getLogger(__name__)
 
 _FATAL = (
-    FileNotFoundError,
-    NotADirectoryError,
+    OSError,
     ValueError,
     ConfigError,
     ObfuscationError,
@@ -426,12 +429,15 @@ def cmd_xobf(args) -> int:
     corpus = Path(args.corpus)
     scheme = ObfuscationScheme(mode="random", random_length=args.random_length, seed=args.seed)
 
-    def predicted(unit: SourceUnit) -> list[tuple[str, str]]:
-        samples = extract_unit_samples(unit, model.extraction)
-        return [(s.target_name, top[0][0]) for s, top in zip(samples, model.predict(samples, k=1))]
+    def indexed(unit: SourceUnit) -> list[IndexedSample]:
+        return [model.vocab.index_sample(s) for s in extract_unit_samples(unit, model.extraction)]
+
+    def predicted(samples: list[IndexedSample]) -> list[tuple[str, str]]:
+        top = predict_name(model.params, samples, 1, model.vocab)
+        return [(s.target_name, t[0][0]) for s, t in zip(samples, top)]
 
     # One file at a time: its plain and obfuscated trees go before the next is read.
-    parsed = 0
+    parsed = changed = 0
     plain: list[tuple[str, str]] = []
     obfuscated: list[tuple[str, str]] = []
     skipped: Counter = Counter()
@@ -439,9 +445,15 @@ def cmd_xobf(args) -> int:
         if unit is None:
             continue
         parsed += 1
-        plain.extend(predicted(unit))
         rewritten, _ = obfuscate_unit(unit, scheme)
-        obfuscated.extend(predicted(parse_file(rewritten, path=unit.path)))
+        before, after = indexed(unit), indexed(parse_file(rewritten, path=unit.path))
+        # The rename reached the model where a start or end token's id changed.
+        changed += sum(
+            not (np.array_equal(a.starts, b.starts) and np.array_equal(a.ends, b.ends))
+            for a, b in zip(before, after, strict=True)
+        )
+        plain.extend(predicted(before))
+        obfuscated.extend(predicted(after))
     if not parsed:
         raise EmptyClass(f"{args.corpus}: no parseable files")
     if not plain or not obfuscated:
@@ -455,6 +467,8 @@ def cmd_xobf(args) -> int:
                 "f1_plain": f1_plain,
                 "f1_obfuscated": f1_obf,
                 "drop": f1_plain - f1_obf,
+                "methods": len(plain),
+                "methods_changed": changed,
                 "skip_reasons": dict(skipped),
             },
             sort_keys=True,

@@ -68,6 +68,8 @@ class ClassifierConfig:
             raise ValueError("C must be positive and finite")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Tokenizer for the supported Java subset.
+"""Tokenizer for the supported Java subset: one compiled token pattern.
 
 Whitespace and comments are dropped here; every surviving token keeps its
 character offsets so later stages can splice renamed identifiers back into
@@ -52,18 +52,25 @@ PUNCTUATION = (
     "?", ":", ";", ",", ".", "(", ")", "{", "}", "[", "]", "@",
 )
 
-_PUNCT_RE = re.compile("|".join(map(re.escape, PUNCTUATION)))
-_IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
-_HEX_RE = re.compile(r"0[xX][0-9a-fA-F_]+[lL]?")
-_FLOAT_RE = re.compile(
-    r"(?:\d[\d_]*\.[\d_]*(?:[eE][+-]?\d+)?[fFdD]?"
-    r"|\.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?"
-    r"|\d[\d_]*[eE][+-]?\d+[fFdD]?"
-    r"|\d[\d_]*[fFdD])"
+# Java's token grammar, tried in this order at each position; the group
+# that matches names the token kind. A float goes before an int, which
+# would stop "1.5" at "1"; a hex int ("0x...") never matches a float.
+# `open` (a block comment with no end) and `bad` (any other character)
+# match only where no token does, and raise.
+_TOKEN_RE = re.compile(
+    r"(?P<space>[ \t\f\r\n]+)"
+    r"|(?P<comment>//[^\r\n]*|/\*.*?\*/)"
+    r"|(?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)"
+    r"|(?P<float>\d[\d_]*\.[\d_]*(?:[eE][+-]?\d+)?[fFdD]?|\.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?"
+    r"|\d[\d_]*[eE][+-]?\d+[fFdD]?|\d[\d_]*[fFdD])"
+    r"|(?P<int>0[xX][0-9a-fA-F_]+[lL]?|\d[\d_]*[lL]?)"
+    r"|(?P<string>\"(?:[^\"\\\r\n]|\\[^\r\n])*\")"
+    r"|(?P<char>'(?:[^'\\\r\n]|\\[^\r\n])*')"
+    r"|(?P<open>/\*)"
+    r"|(?P<punct>" + "|".join(map(re.escape, PUNCTUATION)) + ")"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
-_INT_RE = re.compile(r"\d[\d_]*[lL]?")
-# Java ends a line with LF, CRLF or a lone CR.
-_LINE_END_RE = re.compile(r"\r\n?|\n")
 
 
 class Token(NamedTuple):
@@ -75,85 +82,38 @@ class Token(NamedTuple):
     end: int  # char offset, exclusive
 
 
+def _error(line: int, text: str, start: int) -> ParseError:
+    """The error for an `open` or `bad` match at text[start]."""
+    ch = text[start]
+    if ch == "/":
+        return ParseError(line, "unterminated block comment")
+    if ch == '"' or ch == "'":
+        return ParseError(line, "unterminated literal")
+    if ch.isdigit():
+        return ParseError(line, f"malformed number near {text[start:start + 8]!r}")
+    return ParseError(line, f"unexpected character {ch!r}")
+
+
 def tokenize(text: str) -> list[Token]:
     """Lex Java source into tokens, raising ParseError on malformed input."""
     tokens: list[Token] = []
-    i = 0
     line = 1
     line_start = 0
-    n = len(text)
-
-    def err(msg: str) -> ParseError:
-        return ParseError(line, msg)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n" or ch == "\r":
-            line += 1
-            i += 2 if text.startswith("\r\n", i) else 1
-            line_start = i
-            continue
-        if ch in " \t\f":
-            i += 1
-            continue
-        if text.startswith("//", i):
-            m = _LINE_END_RE.search(text, i)
-            i = n if m is None else m.start()
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            if j < 0:
-                raise err("unterminated block comment")
-            ends = _LINE_END_RE.findall(text, i, j)
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        start, end = m.span()
+        if kind == "space" or kind == "comment":
+            # Java ends a line with LF, CRLF or a lone CR.
+            ends = text.count("\n", start, end) + text.count("\r", start, end)
             if ends:  # line_start only matters for columns
-                line += len(ends)
-                line_start = max(text.rfind("\n", i, j), text.rfind("\r", i, j)) + 1
-            i = j + 2
+                line += ends - text.count("\r\n", start, end)
+                line_start = max(text.rfind("\n", start, end), text.rfind("\r", start, end)) + 1
             continue
-
-        col = i - line_start + 1
-
-        if ch == '"' or ch == "'":
-            quote = ch
-            j = i + 1
-            while j < n:
-                if text[j] == "\\" and text[j + 1 : j + 2] not in ("\n", "\r"):
-                    j += 2
-                    continue
-                if text[j] == quote:
-                    break
-                if text[j] in "\r\n":
-                    raise err("unterminated literal")
-                j += 1
-            if j >= n:
-                raise err("unterminated literal")
-            kind = "string" if quote == '"' else "char"
-            tokens.append(Token(kind, text[i : j + 1], line, col, i, j + 1))
-            i = j + 1
-            continue
-
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group()
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col, i, m.end()))
-            i = m.end()
-            continue
-
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            m = _HEX_RE.match(text, i) or _FLOAT_RE.match(text, i) or _INT_RE.match(text, i)
-            if not m:
-                raise err(f"malformed number near {text[i:i+8]!r}")
-            kind = "float" if _FLOAT_RE.fullmatch(m.group()) else "int"
-            tokens.append(Token(kind, m.group(), line, col, i, m.end()))
-            i = m.end()
-            continue
-
-        m = _PUNCT_RE.match(text, i)
-        if not m:
-            raise err(f"unexpected character {ch!r}")
-        tokens.append(Token("punct", m.group(), line, col, i, m.end()))
-        i = m.end()
-
-    tokens.append(Token("eof", "", line, 1, n, n))
+        if kind == "open" or kind == "bad":
+            raise _error(line, text, start)
+        word = m.group()
+        if kind == "ident" and word in KEYWORDS:
+            kind = "keyword"
+        tokens.append(Token(kind, word, line, start - line_start + 1, start, end))
+    tokens.append(Token("eof", "", line, 1, len(text), len(text)))
     return tokens

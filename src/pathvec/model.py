@@ -492,11 +492,13 @@ def train(
     """
     if not indexed:
         raise ConfigError("no training samples")
+    if config.patience < 1:  # here, not in ModelConfig: a checkpoint may record 0
+        raise ConfigError("patience must be >= 1")
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(indexed))
-    n_val = min(len(indexed) - 1, max(1, round(len(indexed) * config.val_fraction)))
-    if len(indexed) < 2:
-        n_val = 0
+    n_val = 0  # with no held-out sample, validation reads the training samples
+    if config.val_fraction > 0:
+        n_val = min(len(indexed) - 1, max(1, round(len(indexed) * config.val_fraction)))
     val = [indexed[i] for i in order[:n_val]]
     tr = [indexed[i] for i in order[n_val:]]
     if not val:
@@ -575,10 +577,6 @@ class TrainedModel:
     def embed(self, samples: list[MethodSample]) -> np.ndarray:
         """Code vectors of samples, one row each, from one forward call."""
         return forward(self.params, [self.vocab.index_sample(s) for s in samples]).code_vectors
-
-    def predict(self, samples: list[MethodSample], k: int = 1) -> list[list[tuple[str, float]]]:
-        indexed = [self.vocab.index_sample(s) for s in samples]
-        return predict_name(self.params, indexed, k, self.vocab)
 
 
 def save_checkpoint(path: str | Path, model: TrainedModel) -> None:

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from collections import Counter
 
 import numpy as np
 
 from pathvec.java.ast import UNK_TYPE, AstNode
 from pathvec.java.bindings import _Resolver
-from pathvec.java.lexer import BINARY_PRECEDENCE, KEYWORDS, PUNCTUATION
+from pathvec.java.lexer import BINARY_PRECEDENCE, KEYWORDS, PUNCTUATION, ParseError, Token
 from pathvec.model import (
     EmptyBag,
     EpochStats,
@@ -347,6 +348,107 @@ def startswith_tokens(text):
     return out
 
 
+_PUNCT_RE = re.compile("|".join(map(re.escape, PUNCTUATION)))
+_IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
+_HEX_RE = re.compile(r"0[xX][0-9a-fA-F_]+[lL]?")
+_FLOAT_RE = re.compile(
+    r"(?:\d[\d_]*\.[\d_]*(?:[eE][+-]?\d+)?[fFdD]?"
+    r"|\.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?"
+    r"|\d[\d_]*[eE][+-]?\d+[fFdD]?"
+    r"|\d[\d_]*[fFdD])"
+)
+_INT_RE = re.compile(r"\d[\d_]*[lL]?")
+_LINE_END_RE = re.compile(r"\r\n?|\n")
+
+
+def hand_tokenize(text):
+    """lexer.tokenize as a character loop: blanks, line ends, comments and
+    literals scanned by hand, the other kinds matched one regex each. The
+    loop the one token pattern replaced. It raises the same ParseErrors,
+    except that a "." before a character str.isdigit accepts and \\d
+    rejects (such as "²") is part of the malformed-number snippet here."""
+    tokens = []
+    i = 0
+    line = 1
+    line_start = 0
+    n = len(text)
+
+    def err(msg):
+        return ParseError(line, msg)
+
+    while i < n:
+        ch = text[i]
+        if ch == "\n" or ch == "\r":
+            line += 1
+            i += 2 if text.startswith("\r\n", i) else 1
+            line_start = i
+            continue
+        if ch in " \t\f":
+            i += 1
+            continue
+        if text.startswith("//", i):
+            m = _LINE_END_RE.search(text, i)
+            i = n if m is None else m.start()
+            continue
+        if text.startswith("/*", i):
+            j = text.find("*/", i + 2)
+            if j < 0:
+                raise err("unterminated block comment")
+            ends = _LINE_END_RE.findall(text, i, j)
+            if ends:
+                line += len(ends)
+                line_start = max(text.rfind("\n", i, j), text.rfind("\r", i, j)) + 1
+            i = j + 2
+            continue
+
+        col = i - line_start + 1
+
+        if ch == '"' or ch == "'":
+            quote = ch
+            j = i + 1
+            while j < n:
+                if text[j] == "\\" and text[j + 1 : j + 2] not in ("\n", "\r"):
+                    j += 2
+                    continue
+                if text[j] == quote:
+                    break
+                if text[j] in "\r\n":
+                    raise err("unterminated literal")
+                j += 1
+            if j >= n:
+                raise err("unterminated literal")
+            kind = "string" if quote == '"' else "char"
+            tokens.append(Token(kind, text[i : j + 1], line, col, i, j + 1))
+            i = j + 1
+            continue
+
+        m = _IDENT_RE.match(text, i)
+        if m:
+            word = m.group()
+            kind = "keyword" if word in KEYWORDS else "ident"
+            tokens.append(Token(kind, word, line, col, i, m.end()))
+            i = m.end()
+            continue
+
+        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+            m = _HEX_RE.match(text, i) or _FLOAT_RE.match(text, i) or _INT_RE.match(text, i)
+            if not m:
+                raise err(f"malformed number near {text[i:i+8]!r}")
+            kind = "float" if _FLOAT_RE.fullmatch(m.group()) else "int"
+            tokens.append(Token(kind, m.group(), line, col, i, m.end()))
+            i = m.end()
+            continue
+
+        m = _PUNCT_RE.match(text, i)
+        if not m:
+            raise err(f"unexpected character {ch!r}")
+        tokens.append(Token("punct", m.group(), line, col, i, m.end()))
+        i = m.end()
+
+    tokens.append(Token("eof", "", line, 1, n, n))
+    return tokens
+
+
 def _softmax(x):
     shifted = x - np.max(x)
     e = np.exp(shifted)
@@ -476,9 +578,9 @@ def train_allocating(config, indexed, vocab):
     takes the dtype of init_params' float32 params."""
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(indexed))
-    n_val = min(len(indexed) - 1, max(1, round(len(indexed) * config.val_fraction)))
-    if len(indexed) < 2:
-        n_val = 0
+    n_val = 0
+    if config.val_fraction > 0:
+        n_val = min(len(indexed) - 1, max(1, round(len(indexed) * config.val_fraction)))
     val = [indexed[i] for i in order[:n_val]]
     tr = [indexed[i] for i in order[n_val:]]
     if not val:

@@ -119,7 +119,10 @@ def _write_suite_csvs(tmp_path, tiny_model):
 
 
 def _write_compare(tmp_path, tiny_model):
-    main(["compare", str(tmp_path / "a.rec"), str(tmp_path / "b.rec"), "--out", str(tmp_path / "out")])
+    # the command itself: main reports an OSError as one error line
+    cli.cmd_compare(cli.build_parser().parse_args(
+        ["compare", str(tmp_path / "a.rec"), str(tmp_path / "b.rec"), "--out", str(tmp_path / "out")]
+    ))
 
 
 WRITERS = [
@@ -216,12 +219,12 @@ def extracted(tmp_path):
 
 
 def test_extract_on_a_disk_that_fills_midway_through_the_dump_leaves_the_previous_one(
-    extracted, disk_full
+    extracted, disk_full, capsys
 ):
     _, argv, unchanged = extracted
     disk_full(good_writes=8)  # four whole lines, then half of the fifth
-    with pytest.raises(OSError, match="No space left"):
-        main(argv)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "pathvec: error: [Errno 28] No space left on device\n"
     assert unchanged()
 
 

@@ -576,6 +576,9 @@ def test_results_do_not_depend_on_the_callers_stack_depth(pipeline, contents):
     assert results[1] == results[0] and results[2] == results[0]
 
 
+XOBF_KEYS = {"f1_plain", "f1_obfuscated", "drop", "methods", "methods_changed", "skip_reasons"}
+
+
 def test_xobf_processes_a_long_sum_deep_in_the_callers_stack(pipeline, tmp_path, capsys):
     (tmp_path / "Sum.java").write_text(fx.LONG_SUM, encoding="utf-8")
     for depth in (0, 20, 60):
@@ -583,7 +586,7 @@ def test_xobf_processes_a_long_sum_deep_in_the_callers_stack(pipeline, tmp_path,
             depth, run, capsys, "xobf", "--model", str(pipeline["ckpt"]), "--corpus", str(tmp_path)
         )
         assert code == 0, stderr
-        assert set(json.loads(stdout)) == {"f1_plain", "f1_obfuscated", "drop", "skip_reasons"}
+        assert set(json.loads(stdout)) == XOBF_KEYS
 
 
 def test_cli_embed_skips_non_utf8_file(pipeline, tmp_path, capsys):
@@ -889,6 +892,49 @@ def test_cli_rank_from_records(tmp_path, capsys):
                      "minMax": 2, "meanStd": 1, "mean": 0}
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("evaluate", "--max-iter", "0", "max_iterations must be >= 1"),
+        ("evaluate", "--max-iter", "-1", "max_iterations must be >= 1"),
+        ("train", "--patience", "0", "patience must be >= 1"),
+        ("train", "--patience", "-5", "patience must be >= 1"),
+    ],
+)
+def test_a_setting_below_its_least_value_is_refused(
+    command, flag, value, message, pipeline, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    argv = {
+        "evaluate": ["evaluate", "--data", str(pipeline["csv"]), "--runs", "1", "--folds", "2"],
+        "train": ["train", "--contexts", str(pipeline["dump"]), "--d-emb", "4", "--epochs", "3"],
+    }[command]
+    code, _, stderr = run(capsys, *argv, flag, value, "--out", str(out))
+    assert code == 1
+    assert stderr == f"pathvec: error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["extract", "embed", "evaluate"])
+def test_an_out_path_that_is_a_directory_is_one_error_line(command, pipeline, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.mkdir()
+    (out / "kept.txt").write_text("kept\n", encoding="utf-8")
+    argv = {
+        "extract": ["extract", "--corpus", str(pipeline["corpus"]), "--seed", "3"],
+        "embed": ["embed", "--corpus", str(pipeline["corpus"]), "--model", str(pipeline["ckpt"]),
+                  "--agg", "mean"],
+        "evaluate": ["evaluate", "--data", str(pipeline["csv"]), "--runs", "1", "--folds", "2"],
+    }[command]
+    code, _, stderr = run(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert stderr.count("pathvec: error:") == 1 and "Traceback" not in stderr
+    assert str(out) in stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
+    assert (out / "kept.txt").read_text(encoding="utf-8") == "kept\n"
+
+
 # --- xobf -----------------------------------------------------------------------------
 
 
@@ -899,7 +945,7 @@ def test_cli_xobf_runs(pipeline, capsys):
     )
     assert code == 0
     record = json.loads(stdout.strip())
-    assert set(record) == {"f1_plain", "f1_obfuscated", "drop", "skip_reasons"}
+    assert set(record) == XOBF_KEYS
     assert 0.0 <= record["f1_obfuscated"] <= 1.0
 
 
@@ -908,6 +954,7 @@ def _xobf_all_units_first(checkpoint, corpus, seed):
     re-parsed, then both sets scored: the pairs xobf collects one file at a
     time, in the same order."""
     from pathvec.evaluate import name_prediction_f1
+    from pathvec.model import predict_name
     from pathvec.obfuscate import obfuscate_unit
     from pathvec.pathctx import extract_unit_samples
 
@@ -918,16 +965,20 @@ def _xobf_all_units_first(checkpoint, corpus, seed):
     scheme = ObfuscationScheme(mode="random", random_length=8, seed=seed)
     obfuscated = [cli.parse_file(obfuscate_unit(u, scheme)[0], path=u.path) for u in units]
 
-    def f1(variants):
-        pairs = []
-        for unit in variants:
-            samples = extract_unit_samples(unit, model.extraction)
-            pairs += [(s.target_name, top[0][0]) for s, top in zip(samples, model.predict(samples))]
-        return name_prediction_f1(pairs).f1
+    def indexed(variants):
+        return [model.vocab.index_sample(s)
+                for unit in variants for s in extract_unit_samples(unit, model.extraction)]
 
-    f1_plain, f1_obf = f1(units), f1(obfuscated)
+    def f1(samples):
+        tops = predict_name(model.params, samples, 1, model.vocab)
+        return name_prediction_f1([(s.target_name, top[0][0]) for s, top in zip(samples, tops)]).f1
+
+    before, after = indexed(units), indexed(obfuscated)
+    changed = sum((a.starts.tolist(), a.ends.tolist()) != (b.starts.tolist(), b.ends.tolist())
+                  for a, b in zip(before, after))
+    f1_plain, f1_obf = f1(before), f1(after)
     return {"f1_plain": f1_plain, "f1_obfuscated": f1_obf, "drop": f1_plain - f1_obf,
-            "skip_reasons": dict(skipped)}
+            "methods": len(before), "methods_changed": changed, "skip_reasons": dict(skipped)}
 
 
 def test_cli_xobf_holds_one_file_at_a_time_and_scores_as_before(pipeline, monkeypatch, capsys):
@@ -953,6 +1004,31 @@ def test_cli_xobf_holds_one_file_at_a_time_and_scores_as_before(pipeline, monkey
     monkeypatch.undo()
     expected = _xobf_all_units_first(pipeline["ckpt"], pipeline["corpus"], seed=11)
     assert stdout == json.dumps(expected, sort_keys=True) + "\n"
+
+
+def test_cli_xobf_counts_the_methods_its_rename_changed(pipeline, tmp_path, capsys):
+    """A model trained on the corpus as it is sees the rename. A model
+    trained on a random-obfuscated copy sees none of it: the real names and
+    the fresh ones are both out of its vocabulary, so both index to <unk>."""
+    corpus = pipeline["corpus"]
+    obf, dump, ckpt = tmp_path / "obf", tmp_path / "obf.txt", tmp_path / "obf.ckpt"
+    for argv in (
+        ["obfuscate", "--in", str(corpus), "--out", str(obf), "--mode", "random", "--seed", "2"],
+        ["extract", "--corpus", str(obf), "--out", str(dump), "--seed", "3"],
+        ["train", "--contexts", str(dump), "--out", str(ckpt), "--d-emb", "4", "--epochs", "1"],
+    ):
+        assert main(argv) == 0
+    records = {}
+    for name, model in (("plain", pipeline["ckpt"]), ("random", ckpt)):
+        capsys.readouterr()
+        code, stdout, _ = run(capsys, "xobf", "--model", str(model), "--corpus", str(corpus),
+                              "--seed", "5")
+        assert code == 0
+        records[name] = json.loads(stdout)
+    assert records["plain"]["methods"] == records["random"]["methods"] == 24
+    assert 0 < records["plain"]["methods_changed"] <= 24
+    assert records["random"]["methods_changed"] == 0
+    assert records["random"]["drop"] == 0.0
 
 
 def test_cli_xobf_errors_keep_their_conditions(pipeline, tmp_path, capsys):

@@ -37,6 +37,13 @@ def test_classifier_config_refuses_non_finite_values(field, value):
         ClassifierConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [0, -1])
+def test_classifier_config_refuses_fewer_than_one_iteration(value):
+    # scipy would still run one iteration, so 0 would silently act as 1
+    with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+        ClassifierConfig(max_iterations=value)
+
+
 # --- linear classifier ----------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import re
 import sys
 from collections import Counter
 
@@ -8,6 +9,7 @@ import fixtures_java as fx
 import synth
 from conftest import call_at_depth
 from oracles import (
+    hand_tokenize,
     isomorphic_up_to_leaf_tokens,
     leaves,
     node_tokens,
@@ -273,6 +275,68 @@ def test_punctuation_heavy_text_matches_startswith_oracle(text):
             tokenize(text)
         return
     assert _token_tuples(text) == expected
+
+
+# --- one token pattern against the hand-written loop -----------------------------
+
+
+def _lexing(lexer, text):
+    """Every token as a plain tuple, or (line, message) of the ParseError."""
+    try:
+        return [tuple(t) for t in lexer(text)]
+    except ParseError as exc:
+        return exc.line, exc.message
+
+
+@pytest.mark.parametrize(
+    "name", sorted(k for k, v in vars(fx).items() if isinstance(v, str) and not k.startswith("_"))
+)
+def test_fixture_strings_lex_as_the_hand_loop(name):
+    text = getattr(fx, name)
+    assert _lexing(tokenize, text) == _lexing(hand_tokenize, text)
+
+
+def test_synth_corpus_lexes_as_the_hand_loop(tmp_path):
+    paths = synth.generate_corpus(tmp_path, files_per_class=4, seed=3, typo_fraction=0.5)
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert _lexing(tokenize, text) == _lexing(hand_tokenize, text), path
+
+
+def test_dot_before_a_non_ascii_digit_is_the_documented_difference():
+    with pytest.raises(ParseError, match=r"line 2: malformed number near '²;'"):
+        tokenize("x\na.²;")
+    with pytest.raises(ParseError, match=r"line 2: malformed number near '\.²;'"):
+        hand_tokenize("x\na.²;")
+    # a \d digit after "." is a float in both
+    assert tokenize("a.٣")[1][:2] == ("float", ".٣") == hand_tokenize("a.٣")[1][:2]
+
+
+_java_like_text = st.lists(
+    st.one_of(
+        st.sampled_from(list("abxyzeEfFdDlLX_$019.+-*/%=<>!~&|^?:;,()[]{}@\"'\\ \t\f\r\n#`²٣é")),
+        st.sampled_from(["//", "/*", "*/", "\r\n", "0x1F", "1.5e3", "1_0L", ".5f", "'a'",
+                         '"s\\"t"', "int", "class", "...", ">>>="]),
+        st.from_regex(r"[A-Za-z_$][A-Za-z0-9_$]{0,4}", fullmatch=True),
+    ),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_java_like_text)
+def test_token_pattern_lexes_as_the_hand_loop(text):
+    expected, actual = _lexing(hand_tokenize, text), _lexing(tokenize, text)
+    if actual == expected:
+        return
+    # The one documented difference: before a character that str.isdigit
+    # accepts and \d rejects, the hand loop takes a "." into the snippet.
+    assert any(
+        expected == (actual[0], f"malformed number near {text[i:i + 8]!r}")
+        and actual[1] == f"malformed number near {text[i + 1:i + 9]!r}"
+        for i in range(len(text) - 1)
+        if text[i] == "." and text[i + 1].isdigit() and not re.match(r"\d", text[i + 1])
+    ), (text, expected, actual)
 
 
 # --- nesting limit ----------------------------------------------------------------

@@ -525,6 +525,34 @@ def test_adam_update_in_chunks_equals_one_pass():
         adam_update(p[:, ::2], g[:, ::2], m[:, ::2], v[:, ::2], np.empty(16), 4, config)
 
 
+@pytest.mark.parametrize("patience", [0, -5])
+def test_train_refuses_patience_below_one_and_a_checkpoint_recording_it_loads(
+    patience, tmp_path
+):
+    samples = _template_corpus(5)
+    vocab = build_vocabulary(samples, min_count=1)
+    indexed = [vocab.index_sample(s) for s in samples]
+    config = ModelConfig(d_emb=4, epochs=3, seed=3, patience=patience)  # a config may hold it
+    with pytest.raises(ConfigError, match="patience must be >= 1"):
+        train(config, indexed, vocab)
+    model = TrainedModel(config, ExtractionConfig(), init_params(config, vocab), vocab)
+    save_checkpoint(tmp_path / "m.ckpt", model)
+    assert load_checkpoint(tmp_path / "m.ckpt").config.patience == patience
+
+
+def test_val_fraction_zero_holds_out_nothing_and_validates_on_the_training_samples():
+    samples = _template_corpus(8)
+    vocab = build_vocabulary(samples, min_count=1)
+    indexed = [vocab.index_sample(s) for s in samples]
+    config = ModelConfig(d_emb=4, epochs=1, seed=3, val_fraction=0.0, learning_rate=0.05)
+    result = train(config, indexed, vocab)  # one epoch: the best params are its params
+    val_loss, val_top1, val_f1 = _validate(result.params, indexed, vocab)
+    (stats,) = result.history
+    assert stats.val_loss == pytest.approx(val_loss, rel=1e-6)
+    assert (stats.val_top1, stats.val_f1) == pytest.approx((val_top1, val_f1), rel=1e-9)
+    assert train_allocating(config, indexed, vocab).history == result.history
+
+
 def test_zero_epochs_returns_init(tmp_path):
     samples = _template_corpus(5)
     vocab = build_vocabulary(samples, min_count=1)
