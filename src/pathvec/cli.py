@@ -83,9 +83,11 @@ _FATAL = (
 )
 
 
-def _limit(value: int) -> int | None:
-    """0 or negative means unlimited."""
-    return None if value <= 0 else value
+def _limit(value: int, name: str) -> int | None:
+    """0 means unlimited; a negative limit is refused."""
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
+    return value or None
 
 
 def _read_pair_manifest(path: str) -> list[tuple[str, str, str]]:
@@ -131,8 +133,8 @@ def cmd_obfuscate(args) -> int:
 
 def cmd_extract(args) -> int:
     extraction = ExtractionConfig(
-        max_len=_limit(args.max_len),
-        max_width=_limit(args.max_width),
+        max_len=_limit(args.max_len, "max_len"),
+        max_width=_limit(args.max_width, "max_width"),
         max_contexts=args.max_contexts,
         seed=args.seed,
     )
@@ -192,13 +194,16 @@ def _dump_extraction(dump: str) -> ExtractionConfig:
     manifest = read_manifest(path)
     if manifest.get("stage") != "extract":
         raise ValueError(f"{path}: not an extract manifest")
-    cfg = manifest["config"]
-    return ExtractionConfig(
-        max_len=_limit(cfg["max_len"]),
-        max_width=_limit(cfg["max_width"]),
-        max_contexts=cfg["max_contexts"],
-        seed=cfg["seed"],
-    )
+    try:
+        cfg = manifest["config"]
+        return ExtractionConfig(
+            max_len=_limit(cfg["max_len"], "max_len"),
+            max_width=_limit(cfg["max_width"], "max_width"),
+            max_contexts=cfg["max_contexts"],
+            seed=cfg["seed"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: extract manifest has no {exc.args[0]!r} setting") from None
 
 
 def cmd_train(args) -> int:
@@ -406,7 +411,7 @@ def cmd_rank(args) -> int:
             continue
         try:
             report = read_report(path)
-        except (ValueError, KeyError):
+        except ValueError:
             continue
         if not report.aggregation:
             continue

@@ -122,7 +122,15 @@ class RunManifest:
 
 
 def read_manifest(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """A manifest's JSON object. A file that is not UTF-8 JSON, or whose
+    JSON is not an object, raises ValueError naming it."""
+    try:
+        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad UTF-8 or JSON
+        raise ValueError(f"{path}: unreadable manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: a manifest must be a JSON object")
+    return manifest
 
 
 def manifest_path_for(artifact: str | Path) -> Path:

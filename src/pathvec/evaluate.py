@@ -427,6 +427,8 @@ def write_report(report: EvalReport, path: str | Path) -> None:
 
 
 def read_report(path: str | Path) -> EvalReport:
+    """Read a record written by write_report. A file that is not one, or
+    that lacks a field or a row, raises ValueError naming it."""
     meta: dict[str, str] = {}
     kappa_rows: dict[int, list[float]] = {}
     acc_rows: dict[int, list[float]] = {}
@@ -447,25 +449,27 @@ def read_report(path: str | Path) -> EvalReport:
             meta[key] = value
     if meta.get("format") != "pathvec-eval-v1":
         raise ValueError(f"{path}: not a pathvec evaluation record")
-    runs = int(meta["runs"])
-    folds = int(meta["folds"])
-    labels = meta["labels"].split("\t") if meta.get("labels") else []
-    per_fold_kappa = np.array([kappa_rows[r] for r in range(runs)])
-    per_fold_accuracy = np.array([acc_rows[r] for r in range(runs)])
-    confusion = np.array(
-        [confusion_rows[i] for i in range(len(labels))], dtype=np.int64
-    ) if confusion_rows else np.zeros((0, 0), dtype=np.int64)
-    return EvalReport(
-        per_fold_kappa=per_fold_kappa,
-        per_fold_accuracy=per_fold_accuracy,
-        mean_kappa=float(meta["mean_kappa"]),
-        mean_accuracy=float(meta["mean_accuracy"]),
-        confusion_total=confusion,
-        labels=labels,
-        partition_fingerprint=meta["partition_fingerprint"],
-        runs=runs,
-        folds=folds,
-        seed=int(meta["seed"]),
-        dataset=meta.get("dataset", ""),
-        aggregation=meta.get("aggregation", ""),
-    )
+    try:
+        runs = int(meta["runs"])
+        labels = meta["labels"].split("\t") if meta.get("labels") else []
+        confusion = np.array(
+            [confusion_rows[i] for i in range(len(labels))], dtype=np.int64
+        ) if confusion_rows else np.zeros((0, 0), dtype=np.int64)
+        return EvalReport(
+            per_fold_kappa=np.array([kappa_rows[r] for r in range(runs)]),
+            per_fold_accuracy=np.array([acc_rows[r] for r in range(runs)]),
+            mean_kappa=float(meta["mean_kappa"]),
+            mean_accuracy=float(meta["mean_accuracy"]),
+            confusion_total=confusion,
+            labels=labels,
+            partition_fingerprint=meta["partition_fingerprint"],
+            runs=runs,
+            folds=int(meta["folds"]),
+            seed=int(meta["seed"]),
+            dataset=meta.get("dataset", ""),
+            aggregation=meta.get("aggregation", ""),
+        )
+    except KeyError as exc:
+        (key,) = exc.args  # a field's name, or the number of a kappa, accuracy or confusion row
+        missing = f"field {key!r}" if isinstance(key, str) else f"row {key}"
+        raise ValueError(f"{path}: evaluation record has no {missing}") from None

@@ -10,7 +10,6 @@ holds for every node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 UNK_TYPE = "unk"
 
@@ -20,7 +19,6 @@ class AstNode:
     kind: str
     token: str | None = None
     children: list["AstNode"] = field(default_factory=list)
-    span: tuple[int, int] = (1, 1)  # (startLine, endLine), 1-based inclusive
     token_index: int | None = None  # leaf position in the unit's token stream
     meta: dict | None = None  # operators / declared names / shape counts
 
@@ -50,14 +48,13 @@ class VariableBinding:
 @dataclass
 class MethodDecl:
     name: str
-    params: list[VariableBinding]
     body: AstNode
-    line_count: int
+    span: tuple[int, int]  # (first line, last line), 1-based inclusive
     node: AstNode  # the MethodDeclaration node
 
     @property
-    def span(self) -> tuple[int, int]:
-        return self.node.span
+    def line_count(self) -> int:
+        return self.span[1] - self.span[0] + 1
 
 
 @dataclass
@@ -76,7 +73,3 @@ class SourceUnit:
     tokens: list  # lexer Tokens, EOF excluded
     bindings: list[VariableBinding] = field(default_factory=list)
     unbound: list[AstNode] = field(default_factory=list)  # NameExpr leaves with no binding
-
-    def methods(self) -> Iterator[MethodDecl]:
-        for cls in self.classes:
-            yield from cls.methods

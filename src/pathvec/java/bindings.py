@@ -10,7 +10,7 @@ binding typed with the unk sentinel. Bare names that resolve to nothing
 
 from __future__ import annotations
 
-from .ast import UNK_TYPE, AstNode, ClassDecl, SourceUnit, VariableBinding
+from .ast import UNK_TYPE, AstNode, ClassDecl, MethodDecl, SourceUnit, VariableBinding
 
 # Steps the iterative walker runs after a node's children (see visit).
 _CLOSE_SCOPE, _DECLARE_LOCAL, _UNBOUND, _FIELD_NAME = range(4)
@@ -19,8 +19,8 @@ _CLOSE_SCOPE, _DECLARE_LOCAL, _UNBOUND, _FIELD_NAME = range(4)
 def resolve_bindings(unit: SourceUnit) -> list[VariableBinding]:
     """(Re)compute all variable bindings for a parsed unit.
 
-    Populates unit.bindings, unit.unbound and each MethodDecl's params,
-    and returns the binding list in file declaration order.
+    Populates unit.bindings and unit.unbound, and returns the binding
+    list in file declaration order.
     """
     resolver = _Resolver()
     for cls in unit.classes:
@@ -72,21 +72,16 @@ class _Resolver:
             for declarator in member.children[1:]:
                 if len(declarator.children) > 1:
                     self.visit(declarator.children[1])
-        for method, node in zip(
-            cls.methods,
-            [m for m in cls.node.children if m.kind == "MethodDeclaration"],
-        ):
-            self.resolve_method(method, node)
+        for method in cls.methods:
+            self.resolve_method(method)
 
-    def resolve_method(self, method, node: AstNode) -> None:
+    def resolve_method(self, method: MethodDecl) -> None:
         params: dict[str, VariableBinding] = {}
-        method.params = []
-        for param_node in node.children[1:-1]:
+        for param_node in method.node.children[1:-1]:
             type_leaf, name_leaf = param_node.children
             binding = self._new_binding(name_leaf.token or "", "param", type_leaf.token or "")
             binding.occurrences.append(name_leaf)
             params[binding.name] = binding
-            method.params.append(binding)
         self.scopes = [params]
         self.visit(method.body)
         self.scopes = []

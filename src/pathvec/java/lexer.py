@@ -77,7 +77,6 @@ class Token(NamedTuple):
     kind: str  # ident | keyword | int | float | string | char | punct | eof
     text: str
     line: int
-    col: int
     start: int  # char offset in source, inclusive
     end: int  # char offset, exclusive
 
@@ -98,22 +97,20 @@ def tokenize(text: str) -> list[Token]:
     """Lex Java source into tokens, raising ParseError on malformed input."""
     tokens: list[Token] = []
     line = 1
-    line_start = 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         start, end = m.span()
         if kind == "space" or kind == "comment":
             # Java ends a line with LF, CRLF or a lone CR.
             ends = text.count("\n", start, end) + text.count("\r", start, end)
-            if ends:  # line_start only matters for columns
+            if ends:
                 line += ends - text.count("\r\n", start, end)
-                line_start = max(text.rfind("\n", start, end), text.rfind("\r", start, end)) + 1
             continue
         if kind == "open" or kind == "bad":
             raise _error(line, text, start)
         word = m.group()
         if kind == "ident" and word in KEYWORDS:
             kind = "keyword"
-        tokens.append(Token(kind, word, line, start - line_start + 1, start, end))
-    tokens.append(Token("eof", "", line, 1, len(text), len(text)))
+        tokens.append(Token(kind, word, line, start, end))
+    tokens.append(Token("eof", "", line, len(text), len(text)))
     return tokens

@@ -160,12 +160,8 @@ class _Parser:
         tok = self.cur()
         return "end of file" if tok.kind == "eof" else f"'{tok.text}'"
 
-    def _span_from(self, start_idx: int) -> tuple[int, int]:
-        last = self.tokens[max(start_idx, self.pos - 1)]
-        return (self.tokens[start_idx].line, last.line)
-
-    def _leaf(self, kind: str, tok: Token, idx: int) -> AstNode:
-        return AstNode(kind, token=tok.text, span=(tok.line, tok.line), token_index=idx)
+    def _leaf(self, kind: str, idx: int) -> AstNode:
+        return AstNode(kind, token=self.tokens[idx].text, token_index=idx)
 
     # -- compilation unit ------------------------------------------------
 
@@ -185,15 +181,9 @@ class _Parser:
             self.expect(";")
 
         classes: list[ClassDecl] = []
-        start = self.pos
         while not self.at_kind("eof"):
             classes.append(self._class_decl())
-        root = AstNode(
-            "CompilationUnit",
-            children=[c.node for c in classes],
-            span=self._span_from(start) if classes else (1, 1),
-            meta=meta,
-        )
+        root = AstNode("CompilationUnit", children=[c.node for c in classes], meta=meta)
         if not classes:
             root.token = "<empty>"
         return SourceUnit(
@@ -225,7 +215,6 @@ class _Parser:
     # -- declarations ----------------------------------------------------
 
     def _class_decl(self) -> ClassDecl:
-        start = self.pos
         mods = self._modifiers()
         if self.at("@"):
             raise self.error("annotations are not supported")
@@ -249,10 +238,7 @@ class _Parser:
         self.expect("}")
 
         node = AstNode(
-            "ClassOrInterfaceDeclaration",
-            children=members,
-            span=self._span_from(start),
-            meta={"name": name, "modifiers": mods},
+            "ClassOrInterfaceDeclaration", children=members, meta={"name": name, "modifiers": mods}
         )
         if not members:
             node.token = name  # childless declarations still carry a token
@@ -274,7 +260,7 @@ class _Parser:
             return self._method_rest(start, mods, type_leaf, name, methods)
         if type_text == "void":
             raise self.error("fields cannot have type void")
-        return self._field_rest(start, mods, type_leaf, name_idx)
+        return self._field_rest(mods, type_leaf, name_idx)
 
     def _method_rest(
         self,
@@ -300,24 +286,13 @@ class _Parser:
         node = AstNode(
             "MethodDeclaration",
             children=[type_leaf, *params, body],
-            span=self._span_from(start),
             meta={"name": name, "modifiers": mods},
         )
-        line_count = node.span[1] - node.span[0] + 1
-        methods.append(
-            MethodDecl(
-                name=name,
-                params=[],
-                body=body,
-                line_count=line_count,
-                node=node,
-            )
-        )
+        span = (self.tokens[start].line, self.tokens[self.pos - 1].line)  # through the '}'
+        methods.append(MethodDecl(name=name, body=body, span=span, node=node))
         return node
 
-    def _field_rest(
-        self, start: int, mods: list[str], type_leaf: AstNode, first_name_idx: int
-    ) -> AstNode:
+    def _field_rest(self, mods: list[str], type_leaf: AstNode, first_name_idx: int) -> AstNode:
         declarators = [self._declarator_rest(first_name_idx)]
         while self.accept(","):
             name_idx = self.pos
@@ -325,35 +300,24 @@ class _Parser:
             declarators.append(self._declarator_rest(name_idx))
         self.expect(";")
         return AstNode(
-            "FieldDeclaration",
-            children=[type_leaf, *declarators],
-            span=self._span_from(start),
-            meta={"modifiers": mods},
+            "FieldDeclaration", children=[type_leaf, *declarators], meta={"modifiers": mods}
         )
 
     def _declarator_rest(self, name_idx: int) -> AstNode:
-        name_tok = self.tokens[name_idx]
-        name_leaf = self._leaf("NameExpr", name_tok, name_idx)
-        children = [name_leaf]
+        children = [self._leaf("NameExpr", name_idx)]
         if self.at(":"):
             raise self.error("enhanced for loops are not supported")
         if self.accept("="):
             children.append(self._expression())
-        span = (name_tok.line, self.tokens[self.pos - 1].line)
-        return AstNode("VariableDeclarator", children=children, span=span)
+        return AstNode("VariableDeclarator", children=children)
 
     def _parameter(self) -> AstNode:
-        start = self.pos
         self._modifiers()  # permit 'final' on parameters
         _, type_leaf = self._type(allow_void=False)
         name_idx = self.pos
-        name = self._expect_ident("parameter name")
-        name_leaf = self._leaf("NameExpr", self.tokens[name_idx], name_idx)
-        return AstNode(
-            "Parameter",
-            children=[type_leaf, name_leaf],
-            span=self._span_from(start),
-        )
+        self._expect_ident("parameter name")
+        name_leaf = self._leaf("NameExpr", name_idx)
+        return AstNode("Parameter", children=[type_leaf, name_leaf])
 
     def _type(self, allow_void: bool) -> tuple[str, AstNode]:
         start = self.pos
@@ -365,10 +329,7 @@ class _Parser:
             if not allow_void:
                 raise self.error("'void' is only valid as a return type")
             self.advance()
-            leaf = AstNode(
-                "PrimitiveType", token="void", span=(tok.line, tok.line), token_index=start
-            )
-            return "void", leaf
+            return "void", AstNode("PrimitiveType", token="void", token_index=start)
         elif tok.kind == "ident":
             base = self._qualified_name()
             primitive = False
@@ -383,18 +344,11 @@ class _Parser:
             dims += 1
         text = base + "[]" * dims
         kind = "ArrayType" if dims else ("PrimitiveType" if primitive else "ClassOrInterfaceType")
-        leaf = AstNode(
-            kind,
-            token=text,
-            span=(tok.line, self.tokens[self.pos - 1].line),
-            token_index=start,
-        )
-        return text, leaf
+        return text, AstNode(kind, token=text, token_index=start)
 
     # -- statements ------------------------------------------------------
 
     def _block(self) -> AstNode:
-        start = self.pos
         self.expect("{")
         stmts: list[AstNode] = []
         while not self.at("}"):
@@ -404,7 +358,7 @@ class _Parser:
             if stmt is not None:
                 stmts.append(stmt)
         self.expect("}")
-        node = AstNode("BlockStmt", children=stmts, span=self._span_from(start))
+        node = AstNode("BlockStmt", children=stmts)
         if not stmts:
             node.token = "{}"
         return node
@@ -482,15 +436,11 @@ class _Parser:
         return toks[i].kind == "ident"
 
     def _local_decl_stmt(self) -> AstNode:
-        start = self.pos
         decl = self._var_decl_expr()
         self.expect(";")
-        return AstNode(
-            "ExpressionStmt", children=[decl], span=self._span_from(start)
-        )
+        return AstNode("ExpressionStmt", children=[decl])
 
     def _var_decl_expr(self) -> AstNode:
-        start = self.pos
         mods = self._modifiers()
         _, type_leaf = self._type(allow_void=False)
         declarators = []
@@ -503,12 +453,10 @@ class _Parser:
         return AstNode(
             "VariableDeclarationExpr",
             children=[type_leaf, *declarators],
-            span=self._span_from(start),
             meta={"modifiers": mods} if mods else None,
         )
 
     def _if_stmt(self) -> AstNode:
-        start = self.pos
         self.expect("if")
         self.expect("(")
         cond = self._expression()
@@ -517,19 +465,17 @@ class _Parser:
         children = [cond, then]
         if self.accept("else"):
             children.append(self._required_statement("an else branch"))
-        return AstNode("IfStmt", children=children, span=self._span_from(start))
+        return AstNode("IfStmt", children=children)
 
     def _while_stmt(self) -> AstNode:
-        start = self.pos
         self.expect("while")
         self.expect("(")
         cond = self._expression()
         self.expect(")")
         body = self._required_statement("a loop body")
-        return AstNode("WhileStmt", children=[cond, body], span=self._span_from(start))
+        return AstNode("WhileStmt", children=[cond, body])
 
     def _for_stmt(self) -> AstNode:
-        start = self.pos
         self.expect("for")
         self.expect("(")
         init: list[AstNode] = []
@@ -561,27 +507,24 @@ class _Parser:
         return AstNode(
             "ForStmt",
             children=children,
-            span=self._span_from(start),
             meta={"n_init": len(init), "has_cond": cond is not None, "n_update": len(update)},
         )
 
     def _return_stmt(self) -> AstNode:
-        start = self.pos
         self.expect("return")
         children: list[AstNode] = []
         if not self.at(";"):
             children.append(self._expression())
         self.expect(";")
-        node = AstNode("ReturnStmt", children=children, span=self._span_from(start))
+        node = AstNode("ReturnStmt", children=children)
         if not children:
             node.token = "return"
         return node
 
     def _expression_stmt(self) -> AstNode:
-        start = self.pos
         expr = self._expression()
         self.expect(";", "';' after expression")
-        return AstNode("ExpressionStmt", children=[expr], span=self._span_from(start))
+        return AstNode("ExpressionStmt", children=[expr])
 
     # -- expressions -----------------------------------------------------
 
@@ -590,12 +533,7 @@ class _Parser:
         if self.cur().kind == "punct" and self.cur().text in _ASSIGN_OPS:
             op = self.advance().text
             right = self._nested(self._expression)
-            return AstNode(
-                "AssignExpr",
-                children=[left, right],
-                span=(left.span[0], right.span[1]),
-                meta={"op": op},
-            )
+            return AstNode("AssignExpr", children=[left, right], meta={"op": op})
         return left
 
     def _ternary(self) -> AstNode:
@@ -606,11 +544,7 @@ class _Parser:
         then = self._nested(self._expression)
         self.expect(":")
         other = self._nested(self._ternary)
-        return AstNode(
-            "ConditionalExpr",
-            children=[cond, then, other],
-            span=(cond.span[0], other.span[1]),
-        )
+        return AstNode("ConditionalExpr", children=[cond, then, other])
 
     def _binary(self, min_prec: int) -> AstNode:
         left = self._unary()
@@ -623,24 +557,14 @@ class _Parser:
                 return left
             op = self.advance().text
             right = self._nested(self._binary, prec + 1)
-            left = AstNode(
-                "BinaryExpr",
-                children=[left, right],
-                span=(left.span[0], right.span[1]),
-                meta={"op": op},
-            )
+            left = AstNode("BinaryExpr", children=[left, right], meta={"op": op})
 
     def _unary(self) -> AstNode:
         tok = self.cur()
         if tok.kind == "punct" and tok.text in ("+", "-", "!", "~", "++", "--"):
             op = self.advance().text
             operand = self._nested(self._unary)
-            return AstNode(
-                "UnaryExpr",
-                children=[operand],
-                span=(tok.line, operand.span[1]),
-                meta={"op": op, "postfix": False},
-            )
+            return AstNode("UnaryExpr", children=[operand], meta={"op": op, "postfix": False})
         return self._postfix()
 
     def _postfix(self) -> AstNode:
@@ -650,32 +574,21 @@ class _Parser:
                 if self.peek().kind != "ident":
                     raise self.error("expected member name after '.'")
                 self.advance()
-                name_idx = self.pos
-                name_tok = self.advance()
-                name_leaf = self._leaf("NameExpr", name_tok, name_idx)
+                name_leaf = self._leaf("NameExpr", self.pos)
+                self.advance()
                 if self.at("("):
                     args = self._arguments()
                     node = AstNode(
                         "MethodCallExpr",
                         children=[node, name_leaf, *args],
-                        span=(node.span[0], self.tokens[self.pos - 1].line),
                         meta={"has_scope": True},
                     )
                 else:
-                    node = AstNode(
-                        "FieldAccessExpr",
-                        children=[node, name_leaf],
-                        span=(node.span[0], name_tok.line),
-                    )
+                    node = AstNode("FieldAccessExpr", children=[node, name_leaf])
                 continue
             if self.at("++") or self.at("--"):
                 op = self.advance().text
-                node = AstNode(
-                    "UnaryExpr",
-                    children=[node],
-                    span=(node.span[0], self.tokens[self.pos - 1].line),
-                    meta={"op": op, "postfix": True},
-                )
+                node = AstNode("UnaryExpr", children=[node], meta={"op": op, "postfix": True})
                 continue
             if self.at("["):
                 raise self.error("array access expressions are not supported")
@@ -706,34 +619,31 @@ class _Parser:
         if tok.kind in _LITERAL_KINDS:
             idx = self.pos
             self.advance()
-            return self._leaf(_LITERAL_KINDS[tok.kind], tok, idx)
+            return self._leaf(_LITERAL_KINDS[tok.kind], idx)
         if tok.kind == "keyword":
             idx = self.pos
             if tok.text in ("true", "false"):
                 self.advance()
-                return self._leaf("BooleanLiteralExpr", tok, idx)
+                return self._leaf("BooleanLiteralExpr", idx)
             if tok.text == "null":
                 self.advance()
-                return self._leaf("NullLiteralExpr", tok, idx)
+                return self._leaf("NullLiteralExpr", idx)
             if tok.text == "this":
                 self.advance()
-                return self._leaf("ThisExpr", tok, idx)
+                return self._leaf("ThisExpr", idx)
             if tok.text == "new":
                 raise self.error("object creation expressions are not supported")
             raise self.error(f"unexpected keyword '{tok.text}' in expression")
         if tok.kind == "ident":
             idx = self.pos
             self.advance()
-            name_leaf = self._leaf("NameExpr", tok, idx)
+            name_leaf = self._leaf("NameExpr", idx)
             if self.at("->"):
                 raise self.error("lambda expressions are not supported")
             if self.at("("):
                 args = self._arguments()
                 return AstNode(
-                    "MethodCallExpr",
-                    children=[name_leaf, *args],
-                    span=(tok.line, self.tokens[self.pos - 1].line),
-                    meta={"has_scope": False},
+                    "MethodCallExpr", children=[name_leaf, *args], meta={"has_scope": False}
                 )
             return name_leaf
         raise self.error(f"unexpected token {self._describe()} in expression")

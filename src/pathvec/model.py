@@ -622,22 +622,27 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     except ValueError as exc:  # bad UTF-8 or JSON
         raise ValueError(f"{path}: unreadable checkpoint header: {exc}") from exc
     offset += header_len
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header is not a JSON object")
     if header.get("format") != 1:
         raise ValueError(f"{path}: unsupported checkpoint format {header.get('format')}")
+    try:
+        specs = [(spec["name"], tuple(spec["shape"])) for spec in header["tensors"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(
+            f"{path}: checkpoint header does not list each tensor's name and shape"
+        ) from exc
 
     arrays = {}
-    for spec in header["tensors"]:
-        shape = tuple(spec["shape"])
+    for name, shape in specs:
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         if len(raw) < offset + count * 4:
-            raise ValueError(
-                f"{path}: checkpoint ends inside tensor {spec['name']!r} of shape {shape}"
-            )
+            raise ValueError(f"{path}: checkpoint ends inside tensor {name!r} of shape {shape}")
         data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
         offset += count * 4
         if not np.isfinite(data).all():
-            raise ValueError(f"{path}: tensor {spec['name']!r} holds NaN or infinity")
-        arrays[spec["name"]] = data.reshape(shape).astype(np.float64)
+            raise ValueError(f"{path}: tensor {name!r} holds NaN or infinity")
+        arrays[name] = data.reshape(shape).astype(np.float64)
     if offset != len(raw):
         raise ValueError(f"{path}: {len(raw) - offset} bytes trail the checkpoint tensors")
 

@@ -368,6 +368,8 @@ def read_indexed_dump(
     appears; the counts of those ids give the vocabulary, and one index per
     table maps them to vocabulary ids.
     """
+    if min_count < 1:
+        raise ValueError("min_count must be >= 1")
     tokens: dict[str, int] = {}
     paths: dict[str, int] = {}
     targets: dict[str, int] = {}

@@ -85,10 +85,11 @@ def tiny_model():
 
 def rewrite_checkpoint_header(path, edit):
     """Rewrite the JSON header of the checkpoint at `path` in place:
-    edit(header) changes the parsed header; the tensor bytes are kept."""
+    edit(header) changes the parsed header, or returns the JSON value to
+    write instead; the tensor bytes are kept."""
     raw = Path(path).read_bytes()
     header_end = 12 + struct.unpack_from("<I", raw, 8)[0]
     header = json.loads(raw[12:header_end])
-    edit(header)
-    blob = json.dumps(header).encode("utf-8")
+    replaced = edit(header)
+    blob = json.dumps(header if replaced is None else replaced).encode("utf-8")
     Path(path).write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[header_end:])

@@ -48,6 +48,12 @@ def leaves(node):
     return (n for n in walk(node) if not n.children)
 
 
+def unit_methods(unit):
+    """Every MethodDecl of a parsed unit, class by class in source order."""
+    for cls in unit.classes:
+        yield from cls.methods
+
+
 class RecursiveResolver(_Resolver):
     """The scope resolver with the recursive walker that the iterative
     `_Resolver.visit` replaced: the reference for its visit order."""
@@ -297,19 +303,18 @@ def startswith_punct(text, i):
 
 
 def startswith_tokens(text):
-    """(kind, text, line, col, start, end) of every token of a text made of
+    """(kind, text, line, start, end) of every token of a text made of
     spaces, newlines, comments, identifiers, decimal integers and
     punctuation, ending with the eof token. Punctuation is found with
     startswith_punct. Raises ValueError on an unterminated block comment
     or a character outside that alphabet."""
     out = []
-    i, line, line_start, n = 0, 1, 0, len(text)
+    i, line, n = 0, 1, len(text)
     while i < n:
         ch = text[i]
         if ch == "\n":
             i += 1
             line += 1
-            line_start = i
             continue
         if ch == " ":
             i += 1
@@ -322,9 +327,7 @@ def startswith_tokens(text):
             close = text.find("*/", i + 2)
             if close < 0:
                 raise ValueError("unterminated block comment")
-            if "\n" in text[i:close]:
-                line += text.count("\n", i, close)
-                line_start = text.rfind("\n", i, close) + 1
+            line += text.count("\n", i, close)
             i = close + 2
             continue
         j = i + 1
@@ -342,9 +345,9 @@ def startswith_tokens(text):
                 raise ValueError(f"unexpected character {ch!r}")
             j = i + len(punct)
             kind = "punct"
-        out.append((kind, text[i:j], line, i - line_start + 1, i, j))
+        out.append((kind, text[i:j], line, i, j))
         i = j
-    out.append(("eof", "", line, 1, n, n))
+    out.append(("eof", "", line, n, n))
     return out
 
 
@@ -370,7 +373,6 @@ def hand_tokenize(text):
     tokens = []
     i = 0
     line = 1
-    line_start = 0
     n = len(text)
 
     def err(msg):
@@ -381,7 +383,6 @@ def hand_tokenize(text):
         if ch == "\n" or ch == "\r":
             line += 1
             i += 2 if text.startswith("\r\n", i) else 1
-            line_start = i
             continue
         if ch in " \t\f":
             i += 1
@@ -394,14 +395,9 @@ def hand_tokenize(text):
             j = text.find("*/", i + 2)
             if j < 0:
                 raise err("unterminated block comment")
-            ends = _LINE_END_RE.findall(text, i, j)
-            if ends:
-                line += len(ends)
-                line_start = max(text.rfind("\n", i, j), text.rfind("\r", i, j)) + 1
+            line += len(_LINE_END_RE.findall(text, i, j))
             i = j + 2
             continue
-
-        col = i - line_start + 1
 
         if ch == '"' or ch == "'":
             quote = ch
@@ -418,7 +414,7 @@ def hand_tokenize(text):
             if j >= n:
                 raise err("unterminated literal")
             kind = "string" if quote == '"' else "char"
-            tokens.append(Token(kind, text[i : j + 1], line, col, i, j + 1))
+            tokens.append(Token(kind, text[i : j + 1], line, i, j + 1))
             i = j + 1
             continue
 
@@ -426,7 +422,7 @@ def hand_tokenize(text):
         if m:
             word = m.group()
             kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col, i, m.end()))
+            tokens.append(Token(kind, word, line, i, m.end()))
             i = m.end()
             continue
 
@@ -435,17 +431,17 @@ def hand_tokenize(text):
             if not m:
                 raise err(f"malformed number near {text[i:i+8]!r}")
             kind = "float" if _FLOAT_RE.fullmatch(m.group()) else "int"
-            tokens.append(Token(kind, m.group(), line, col, i, m.end()))
+            tokens.append(Token(kind, m.group(), line, i, m.end()))
             i = m.end()
             continue
 
         m = _PUNCT_RE.match(text, i)
         if not m:
             raise err(f"unexpected character {ch!r}")
-        tokens.append(Token("punct", m.group(), line, col, i, m.end()))
+        tokens.append(Token("punct", m.group(), line, i, m.end()))
         i = m.end()
 
-    tokens.append(Token("eof", "", line, 1, n, n))
+    tokens.append(Token("eof", "", line, n, n))
     return tokens
 
 

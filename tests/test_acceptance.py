@@ -24,6 +24,7 @@ from oracles import (
     leaves,
     numeric_gradients,
     scalar_aggregate,
+    unit_methods,
     vector_similarity,
 )
 from pathvec.aggregate import (
@@ -109,7 +110,7 @@ def test_criterion_1_obfuscation_golden():
 
 def test_criterion_2_path_context_golden():
     with criterion(2, "exact x=7 triplet; count law vs brute-force oracle on 20+ methods", 5.0):
-        method = next(parse_file(fx.ASSIGN_X7).methods())
+        method = next(unit_methods(parse_file(fx.ASSIGN_X7)))
         contexts = extract_contexts(method, None, None)
         assert [(c.start_token, c.path, c.end_token) for c in contexts] == [
             ("x", f"NameExpr{UP}AssignExpr{DOWN}IntegerLiteralExpr", "7")
@@ -117,7 +118,7 @@ def test_criterion_2_path_context_golden():
 
         unit = parse_file(fx.FIXTURE_METHODS)
         checked = 0
-        for m in unit.methods():
+        for m in unit_methods(unit):
             n_leaves = sum(1 for _ in leaves(m.body))
             if n_leaves < 2:
                 continue

@@ -899,6 +899,10 @@ def test_cli_rank_from_records(tmp_path, capsys):
         ("evaluate", "--max-iter", "-1", "max_iterations must be >= 1"),
         ("train", "--patience", "0", "patience must be >= 1"),
         ("train", "--patience", "-5", "patience must be >= 1"),
+        ("extract", "--max-len", "-3", "max_len must be >= 0"),
+        ("extract", "--max-width", "-1", "max_width must be >= 0"),
+        ("train", "--min-count", "0", "min_count must be >= 1"),
+        ("train", "--min-count", "-5", "min_count must be >= 1"),
     ],
 )
 def test_a_setting_below_its_least_value_is_refused(
@@ -908,6 +912,7 @@ def test_a_setting_below_its_least_value_is_refused(
     argv = {
         "evaluate": ["evaluate", "--data", str(pipeline["csv"]), "--runs", "1", "--folds", "2"],
         "train": ["train", "--contexts", str(pipeline["dump"]), "--d-emb", "4", "--epochs", "3"],
+        "extract": ["extract", "--corpus", str(pipeline["corpus"])],
     }[command]
     code, _, stderr = run(capsys, *argv, flag, value, "--out", str(out))
     assert code == 1
@@ -933,6 +938,74 @@ def test_an_out_path_that_is_a_directory_is_one_error_line(command, pipeline, tm
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
     assert [p.name for p in out.iterdir()] == ["kept.txt"]
     assert (out / "kept.txt").read_text(encoding="utf-8") == "kept\n"
+
+
+def _damaged_artifact(case, pipeline, src):
+    """(argv, damaged file) for a command that reads an artifact in `src`
+    damaged as `case` names; argv writes to `--out` in src's parent."""
+    out = src.parent / "out"
+    if case.startswith("checkpoint"):
+        ckpt = src / "model.ckpt"
+        ckpt.write_bytes(pipeline["ckpt"].read_bytes())
+        rewrite_checkpoint_header(ckpt, {
+            "checkpoint-header-not-an-object": lambda header: [header],
+            "checkpoint-without-tensors": lambda header: {
+                k: v for k, v in header.items() if k != "tensors"
+            },
+            "checkpoint-tensor-without-shape": lambda header: {
+                **header, "tensors": [{"name": t["name"]} for t in header["tensors"]]
+            },
+        }[case])
+        argv = ["embed", "--corpus", str(pipeline["corpus"]), "--model", str(ckpt), "--agg", "mean"]
+        return [*argv, "--out", str(out)], ckpt
+    if case == "dump-manifest-without-max-width":
+        dump = src / "contexts.txt"
+        dump.write_bytes(pipeline["dump"].read_bytes())
+        manifest = read_manifest(manifest_path_for(pipeline["dump"]))
+        del manifest["config"]["max_width"]
+        manifest_path_for(dump).write_text(json.dumps(manifest), encoding="utf-8")
+        argv = ["train", "--contexts", str(dump), "--d-emb", "4", "--epochs", "1"]
+        return [*argv, "--out", str(out)], manifest_path_for(dump)
+    if case == "data-manifest-a-list":
+        data = src / "data.csv"
+        data.write_bytes(pipeline["csv"].read_bytes())
+        manifest_path_for(data).write_text("[]", encoding="utf-8")
+        argv = ["evaluate", "--data", str(data), "--runs", "1", "--folds", "2"]
+        return [*argv, "--out", str(out)], manifest_path_for(data)
+    record_a, record_b = src / "mean.txt", src / "max.txt"
+    _record(record_a, [0.5, 0.6, 0.7, 0.6])
+    _record(record_b, [0.4, 0.6, 0.5, 0.5])
+    if case == "record-without-runs":
+        lines = record_b.read_text(encoding="utf-8").splitlines(keepends=True)
+        record_b.write_text("".join(x for x in lines if not x.startswith("runs=")), "utf-8")
+        damaged = record_b
+    else:
+        damaged = manifest_path_for(record_b)
+        damaged.write_text("[]" if case == "record-manifest-a-list" else "{", encoding="utf-8")
+    return ["compare", str(record_a), str(record_b), "--out", str(out)], damaged
+
+
+@pytest.mark.parametrize("case", [
+    "record-without-runs",
+    "checkpoint-header-not-an-object",
+    "checkpoint-without-tensors",
+    "checkpoint-tensor-without-shape",
+    "record-manifest-a-list",
+    "record-manifest-not-json",
+    "data-manifest-a-list",
+    "dump-manifest-without-max-width",
+])
+def test_a_damaged_artifact_is_one_error_line(case, pipeline, tmp_path, capsys):
+    src = tmp_path / "in"
+    src.mkdir()
+    argv, damaged = _damaged_artifact(case, pipeline, src)
+    inputs = sorted(src.iterdir())
+    code, _, stderr = run(capsys, *argv)
+    assert code == 1
+    [line] = stderr.splitlines()
+    assert line.startswith("pathvec: error:") and str(damaged) in line
+    assert [p.name for p in tmp_path.iterdir()] == ["in"]
+    assert sorted(src.iterdir()) == inputs
 
 
 # --- xobf -----------------------------------------------------------------------------

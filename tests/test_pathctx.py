@@ -16,6 +16,7 @@ from oracles import (
     extract_contexts,
     format_dump_line_reference,
     leaves,
+    unit_methods,
 )
 from pathvec.java import parse_file, read_sources
 from pathvec.java.ast import AstNode, MethodDecl
@@ -43,7 +44,7 @@ from pathvec.util import derive_seed
 
 
 def _first_method(source):
-    return next(parse_file(source).methods())
+    return next(unit_methods(parse_file(source)))
 
 
 def test_assign_example_golden_triplet():
@@ -67,7 +68,7 @@ def test_empty_method_raises():
 
 def test_count_law_and_oracle_agreement_on_fixture_methods():
     unit = parse_file(fx.FIXTURE_METHODS)
-    methods = [m for m in unit.methods() if sum(1 for _ in leaves(m.body)) >= 2]
+    methods = [m for m in unit_methods(unit) if sum(1 for _ in leaves(m.body)) >= 2]
     assert len(methods) >= 20
     for method in methods:
         n_leaves = sum(1 for _ in leaves(method.body))
@@ -81,7 +82,7 @@ def test_count_law_and_oracle_agreement_on_fixture_methods():
 @pytest.mark.parametrize("max_len,max_width", [(2, 1), (4, 2), (6, 3), (8, 2)])
 def test_filtered_extraction_matches_oracle(max_len, max_width):
     unit = parse_file(fx.FIXTURE_METHODS)
-    for method in unit.methods():
+    for method in unit_methods(unit):
         try:
             contexts = extract_contexts(method, max_len, max_width)
         except EmptyMethod:
@@ -140,7 +141,7 @@ _trees = st.recursive(
 @settings(max_examples=150, deadline=None)
 @given(_trees)
 def test_extraction_equals_oracle_in_order_on_random_trees(body):
-    method = MethodDecl("m", [], body, 1, body)
+    method = MethodDecl("m", body, (1, 1), body)
     n_leaves = sum(1 for _ in leaves(body))
     for max_len, max_width in product((None, 0, 1, 2, 3, 8), (None, 0, 1, 2, 3)):
         expected = brute_force_contexts(body, max_len, max_width)
@@ -250,7 +251,7 @@ def _long_method_source(n_statements=50):
 
 def test_capped_samples_equal_cap_of_the_uncapped_contexts():
     unit = parse_file(_long_method_source(), "long/Long0.java")
-    methods = list(unit.methods())
+    methods = list(unit_methods(unit))
     assert sum(1 for _ in leaves(methods[1].body)) >= 250
     cfg = ExtractionConfig(max_len=8, max_width=2, max_contexts=200, seed=17)
     samples = extract_unit_samples(unit, cfg)
@@ -265,7 +266,7 @@ def test_capped_samples_equal_cap_of_the_uncapped_contexts():
 
 def test_only_methods_over_the_cap_build_a_random_stream(monkeypatch):
     unit = parse_file(_long_method_source(), "long/Long0.java")
-    sizes = [len(extract_contexts(m, 8, 2)) for m in unit.methods()]
+    sizes = [len(extract_contexts(m, 8, 2)) for m in unit_methods(unit)]
     real_rng = np.random.default_rng
     calls = []
 
