@@ -373,6 +373,8 @@ def cmd_compare(args) -> int:
         if not manifest.exists():
             continue
         unconverged = read_manifest(manifest).get("counts", {}).get("unconverged_fits", 0)
+        if isinstance(unconverged, bool) or not isinstance(unconverged, int):
+            raise ValueError(f"{manifest}: 'unconverged_fits' must be an integer")
         if unconverged > 0:
             logger.warning(
                 "record %s (%s): %d classifier fits hit the L-BFGS iteration limit",
@@ -513,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-width", type=int, help="max path width, 0 = unlimited")
     p.add_argument("--max-contexts", type=int)
     p.add_argument("--seed", type=int)
-    # Unread --jobs (extract, embed): goes once the benchmark stops passing it (ROADMAP item 1).
+    # Unread --jobs: goes once the benchmark stops passing it to extract (ROADMAP item 1).
     p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     add_config(p)
     p.set_defaults(func=cmd_extract)
@@ -545,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", help="pair manifest: label<TAB>pathA<TAB>pathB")
     p.add_argument("--per-class-cap", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     p.add_argument("--methods-csv", help="also dump per-method embeddings here")
     add_config(p)
     p.set_defaults(func=cmd_embed)

@@ -123,13 +123,16 @@ class RunManifest:
 
 def read_manifest(path: str | Path) -> dict:
     """A manifest's JSON object. A file that is not UTF-8 JSON, or whose
-    JSON is not an object, raises ValueError naming it."""
+    JSON, `config` or `counts` is not an object, raises ValueError naming it."""
     try:
         manifest = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # bad UTF-8 or JSON
         raise ValueError(f"{path}: unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: a manifest must be a JSON object")
+    for key in ("config", "counts"):
+        if not isinstance(manifest.get(key, {}), dict):
+            raise ValueError(f"{path}: a manifest's {key!r} must be a JSON object")
     return manifest
 
 

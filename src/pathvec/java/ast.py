@@ -42,7 +42,6 @@ class VariableBinding:
     scope: str  # param | local | field
     declared_type: str  # rendered type text, or UNK_TYPE
     occurrences: list[AstNode] = field(default_factory=list)
-    decl_index: int = 0  # file-wide declaration order
 
 
 @dataclass
@@ -71,5 +70,4 @@ class SourceUnit:
     classes: list[ClassDecl]
     root: AstNode
     tokens: list  # lexer Tokens, EOF excluded
-    bindings: list[VariableBinding] = field(default_factory=list)
-    unbound: list[AstNode] = field(default_factory=list)  # NameExpr leaves with no binding
+    bindings: list[VariableBinding] = field(default_factory=list)  # in declaration order

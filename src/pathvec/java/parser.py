@@ -369,6 +369,8 @@ class _Parser:
             return None
         if self.at("{"):
             return self._nested(self._block)
+        if self._at_local_decl():
+            return self._local_decl_stmt()
         tok = self.cur()
         if tok.kind == "keyword":
             word = tok.text
@@ -384,17 +386,11 @@ class _Parser:
                 raise self.error(f"'{word}' statements are not supported")
             if word == "class":
                 raise self.error("local classes are not supported")
-            if word in PRIMITIVE_TYPES or word == "final":
-                return self._local_decl_stmt()
             if word in ("this", "true", "false", "null", "new"):
                 return self._expression_stmt()
             raise self.error(f"unsupported statement starting with '{word}'")
         if tok.kind == "punct" and tok.text == "@":
             raise self.error("annotations are not supported")
-        if tok.kind == "ident":
-            self._reject_generic_decl()
-            if self._looks_like_decl():
-                return self._local_decl_stmt()
         return self._expression_stmt()
 
     def _required_statement(self, context: str) -> AstNode:
@@ -403,37 +399,49 @@ class _Parser:
             raise self.error(f"empty statement not allowed as {context}")
         return stmt
 
-    def _reject_generic_decl(self) -> None:
-        # ident '<' ident ... '>' ident  is a generic declaration, not math
-        if self.peek().text != "<":
-            return
-        i = self.pos + 2
-        depth = 1
-        steps = 0
-        while depth and steps < 24 and self.tokens[i].kind != "eof":
-            text = self.tokens[i].text
-            if text == "<":
-                depth += 1
-            elif text == ">":
-                depth -= 1
-            elif text not in (",", ".", "[", "]") and self.tokens[i].kind not in ("ident", "keyword"):
-                return
-            i += 1
-            steps += 1
-        if depth == 0 and self.tokens[i].kind == "ident":
-            raise self.error("generic types are not supported")
-
-    def _looks_like_decl(self) -> bool:
-        i = self.pos
+    def _at_local_decl(self) -> bool:
+        """Whether a local variable declaration starts here: a primitive
+        type or 'final', or a type name (qualified or not, with array
+        brackets) followed by the variable name. The subset refuses a type
+        name with type arguments, as in `java.util.List<List<T>> xs`, so it
+        also refuses `a < b > c`, which is written the same way."""
         toks = self.tokens
-        if toks[i].kind not in ("ident",):
+        i = self.pos
+        if toks[i].kind == "keyword":
+            return toks[i].text in PRIMITIVE_TYPES or toks[i].text == "final"
+        if toks[i].kind != "ident":
             return False
         i += 1
         while toks[i].text == "." and toks[i + 1].kind == "ident":
             i += 2
+        generic = toks[i].text == "<"
+        if generic:
+            i = self._type_arguments_end(i)
+            if i is None:
+                return False
         while toks[i].text == "[" and toks[i + 1].text == "]":
             i += 2
+        if generic and toks[i].kind == "ident":
+            raise self.error("generic types are not supported")
         return toks[i].kind == "ident"
+
+    def _type_arguments_end(self, i: int) -> int | None:
+        """The index after the type argument list that opens at tokens[i]
+        ('<'), or None if the tokens from there cannot be one. A '>>' or
+        '>>>' closes two or three lists at once."""
+        toks = self.tokens
+        depth = 0
+        while True:
+            text = toks[i].text
+            if text == "<":
+                depth += 1
+            elif text in (">", ">>", ">>>"):
+                depth -= len(text)
+                if depth <= 0:
+                    return i + 1 if depth == 0 else None
+            elif text not in (",", ".", "[", "]") and toks[i].kind not in ("ident", "keyword"):
+                return None
+            i += 1
 
     def _local_decl_stmt(self) -> AstNode:
         decl = self._var_decl_expr()
@@ -480,12 +488,7 @@ class _Parser:
         self.expect("(")
         init: list[AstNode] = []
         if not self.at(";"):
-            tok = self.cur()
-            is_decl = (
-                (tok.kind == "keyword" and (tok.text in PRIMITIVE_TYPES or tok.text == "final"))
-                or (tok.kind == "ident" and self._looks_like_decl())
-            )
-            if is_decl:
+            if self._at_local_decl():
                 init.append(self._var_decl_expr())
             else:
                 init.append(self._expression())

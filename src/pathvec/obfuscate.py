@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,14 +44,6 @@ class ObfuscationScheme:
             raise ValueError("random_length must be >= 4")
 
 
-@dataclass
-class RenameMap:
-    entries: dict[VariableBinding, str] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def render_type(declared_type: str) -> str:
     """Lowercase a declared type, folding array/qualifier punctuation to '_'."""
     if declared_type == UNK_TYPE:
@@ -72,16 +64,16 @@ def random_name(rng: np.random.Generator, length: int) -> str:
     return "".join(chr(65 + int(v)) for v in rng.integers(0, 26, size=length))
 
 
-def build_rename_map(unit: SourceUnit, scheme: ObfuscationScheme) -> RenameMap:
-    """Assign a fresh, non-colliding replacement to every binding."""
+def build_rename_map(unit: SourceUnit, scheme: ObfuscationScheme) -> dict[VariableBinding, str]:
+    """A fresh, non-colliding replacement for every binding, assigned in
+    declaration order."""
     taken = {tok.text for tok in unit.tokens if tok.kind == "ident"}
     taken |= KEYWORDS
-    rename = RenameMap()
-    bindings = sorted(unit.bindings, key=lambda b: b.decl_index)
+    rename: dict[VariableBinding, str] = {}
 
     if scheme.mode == "type":
         counters: dict[tuple[str, str], int] = {}
-        for binding in bindings:
+        for binding in unit.bindings:
             key = (binding.scope, render_type(binding.declared_type))
             counter = counters.get(key, 0) + 1
             name = type_name_for(binding, counter)
@@ -90,11 +82,11 @@ def build_rename_map(unit: SourceUnit, scheme: ObfuscationScheme) -> RenameMap:
                 name = type_name_for(binding, counter)
             counters[key] = counter
             taken.add(name)
-            rename.entries[binding] = name
+            rename[binding] = name
         return rename
 
     rng = np.random.default_rng(derive_seed(scheme.seed, unit.path))
-    for binding in bindings:
+    for binding in unit.bindings:
         for _ in range(10_000):
             name = random_name(rng, scheme.random_length)
             if name not in taken:
@@ -104,14 +96,15 @@ def build_rename_map(unit: SourceUnit, scheme: ObfuscationScheme) -> RenameMap:
                 f"could not find a fresh random name for {binding.name!r}"
             )
         taken.add(name)
-        rename.entries[binding] = name
+        rename[binding] = name
     return rename
 
 
 def obfuscate_unit(
     unit: SourceUnit, scheme: ObfuscationScheme
-) -> tuple[str, RenameMap]:
-    """Rewrite all variable occurrences in a parsed unit.
+) -> tuple[str, dict[VariableBinding, str]]:
+    """Rewrite all variable occurrences in a parsed unit, and return the
+    text with the rename map.
 
     Method names, class names, invoked-method names, literals and types
     are untouched; the output re-parses to an AST isomorphic to the input
@@ -119,7 +112,7 @@ def obfuscate_unit(
     """
     rename = build_rename_map(unit, scheme)
     splices: list[tuple[int, int, str]] = []
-    for binding, new_name in rename.entries.items():
+    for binding, new_name in rename.items():
         for occurrence in binding.occurrences:
             idx = occurrence.token_index
             if idx is None:

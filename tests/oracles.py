@@ -56,7 +56,12 @@ def unit_methods(unit):
 
 class RecursiveResolver(_Resolver):
     """The scope resolver with the recursive walker that the iterative
-    `_Resolver.visit` replaced: the reference for its visit order."""
+    `_Resolver.visit` replaced: the reference for its visit order. It also
+    lists, in visit order, the name leaves it binds to no variable."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.unbound: list[AstNode] = []
 
     def visit(self, node: AstNode) -> None:
         kind = node.kind
@@ -114,7 +119,7 @@ class RecursiveResolver(_Resolver):
 
 def resolve_bindings_reference(unit):
     """(bindings, unbound) of a parsed unit by the recursive resolver. It
-    resets each method's params but leaves unit.bindings and unit.unbound."""
+    leaves unit.bindings as they are."""
     resolver = RecursiveResolver()
     for cls in unit.classes:
         resolver.resolve_class(cls)

@@ -89,7 +89,7 @@ def test_criterion_1_obfuscation_golden():
         method_tokens = fx.FIG4_TYPE_OBFUSCATED_METHOD.split()
         start = out_tokens.index("public")
         assert out_tokens[start : start + len(method_tokens)] == method_tokens
-        assert {b.name: n for b, n in rename.entries.items()} == {
+        assert {b.name: n for b, n in rename.items()} == {
             "input": "param_string_1",
             "count": "local_int_1",
             "objCount": "field_int_1",
@@ -99,11 +99,11 @@ def test_criterion_1_obfuscation_golden():
         rand_text, rand_map = obfuscate_unit(
             unit, ObfuscationScheme("random", random_length=8, seed=5)
         )
-        names = list(rand_map.entries.values())
+        names = list(rand_map.values())
         assert len(set(names)) == len(names) == 3  # injective
         assert all(re.fullmatch(r"[A-Z]{8}", n) for n in names)
         rand_tokens = [t.text for t in tokenize(rand_text)[:-1]]
-        for binding, new_name in rand_map.entries.items():
+        for binding, new_name in rand_map.items():
             assert rand_tokens.count(new_name) == len(binding.occurrences)
             assert binding.name not in rand_tokens
 

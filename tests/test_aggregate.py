@@ -398,17 +398,6 @@ def test_build_dataset_deterministic():
         assert np.array_equal(ds_a.X, other.X)  # rows of distinct files differ
 
 
-def test_build_dataset_jobs_match_serial(tmp_path, toy_checkpoint, capsys):
-    # --jobs is accepted but unread: the CSV is the same with and without it
-    corpus = _write_corpus(tmp_path / "corpus", per_label=5)
-    plain, serial, parallel = (tmp_path / f"{n}.csv" for n in ("plain", "serial", "parallel"))
-    assert _embed(capsys, corpus, toy_checkpoint, plain, "--seed", "2")[0] == 0
-    assert _embed(capsys, corpus, toy_checkpoint, serial, "--seed", "2", "--jobs", "1")[0] == 0
-    assert _embed(capsys, corpus, toy_checkpoint, parallel, "--seed", "2", "--jobs", "4")[0] == 0
-    assert serial.read_bytes() == plain.read_bytes() == parallel.read_bytes()
-    assert len(plain.read_text(encoding="utf-8").splitlines()) == 1 + 10
-
-
 def test_build_dataset_skips_bad_files_and_rejects_empty_label(
     tmp_path, toy_checkpoint, capsys
 ):

@@ -78,6 +78,27 @@ def test_cli_obfuscate_type_golden(tmp_path, capsys):
     assert "param_string_1" in (out / "Holder.java").read_text()
 
 
+@pytest.mark.parametrize("decl", [
+    pytest.param("java.util.List<String> names = null;", id="qualified-statement"),
+    pytest.param("for (List<String> names = null; n > 0; n--) { }", id="for-init"),
+])
+def test_cli_obfuscate_skips_a_generic_declaration_it_cannot_rename(tmp_path, capsys, decl):
+    src = tmp_path / "src"
+    src.mkdir()
+    text = f"class A {{\n  int m(int n) {{\n    {decl}\n    return n;\n  }}\n}}\n"
+    (src / "A.java").write_text(text, encoding="utf-8")
+    (src / "Holder.java").write_text(fx.FIG4_ORIGINAL, encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, _ = run(
+        capsys, "obfuscate", "--in", str(src), "--out", str(out), "--mode", "random"
+    )
+    assert code == 0
+    report = json.loads(stdout.strip())
+    assert report == {"processed": 1, "skipped": 1, "skip_reasons": {"parse_error": 1}}
+    # a skipped file is mirrored byte for byte, not rewritten with `n` renamed and `names` kept
+    assert (out / "A.java").read_text(encoding="utf-8") == text
+
+
 def test_cli_obfuscate_missing_dir(tmp_path, capsys):
     code, _, stderr = run(
         capsys, "obfuscate", "--in", str(tmp_path / "nope"),
@@ -559,7 +580,7 @@ def test_results_do_not_depend_on_the_callers_stack_depth(pipeline, contents):
             (root / rel).write_bytes(data)
 
         def read():
-            return [(rel, unit and (unit.text, len(unit.bindings), len(unit.unbound)))
+            return [(rel, unit and (unit.text, [len(b.occurrences) for b in unit.bindings]))
                     for rel, unit in parser.read_sources(root, rels, Counter())]
 
         def obfuscate(out):
@@ -966,10 +987,11 @@ def _damaged_artifact(case, pipeline, src):
         manifest_path_for(dump).write_text(json.dumps(manifest), encoding="utf-8")
         argv = ["train", "--contexts", str(dump), "--d-emb", "4", "--epochs", "1"]
         return [*argv, "--out", str(out)], manifest_path_for(dump)
-    if case == "data-manifest-a-list":
+    if case.startswith("data-manifest"):
         data = src / "data.csv"
         data.write_bytes(pipeline["csv"].read_bytes())
-        manifest_path_for(data).write_text("[]", encoding="utf-8")
+        text = "[]" if case == "data-manifest-a-list" else '{"config": []}'
+        manifest_path_for(data).write_text(text, encoding="utf-8")
         argv = ["evaluate", "--data", str(data), "--runs", "1", "--folds", "2"]
         return [*argv, "--out", str(out)], manifest_path_for(data)
     record_a, record_b = src / "mean.txt", src / "max.txt"
@@ -981,7 +1003,12 @@ def _damaged_artifact(case, pipeline, src):
         damaged = record_b
     else:
         damaged = manifest_path_for(record_b)
-        damaged.write_text("[]" if case == "record-manifest-a-list" else "{", encoding="utf-8")
+        damaged.write_text({
+            "record-manifest-a-list": "[]",
+            "record-manifest-not-json": "{",
+            "record-manifest-counts-a-list": '{"counts": []}',
+            "record-manifest-unconverged-fits-not-an-int": '{"counts": {"unconverged_fits": "2"}}',
+        }[case], encoding="utf-8")
     return ["compare", str(record_a), str(record_b), "--out", str(out)], damaged
 
 
@@ -992,7 +1019,10 @@ def _damaged_artifact(case, pipeline, src):
     "checkpoint-tensor-without-shape",
     "record-manifest-a-list",
     "record-manifest-not-json",
+    "record-manifest-counts-a-list",
+    "record-manifest-unconverged-fits-not-an-int",
     "data-manifest-a-list",
+    "data-manifest-config-a-list",
     "dump-manifest-without-max-width",
 ])
 def test_a_damaged_artifact_is_one_error_line(case, pipeline, tmp_path, capsys):

@@ -116,6 +116,19 @@ def test_this_access_to_undeclared_field_gets_unk():
     assert ghost.declared_type == UNK_TYPE
 
 
+def test_callee_names_and_the_name_in_other_dot_name_are_never_bound():
+    source = "class A { int f; int g; void m(A other) { f = other.f + g() + other.g(); this.g = f; } }"
+    unit = parse_file(source)
+    found = {b.name: [o.token_index for o in b.occurrences] for b in unit.bindings}
+    idents = [i for i, t in enumerate(unit.tokens) if t.kind == "ident"]
+    f_decl, g_decl, _, _, other_decl, f_set, other_1, _, _, other_2, _, g_this, f_get = idents[1:]
+    assert found == {
+        "f": [f_decl, f_set, f_get],
+        "g": [g_decl, g_this],
+        "other": [other_decl, other_1, other_2],
+    }
+
+
 def test_name_multiset_invariant(fixture_unit):
     name_leaves = Counter(
         n.token for n in walk(fixture_unit.root) if n.kind == "NameExpr"
@@ -124,7 +137,7 @@ def test_name_multiset_invariant(fixture_unit):
     for binding in fixture_unit.bindings:
         for occ in binding.occurrences:
             attributed[occ.token] += 1
-    for leaf in fixture_unit.unbound:
+    for leaf in resolve_bindings_reference(fixture_unit)[1]:
         attributed[leaf.token] += 1
     assert name_leaves == attributed
 
@@ -193,6 +206,45 @@ def test_unsupported_constructs_raise(source):
     with pytest.raises(ParseError) as err:
         parse_file(source)
     assert err.value.line >= 1
+
+
+# Generic local declaration types, each valid Java: a qualified name before
+# the type arguments, lists closed by the one token '>>' or '>>>', and the
+# plain form.
+_GENERIC_DECL_TYPES = {
+    "qualified": "java.util.List<String>",
+    "qualified-inner": "Outer.Inner<T>",
+    "closed-by-shift": "List<List<String>>",
+    "closed-by-unsigned-shift": "Map<String, List<List<String>>>",
+    "plain": "List<String>",
+}
+
+
+@pytest.mark.parametrize("position", ["statement", "for-init"])
+@pytest.mark.parametrize("shape", sorted(_GENERIC_DECL_TYPES))
+def test_every_generic_local_declaration_is_refused(shape, position):
+    decl = f"{_GENERIC_DECL_TYPES[shape]} names = null"
+    stmt = f"{decl};" if position == "statement" else f"for ({decl}; n > 0; n--) {{ }}"
+    with pytest.raises(ParseError) as err:
+        parse_file(f"class A {{\n  void m(int n) {{\n    {stmt}\n  }}\n}}\n")
+    assert (err.value.line, err.value.message) == (3, "generic types are not supported")
+
+
+@pytest.mark.parametrize("expr", ["a < b", "a.b < c", "a < b >> c", "a < b && c > d", "i < n"])
+def test_comparisons_that_start_like_a_type_stay_expressions(expr):
+    # a parenthesized expression cannot start a declaration, so it is the reference
+    def parsed(init, stmt):
+        method = next(unit_methods(parse_file(
+            f"class A {{ void m() {{ {stmt}; for ({init}; ; ) {{ }} }} }}"
+        )))
+        return method.body.children
+
+    plain_stmt, plain_loop = parsed(expr, expr)
+    ref_stmt, ref_loop = parsed(f"({expr})", f"({expr})")
+    assert plain_stmt.kind == "ExpressionStmt"
+    assert structurally_equal(plain_stmt, ref_stmt)
+    assert plain_loop.meta["n_init"] == 1
+    assert structurally_equal(plain_loop, ref_loop)
 
 
 def test_parse_error_carries_line():
@@ -399,20 +451,23 @@ def test_parse_file_returns_a_unit_or_raises_parse_error(text, depth):
 
 
 def _assert_resolution_matches_reference(unit):
-    bindings, unbound = list(unit.bindings), list(unit.unbound)
+    bindings = list(unit.bindings)
     occurrences = [list(b.occurrences) for b in bindings]
+    bound = {id(n) for names in occurrences for n in names}
+    unbound = {id(n) for n in walk(unit.root) if n.kind == "NameExpr" and id(n) not in bound}
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + 3000)  # the recursive reference follows LONG_SUM's 1200 levels
     try:
         ref_bindings, ref_unbound = resolve_bindings_reference(unit)
     finally:
         sys.setrecursionlimit(limit)
-    assert [(b.name, b.scope, b.declared_type, b.decl_index) for b in bindings] == [
-        (b.name, b.scope, b.declared_type, b.decl_index) for b in ref_bindings
+    assert [(b.name, b.scope, b.declared_type) for b in bindings] == [
+        (b.name, b.scope, b.declared_type) for b in ref_bindings
     ]
     for ours, ref in zip(occurrences, ref_bindings):
         assert [id(n) for n in ours] == [id(n) for n in ref.occurrences]
-    assert [id(n) for n in unbound] == [id(n) for n in ref_unbound]
+    assert unbound == {id(n) for n in ref_unbound}
+    assert len(ref_unbound) == len(unbound)
 
 
 _FIXTURE_SOURCES = {
@@ -477,7 +532,8 @@ def test_edge_case_bindings(edges_unit):
         ("i", "local", "int"): [11, 13, 13, 13, 16],  # both for-init assignments bind
         ("j", "local", "int"): [12, 13, 13, 14],
     }
-    assert edges_unit.unbound == []
+    bound = {id(o) for b in edges_unit.bindings for o in b.occurrences}
+    assert all(id(n) in bound for n in walk(edges_unit.root) if n.kind == "NameExpr")
     [field_list] = [m for m in edges_unit.classes[0].node.children if m.kind == "FieldDeclaration"]
     assert len(field_list.children) == 3  # the type and two declarators
     [loop] = [n for n in walk(edges_unit.root) if n.kind == "ForStmt"]
@@ -487,7 +543,7 @@ def test_edge_case_bindings(edges_unit):
 
 def test_edge_cases_round_trip_through_type_obfuscation(edges_unit):
     rewritten, rename = obfuscate_unit(edges_unit, ObfuscationScheme("type"))
-    assert sorted(rename.entries.values()) == [
+    assert sorted(rename.values()) == [
         "field_int_1", "field_int_2", "local_int_1", "local_int_2",
         "param_int_1", "param_string_1",
     ]

@@ -28,7 +28,7 @@ def _tokens(text):
 
 def test_fig4_type_golden(fig4_unit):
     rewritten, rename = obfuscate_unit(fig4_unit, ObfuscationScheme("type"))
-    names = {b.name: n for b, n in rename.entries.items()}
+    names = {b.name: n for b, n in rename.items()}
     assert names == {
         "input": "param_string_1",
         "count": "local_int_1",
@@ -53,12 +53,12 @@ def test_fig4_random_shape_and_consistency(fig4_unit):
         fig4_unit, ObfuscationScheme("random", random_length=8, seed=3)
     )
     assert len(rename) == 3
-    new_names = list(rename.entries.values())
+    new_names = list(rename.values())
     assert len(set(new_names)) == 3
     for name in new_names:
         assert RANDOM8.match(name)
     # renames applied consistently at every occurrence
-    for binding, new_name in rename.entries.items():
+    for binding, new_name in rename.items():
         assert binding.name not in _tokens(rewritten)
         assert _tokens(rewritten).count(new_name) == len(binding.occurrences)
 
@@ -104,14 +104,14 @@ def test_counter_collision_bumps():
     source2 = "class A { void m(int local_int_1) { int x = local_int_1; } }"
     unit2 = parse_file(source2)
     _, rename = obfuscate_unit(unit2, ObfuscationScheme("type"))
-    x_binding = next(b for b in rename.entries if b.name == "x")
+    x_binding = next(b for b in rename if b.name == "x")
     # local_int_1 is taken by the parameter occurrence, counters skip ahead
-    assert rename.entries[x_binding] != "local_int_1"
-    assert rename.entries[x_binding].startswith("local_int_")
-    names = set(rename.entries.values())
-    assert len(names) == len(rename.entries)  # injective
+    assert rename[x_binding] != "local_int_1"
+    assert rename[x_binding].startswith("local_int_")
+    names = set(rename.values())
+    assert len(names) == len(rename)  # injective
     _, rename1 = obfuscate_unit(unit, ObfuscationScheme("type"))
-    assert "param_string_1" not in rename1.entries.values()
+    assert "param_string_1" not in rename1.values()
 
 
 def test_token_stream_differs_only_at_occurrences(fig4_unit):
@@ -120,7 +120,7 @@ def test_token_stream_differs_only_at_occurrences(fig4_unit):
     new_tokens = tokenize(rewritten)[:-1]
     assert len(original_tokens) == len(new_tokens)
     occurrence_positions = {
-        occ.token_index for b in rename.entries for occ in b.occurrences
+        occ.token_index for b in rename for occ in b.occurrences
     }
     for idx, (old, new) in enumerate(zip(original_tokens, new_tokens)):
         if idx in occurrence_positions:
@@ -146,7 +146,7 @@ def test_distinct_seeds_differ(fig4_unit):
     a, rename_a = obfuscate_unit(fig4_unit, ObfuscationScheme("random", seed=1))
     b, rename_b = obfuscate_unit(fig4_unit, ObfuscationScheme("random", seed=2))
     assert a != b
-    assert list(rename_a.entries.values()) != list(rename_b.entries.values())
+    assert list(rename_a.values()) != list(rename_b.values())
 
 
 def test_scheme_validation():
@@ -158,7 +158,7 @@ def test_scheme_validation():
 
 def test_build_rename_map_injective_on_fixture(fixture_unit):
     rename = build_rename_map(fixture_unit, ObfuscationScheme("type"))
-    values = list(rename.entries.values())
+    values = list(rename.values())
     assert len(values) == len(set(values))
 
 
