@@ -192,14 +192,6 @@ class BuildStats:
     skipped_empty: int = 0
     rows_per_label: dict[str, int] = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "files": self.files,
-            "skipped_parse": self.skipped_parse,
-            "skipped_empty": self.skipped_empty,
-            "rows_per_label": dict(self.rows_per_label),
-        }
-
 
 def _cap_indices(n: int, cap: int, seed: int, label: str) -> list[int]:
     if n <= cap:
@@ -358,23 +350,28 @@ def _csv_field(text: str) -> str:
 
 
 def read_dataset_csv(path: str | Path) -> LabeledDataset:
-    """The dataset of a CSV that write_dataset_csv wrote. A ragged row or a
-    field that is not a finite number raises ValueError naming the file."""
+    """The dataset of a CSV that write_dataset_csv wrote. A CSV that is not
+    one, a ragged row, or a field that is not a finite number raises
+    ValueError naming the file and the row."""
     rows: list[np.ndarray] = []
     y: list[str] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[-1] != "label":
-            raise ValueError(f"{path}: not a pathvec dataset CSV")
-        width = len(header) - 1
-        for record in reader:
-            if len(record) != width + 1:
-                raise ValueError(f"{path}: ragged row of {len(record)} fields")
-            rows.append(np.array([float(x) for x in record[:width]]))
-            y.append(record[width])
+    row = 0
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header or header[-1] != "label":
+                raise ValueError("not a pathvec dataset CSV")
+            width = len(header) - 1
+            for row, record in enumerate(reader, start=1):
+                if len(record) != width + 1:
+                    raise ValueError(f"ragged row of {len(record)} fields")
+                rows.append(np.array([float(x) for x in record[:width]]))
+                y.append(record[width])
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{path}: row {row}: {exc}" if row else f"{path}: {exc}") from None
     X = np.array(rows, dtype=np.float64).reshape(len(rows), width)
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if len(bad):
-        raise ValueError(f"{path}: row {bad[0] + 1} has a field that is not finite")
+        raise ValueError(f"{path}: row {bad[0] + 1}: a field that is not finite")
     return LabeledDataset(X, y)

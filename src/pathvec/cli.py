@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from collections import Counter
 from dataclasses import asdict
@@ -31,12 +32,13 @@ from .aggregate import (
     write_dataset_csv,
     write_embedding_csv,
 )
-from .config import RunManifest, manifest_path_for, read_manifest, settle
+from .config import RunManifest, manifest_path_for, manifest_value, read_manifest, settle
 from .evaluate import (
     ClassifierConfig,
     CvPlan,
     DegenerateData,
     MismatchedFolds,
+    NotARecord,
     TooFewRows,
     cross_validate,
     name_prediction_f1,
@@ -47,7 +49,6 @@ from .evaluate import (
 )
 from .java import ParseError, SourceUnit, java_files, parse_file, read_sources
 from .model import (
-    ConfigError,
     ModelConfig,
     TrainedModel,
     load_checkpoint,
@@ -72,8 +73,7 @@ logger = logging.getLogger(__name__)
 
 _FATAL = (
     OSError,
-    ValueError,
-    ConfigError,
+    ValueError,  # also ConfigError and NotARecord
     ObfuscationError,
     EmptyClass,
     NoMethods,
@@ -81,13 +81,6 @@ _FATAL = (
     TooFewRows,
     MismatchedFolds,
 )
-
-
-def _limit(value: int, name: str) -> int | None:
-    """0 means unlimited; a negative limit is refused."""
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0")
-    return value or None
 
 
 def _read_pair_manifest(path: str) -> list[tuple[str, str, str]]:
@@ -132,12 +125,7 @@ def cmd_obfuscate(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    extraction = ExtractionConfig(
-        max_len=_limit(args.max_len, "max_len"),
-        max_width=_limit(args.max_width, "max_width"),
-        max_contexts=args.max_contexts,
-        seed=args.seed,
-    )
+    extraction = ExtractionConfig.from_settings(args.settings)
     corpus = Path(args.corpus)
     files = java_files(corpus)
     skipped: Counter = Counter()
@@ -191,19 +179,13 @@ def _dump_extraction(dump: str) -> ExtractionConfig:
         raise FileNotFoundError(
             f"{path}: no extract manifest; train takes its extraction limits from it"
         )
-    manifest = read_manifest(path)
-    if manifest.get("stage") != "extract":
-        raise ValueError(f"{path}: not an extract manifest")
+    settings = read_manifest(path, stage="extract")["config"]
     try:
-        cfg = manifest["config"]
-        return ExtractionConfig(
-            max_len=_limit(cfg["max_len"], "max_len"),
-            max_width=_limit(cfg["max_width"], "max_width"),
-            max_contexts=cfg["max_contexts"],
-            seed=cfg["seed"],
-        )
+        return ExtractionConfig.from_settings(settings)
     except KeyError as exc:
         raise ValueError(f"{path}: extract manifest has no {exc.args[0]!r} setting") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_train(args) -> int:
@@ -287,7 +269,7 @@ def cmd_embed(args) -> int:
         for agg in aggregations
     ]
     write_dataset_csv(dataset, *outs, specs=aggregations)
-    counts = {**stats.as_dict(), "skip_reasons": dict(skipped)}
+    counts = {**asdict(stats), "skip_reasons": dict(skipped)}
     inputs = {
         "corpus": str(args.corpus),
         "model": str(args.model),
@@ -321,18 +303,17 @@ def _suite_csv_path(base: str, agg_name: str) -> Path:
 
 def cmd_evaluate(args) -> int:
     dataset = read_dataset_csv(args.data)
+    dataset_name, agg_name = args.dataset_name, args.agg_name
+    path = manifest_path_for(args.data)
+    if path.exists() and (dataset_name is None or agg_name is None):
+        manifest = read_manifest(path, stage="embed")
+        dataset_name = dataset_name or manifest_value(path, manifest, "config", "dataset_name", str)
+        agg_name = agg_name or manifest_value(path, manifest, "config", "aggregation", str)
     clf_config = ClassifierConfig(
         c=args.classifier_c, tol=args.classifier_tol, max_iterations=args.max_iterations
     )
     plan = CvPlan(runs=args.runs, folds=args.folds, seed=args.seed)
     report = cross_validate(dataset, clf_config, plan)
-
-    dataset_name, agg_name = args.dataset_name, args.agg_name
-    data_manifest = manifest_path_for(args.data)
-    if data_manifest.exists() and (dataset_name is None or agg_name is None):
-        info = read_manifest(data_manifest).get("config", {})
-        dataset_name = dataset_name or info.get("dataset_name")
-        agg_name = agg_name or info.get("aggregation")
     report.dataset = dataset_name or Path(args.data).stem
     report.aggregation = agg_name or ""
 
@@ -369,12 +350,11 @@ def cmd_compare(args) -> int:
     report_a = read_report(args.record_a)
     report_b = read_report(args.record_b)
     for side, record_path in (("a", args.record_a), ("b", args.record_b)):
-        manifest = manifest_path_for(record_path)
-        if not manifest.exists():
+        path = manifest_path_for(record_path)
+        if not path.exists():
             continue
-        unconverged = read_manifest(manifest).get("counts", {}).get("unconverged_fits", 0)
-        if isinstance(unconverged, bool) or not isinstance(unconverged, int):
-            raise ValueError(f"{manifest}: 'unconverged_fits' must be an integer")
+        manifest = read_manifest(path, stage="evaluate")
+        unconverged = manifest_value(path, manifest, "counts", "unconverged_fits", int, 0)
         if unconverged > 0:
             logger.warning(
                 "record %s (%s): %d classifier fits hit the L-BFGS iteration limit",
@@ -390,12 +370,12 @@ def cmd_compare(args) -> int:
         "a": report_a.dataset + "/" + report_a.aggregation,
         "b": report_b.dataset + "/" + report_b.aggregation,
         "mean_diff": result.mean_diff,
-        "t": result.t_stat,
+        "t": None if math.isinf(result.t_stat) else result.t_stat,  # mean_diff gives the sign
         "df": result.df,
         "p_value": result.p_value,
         "significant": result.significant,
     }
-    line = json.dumps(record, sort_keys=True)
+    line = json.dumps(record, sort_keys=True, allow_nan=False)
     print(line)
     if args.out:
         with atomic_open(args.out, "w", encoding="utf-8") as fh:
@@ -413,7 +393,7 @@ def cmd_rank(args) -> int:
             continue
         try:
             report = read_report(path)
-        except ValueError:
+        except NotARecord:
             continue
         if not report.aggregation:
             continue

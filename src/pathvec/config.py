@@ -109,21 +109,14 @@ class RunManifest:
     tool_version: str = __version__
 
     def write(self, path: str | Path) -> None:
-        payload = {
-            "stage": self.stage,
-            "tool_version": self.tool_version,
-            "config": self.config,
-            "counts": self.counts,
-            "checkpoint_hash": self.checkpoint_hash,
-            "partition_fingerprint": self.partition_fingerprint,
-        }
         with atomic_open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            fh.write(json.dumps(asdict(self), sort_keys=True, indent=2) + "\n")
 
 
-def read_manifest(path: str | Path) -> dict:
-    """A manifest's JSON object. A file that is not UTF-8 JSON, or whose
-    JSON, `config` or `counts` is not an object, raises ValueError naming it."""
+def read_manifest(path: str | Path, stage: str | None = None) -> dict:
+    """A manifest's JSON object. ValueError names the file if it is not UTF-8
+    JSON, its JSON, `config` or `counts` is not an object, its stage is not
+    `stage` (if given) or a `config` setting is not of its PipelineConfig type."""
     try:
         manifest = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # bad UTF-8 or JSON
@@ -133,7 +126,24 @@ def read_manifest(path: str | Path) -> dict:
     for key in ("config", "counts"):
         if not isinstance(manifest.get(key, {}), dict):
             raise ValueError(f"{path}: a manifest's {key!r} must be a JSON object")
+    if stage is not None and manifest.get("stage") != stage:
+        raise ValueError(f"{path}: not a manifest of the {stage} stage")
+    for key, kind in _FIELD_TYPES.items():
+        manifest_value(path, manifest, "config", key, kind)
     return manifest
+
+
+def manifest_value(
+    path: str | Path, manifest: dict, section: str, key: str, kind: type, default=None
+):
+    """manifest[section][key], or `default` where it is absent. A value that
+    is not a `kind` (a bool is no int) raises ValueError naming path and key."""
+    values = manifest.get(section, {})
+    if key not in values:
+        return default
+    if type(values[key]) is not kind:
+        raise ValueError(f"{path}: {key} takes a {kind.__name__}, got {values[key]!r}")
+    return values[key]
 
 
 def manifest_path_for(artifact: str | Path) -> Path:

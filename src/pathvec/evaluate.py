@@ -53,6 +53,10 @@ class MismatchedFolds(Exception):
     """Paired comparison over different fold partitions."""
 
 
+class NotARecord(ValueError):
+    """A file without an evaluation record's format line."""
+
+
 class EmptyMatrix(Exception):
     """Confusion matrix with zero total count."""
 
@@ -427,45 +431,52 @@ def write_report(report: EvalReport, path: str | Path) -> None:
 
 
 def read_report(path: str | Path) -> EvalReport:
-    """Read a record written by write_report. A file that is not one, or
-    that lacks a field or a row, raises ValueError naming it."""
+    """Read a record written by write_report. A file without the record's
+    format line raises NotARecord. A record that lacks a field or a row,
+    holds a line that does not parse, a kappa outside [-1, 1], an accuracy
+    outside [0, 1], or a kappa or accuracy row without `folds` values
+    raises ValueError naming the file, and the line where one is at fault."""
+    raw = Path(path).read_bytes()
+    if b"format=pathvec-eval-v1" not in raw.splitlines():
+        raise NotARecord(f"{path}: not a pathvec evaluation record")
     meta: dict[str, str] = {}
-    kappa_rows: dict[int, list[float]] = {}
-    acc_rows: dict[int, list[float]] = {}
-    confusion_rows: dict[int, list[int]] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line:
-            continue
-        if line.startswith(("kappa\t", "accuracy\t", "confusion\t")):
-            tag, idx, row = line.split("\t", 2)
-            if tag == "kappa":
-                kappa_rows[int(idx)] = [float(x) for x in row.split()]
-            elif tag == "accuracy":
-                acc_rows[int(idx)] = [float(x) for x in row.split()]
-            else:
-                confusion_rows[int(idx)] = [int(x) for x in row.split()]
-        elif "=" in line:
-            key, value = line.split("=", 1)
-            meta[key] = value
-    if meta.get("format") != "pathvec-eval-v1":
-        raise ValueError(f"{path}: not a pathvec evaluation record")
+    rows: dict[str, dict[int, list]] = {"kappa": {}, "accuracy": {}, "confusion": {}}
+    where = str(path)
     try:
-        runs = int(meta["runs"])
+        for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
+            where = f"{path}:{lineno}"
+            tag = line.split("\t", 1)[0]
+            if tag in rows:
+                _, idx, values = line.split("\t", 2)
+                parse = int if tag == "confusion" else float
+                rows[tag][int(idx)] = [parse(x) for x in values.split()]
+            elif "=" in line:
+                key, value = line.split("=", 1)
+                meta[key] = value
+        where = str(path)
+        plan = CvPlan(runs=int(meta["runs"]), folds=int(meta["folds"]), seed=int(meta["seed"]))
+        scores = {}
+        for tag, least in (("kappa", -1.0), ("accuracy", 0.0)):
+            table = [rows[tag][run] for run in range(plan.runs)]
+            scores[f"mean_{tag}"] = mean = float(meta[f"mean_{tag}"])
+            if any(len(row) != plan.folds for row in table):
+                raise ValueError(f"a {tag} row does not hold {plan.folds} values")
+            outside = [v for v in [mean, *sum(table, [])] if not least <= v <= 1.0]
+            if outside:
+                raise ValueError(f"{tag} {outside[0]!r} lies outside [{least:g}, 1]")
+            scores[f"per_fold_{tag}"] = np.array(table)
         labels = meta["labels"].split("\t") if meta.get("labels") else []
         confusion = np.array(
-            [confusion_rows[i] for i in range(len(labels))], dtype=np.int64
-        ) if confusion_rows else np.zeros((0, 0), dtype=np.int64)
+            [rows["confusion"][i] for i in range(len(labels))], dtype=np.int64
+        ) if rows["confusion"] else np.zeros((0, 0), dtype=np.int64)
         return EvalReport(
-            per_fold_kappa=np.array([kappa_rows[r] for r in range(runs)]),
-            per_fold_accuracy=np.array([acc_rows[r] for r in range(runs)]),
-            mean_kappa=float(meta["mean_kappa"]),
-            mean_accuracy=float(meta["mean_accuracy"]),
+            **scores,
             confusion_total=confusion,
             labels=labels,
             partition_fingerprint=meta["partition_fingerprint"],
-            runs=runs,
-            folds=int(meta["folds"]),
-            seed=int(meta["seed"]),
+            runs=plan.runs,
+            folds=plan.folds,
+            seed=plan.seed,
             dataset=meta.get("dataset", ""),
             aggregation=meta.get("aggregation", ""),
         )
@@ -473,3 +484,5 @@ def read_report(path: str | Path) -> EvalReport:
         (key,) = exc.args  # a field's name, or the number of a kappa, accuracy or confusion row
         missing = f"field {key!r}" if isinstance(key, str) else f"row {key}"
         raise ValueError(f"{path}: evaluation record has no {missing}") from None
+    except ValueError as exc:
+        raise ValueError(f"{where}: bad evaluation record: {exc}") from None

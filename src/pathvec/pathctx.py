@@ -25,7 +25,7 @@ import logging
 import re
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
@@ -67,10 +67,30 @@ class MethodSample:
 
 @dataclass(frozen=True)
 class ExtractionConfig:
-    max_len: int | None = 8  # max path edges, None = unlimited
+    """A limit of 0 or None means unlimited and is kept as None. A setting that
+    is not an integer, or is below its least value, raises ValueError."""
+
+    max_len: int | None = 8  # max path edges
     max_width: int | None = 2  # max child-index spread at the apex
     max_contexts: int = 200
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name, least in (("max_len", 0), ("max_width", 0), ("max_contexts", 1), ("seed", None)):
+            value = getattr(self, name)
+            if value is None and least == 0:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if least is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}")
+        object.__setattr__(self, "max_len", self.max_len or None)
+        object.__setattr__(self, "max_width", self.max_width or None)
+
+    @classmethod
+    def from_settings(cls, settings: Mapping[str, object]) -> ExtractionConfig:
+        """The config of settings that may hold other keys; KeyError if one is missing."""
+        return cls(**{f.name: settings[f.name] for f in fields(cls)})
 
 
 def split_target(name: str) -> list[str]:

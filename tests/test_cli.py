@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 import weakref
 from collections import Counter
@@ -19,6 +20,7 @@ from pathvec import aggregate, cli
 from pathvec.aggregate import read_dataset_csv
 from pathvec.cli import main
 from pathvec.config import PipelineConfig, manifest_path_for, read_manifest
+from pathvec.evaluate import read_report
 from pathvec.java import java_files, parser, read_sources
 from pathvec.java.parser import MAX_NESTING
 from pathvec.model import TrainedModel, load_checkpoint, save_checkpoint, train
@@ -913,6 +915,41 @@ def test_cli_rank_from_records(tmp_path, capsys):
                      "minMax": 2, "meanStd": 1, "mean": 0}
 
 
+def test_cli_rank_skips_manifests_and_refuses_a_damaged_record(tmp_path, capsys):
+    results = tmp_path / "results"
+    results.mkdir()
+    for agg, kappas in {"mean": [0.5, 0.6], "max": [0.7, 0.8]}.items():
+        _record(results / f"{agg}.txt", kappas)
+        manifest_path_for(results / f"{agg}.txt").write_text(
+            json.dumps({"stage": "evaluate", "counts": {"unconverged_fits": 0}}), encoding="utf-8"
+        )
+    code, stdout, stderr = run(capsys, "rank", "--results", str(results))
+    assert code == 0 and stderr == ""
+    assert stdout == "5\tmax\n4\tmean\n"
+    damaged = results / "min.txt"
+    _record(damaged, [0.5, 0.6])
+    damaged.write_text(damaged.read_text("utf-8").replace("kappa\t0\t0.5", "kappa\t0\t7"), "utf-8")
+    code, stdout, stderr = run(capsys, "rank", "--results", str(results))
+    assert code == 1 and stdout == ""
+    [line] = stderr.splitlines()
+    assert line.startswith("pathvec: error:") and str(damaged) in line
+
+
+def test_cli_compare_writes_strict_json_for_a_constant_difference(tmp_path, capsys):
+    rec_a, rec_b, out = tmp_path / "mean.txt", tmp_path / "max.txt", tmp_path / "cmp.json"
+    _record(rec_a, [1.0] * 4)
+    _record(rec_b, [0.5] * 4)
+    code, stdout, _ = run(capsys, "compare", str(rec_a), str(rec_b), "--out", str(out))
+    assert code == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    for text in (stdout, out.read_text(encoding="utf-8")):
+        result = json.loads(text, parse_constant=refuse)
+        assert (result["t"], result["mean_diff"], result["p_value"]) == (None, 0.5, 0.0)
+
+
 @pytest.mark.parametrize(
     "command, flag, value, message",
     [
@@ -961,81 +998,156 @@ def test_an_out_path_that_is_a_directory_is_one_error_line(command, pipeline, tm
     assert (out / "kept.txt").read_text(encoding="utf-8") == "kept\n"
 
 
-def _damaged_artifact(case, pipeline, src):
-    """(argv, damaged file) for a command that reads an artifact in `src`
-    damaged as `case` names; argv writes to `--out` in src's parent."""
+def _set(section, key, value):
+    """A damage: the JSON text with obj[section][key] set to value."""
+    def damage(text):
+        obj = json.loads(text)
+        obj[section][key] = value
+        return json.dumps(obj)
+    return damage
+
+
+def _drop(section, key):
+    """A damage: the JSON text without obj[section][key]."""
+    def damage(text):
+        obj = json.loads(text)
+        del obj[section][key]
+        return json.dumps(obj)
+    return damage
+
+
+def _replace(old, new):
+    """A damage: the text with its first `old` replaced by `new`."""
+    def damage(text):
+        assert old in text
+        return text.replace(old, new, 1)
+    return damage
+
+
+def _damaged_artifact(artifact, damage, pipeline, src):
+    """(argv, damaged file) for the command that reads `artifact`, copied
+    into `src` and damaged there; argv writes to `--out` in src's parent.
+    A damage maps the artifact's text (a checkpoint's JSON header) to new
+    text."""
     out = src.parent / "out"
-    if case.startswith("checkpoint"):
+    if artifact == "checkpoint":
         ckpt = src / "model.ckpt"
         ckpt.write_bytes(pipeline["ckpt"].read_bytes())
-        rewrite_checkpoint_header(ckpt, {
-            "checkpoint-header-not-an-object": lambda header: [header],
-            "checkpoint-without-tensors": lambda header: {
-                k: v for k, v in header.items() if k != "tensors"
-            },
-            "checkpoint-tensor-without-shape": lambda header: {
-                **header, "tensors": [{"name": t["name"]} for t in header["tensors"]]
-            },
-        }[case])
+        rewrite_checkpoint_header(ckpt, lambda header: json.loads(damage(json.dumps(header))))
         argv = ["embed", "--corpus", str(pipeline["corpus"]), "--model", str(ckpt), "--agg", "mean"]
         return [*argv, "--out", str(out)], ckpt
-    if case == "dump-manifest-without-max-width":
+    if artifact == "dump-manifest":
         dump = src / "contexts.txt"
         dump.write_bytes(pipeline["dump"].read_bytes())
-        manifest = read_manifest(manifest_path_for(pipeline["dump"]))
-        del manifest["config"]["max_width"]
-        manifest_path_for(dump).write_text(json.dumps(manifest), encoding="utf-8")
+        damaged = manifest_path_for(dump)
+        damaged.write_text(damage(manifest_path_for(pipeline["dump"]).read_text("utf-8")), "utf-8")
         argv = ["train", "--contexts", str(dump), "--d-emb", "4", "--epochs", "1"]
-        return [*argv, "--out", str(out)], manifest_path_for(dump)
-    if case.startswith("data-manifest"):
+        return [*argv, "--out", str(out)], damaged
+    if artifact in ("data", "data-manifest"):
         data = src / "data.csv"
         data.write_bytes(pipeline["csv"].read_bytes())
-        text = "[]" if case == "data-manifest-a-list" else '{"config": []}'
-        manifest_path_for(data).write_text(text, encoding="utf-8")
+        manifest_path_for(data).write_bytes(manifest_path_for(pipeline["csv"]).read_bytes())
+        damaged = data if artifact == "data" else manifest_path_for(data)
+        damaged.write_text(damage(damaged.read_text("utf-8")), "utf-8")
         argv = ["evaluate", "--data", str(data), "--runs", "1", "--folds", "2"]
-        return [*argv, "--out", str(out)], manifest_path_for(data)
+        return [*argv, "--out", str(out)], damaged
     record_a, record_b = src / "mean.txt", src / "max.txt"
     _record(record_a, [0.5, 0.6, 0.7, 0.6])
     _record(record_b, [0.4, 0.6, 0.5, 0.5])
-    if case == "record-without-runs":
-        lines = record_b.read_text(encoding="utf-8").splitlines(keepends=True)
-        record_b.write_text("".join(x for x in lines if not x.startswith("runs=")), "utf-8")
-        damaged = record_b
-    else:
-        damaged = manifest_path_for(record_b)
-        damaged.write_text({
-            "record-manifest-a-list": "[]",
-            "record-manifest-not-json": "{",
-            "record-manifest-counts-a-list": '{"counts": []}',
-            "record-manifest-unconverged-fits-not-an-int": '{"counts": {"unconverged_fits": "2"}}',
-        }[case], encoding="utf-8")
+    damaged = record_b if artifact == "record" else manifest_path_for(record_b)
+    text = json.dumps({"stage": "evaluate", "counts": {"unconverged_fits": 0}})
+    damaged.write_text(damage(record_b.read_text("utf-8") if artifact == "record" else text), "utf-8")
     return ["compare", str(record_a), str(record_b), "--out", str(out)], damaged
 
 
-@pytest.mark.parametrize("case", [
-    "record-without-runs",
-    "checkpoint-header-not-an-object",
-    "checkpoint-without-tensors",
-    "checkpoint-tensor-without-shape",
-    "record-manifest-a-list",
-    "record-manifest-not-json",
-    "record-manifest-counts-a-list",
-    "record-manifest-unconverged-fits-not-an-int",
-    "data-manifest-a-list",
-    "data-manifest-config-a-list",
-    "dump-manifest-without-max-width",
+_NOT_INTEGERS = {"null": None, "string": "5", "list": [1], "bool": True, "float": 1.5}
+_EXTRACTION = ("max_len", "max_width", "max_contexts", "seed")
+
+
+@pytest.mark.parametrize("artifact, damage", [
+    # the extract manifest next to a dump, read by train
+    *(pytest.param("dump-manifest", _set("config", key, value), id=f"dump-manifest-{key}-{kind}")
+      for key in _EXTRACTION for kind, value in _NOT_INTEGERS.items()),
+    pytest.param("dump-manifest", _drop("config", "max_width"), id="dump-manifest-without-max-width"),
+    pytest.param("dump-manifest", _set("config", "max_len", -1), id="dump-manifest-max_len-negative"),
+    pytest.param("dump-manifest", _replace('"extract"', '"embed"'), id="dump-manifest-of-embed"),
+    # the extraction settings in a checkpoint header, read by embed
+    *(pytest.param("checkpoint", _set("extraction", key, value), id=f"checkpoint-{key}-{kind}")
+      for key in _EXTRACTION for kind, value in {"string": "x", "float": 1.5, "bool": True}.items()),
+    *(pytest.param("checkpoint", _set("extraction", key, -1), id=f"checkpoint-{key}-negative")
+      for key in _EXTRACTION[:3]),
+    pytest.param("checkpoint", lambda text: f"[{text}]", id="checkpoint-header-not-an-object"),
+    pytest.param("checkpoint", lambda text: json.dumps(
+        {k: v for k, v in json.loads(text).items() if k != "tensors"}
+    ), id="checkpoint-without-tensors"),
+    pytest.param("checkpoint", lambda text: json.dumps({**json.loads(text), "tensors": [
+        {"name": t["name"]} for t in json.loads(text)["tensors"]
+    ]}), id="checkpoint-tensor-without-shape"),
+    # an evaluation record, read by compare; its kappa row 0 reads "0.4 0.6 0.5 0.5"
+    pytest.param("record", _replace("kappa\t0\t0.4", "kappa\t0\t1e999"), id="record-kappa-1e999"),
+    pytest.param("record", _replace("kappa\t0\t0.4", "kappa\t0\t7"), id="record-kappa-7"),
+    pytest.param("record", _replace("kappa\t0\t0.4", "kappa\t0\tnan"), id="record-kappa-nan"),
+    pytest.param("record", _replace("accuracy\t0\t0.4", "accuracy\t0\t1.5"), id="record-accuracy-1.5"),
+    pytest.param("record", _replace("kappa\t0\t", "kappa\tabc\t"), id="record-row-index-abc"),
+    pytest.param("record", _replace("kappa\t0\t0.4 0.6 0.5 0.5", "kappa\t0"),
+                 id="record-kappa-row-without-values"),
+    pytest.param("record", _replace("kappa\t0\t0.4 0.6 0.5 0.5", "kappa\t0\t0.4 0.6 0.5"),
+                 id="record-short-kappa-row"),
+    pytest.param("record", _replace("runs=1", "runs=abc"), id="record-runs-abc"),
+    pytest.param("record", _replace("mean_kappa=0.5", "mean_kappa=abc"), id="record-mean-kappa-abc"),
+    pytest.param("record", _replace("runs=1\n", ""), id="record-without-runs"),
+    # the manifest next to an evaluation record, read by compare
+    pytest.param("record-manifest", lambda _: "[]", id="record-manifest-a-list"),
+    pytest.param("record-manifest", lambda _: "{", id="record-manifest-not-json"),
+    pytest.param("record-manifest", lambda _: '{"stage": "evaluate", "counts": []}',
+                 id="record-manifest-counts-a-list"),
+    pytest.param("record-manifest", _set("counts", "unconverged_fits", "2"),
+                 id="record-manifest-unconverged-fits-not-an-int"),
+    # a dataset CSV and its manifest, read by evaluate
+    pytest.param("data", lambda text: re.sub(r"\n[^,]*", "\nabc", text, count=1), id="data-field-abc"),
+    pytest.param("data", lambda text: "\n" + text.split("\n", 1)[1], id="data-empty-header"),
+    pytest.param("data-manifest", lambda _: "[]", id="data-manifest-a-list"),
+    pytest.param("data-manifest", lambda _: '{"stage": "embed", "config": []}',
+                 id="data-manifest-config-a-list"),
+    pytest.param("data-manifest", _set("config", "dataset_name", ["x"]),
+                 id="data-manifest-dataset-name-a-list"),
+    pytest.param("data-manifest", _set("config", "aggregation", 3),
+                 id="data-manifest-aggregation-an-int"),
 ])
-def test_a_damaged_artifact_is_one_error_line(case, pipeline, tmp_path, capsys):
+def test_a_damaged_artifact_is_one_error_line(artifact, damage, pipeline, tmp_path, capsys):
     src = tmp_path / "in"
     src.mkdir()
-    argv, damaged = _damaged_artifact(case, pipeline, src)
+    argv, damaged = _damaged_artifact(artifact, damage, pipeline, src)
     inputs = sorted(src.iterdir())
-    code, _, stderr = run(capsys, *argv)
+    code, stdout, stderr = run(capsys, *argv)
     assert code == 1
     [line] = stderr.splitlines()
     assert line.startswith("pathvec: error:") and str(damaged) in line
+    assert stdout == ""
     assert [p.name for p in tmp_path.iterdir()] == ["in"]
     assert sorted(src.iterdir()) == inputs
+
+
+@pytest.mark.parametrize("artifact, damage", [
+    pytest.param("data", lambda text: text.replace(text.splitlines()[1] + "\n", "", 1),
+                 id="data-row-dropped"),
+    pytest.param("data-manifest", _drop("config", "dataset_name"),
+                 id="data-manifest-without-dataset-name"),
+    pytest.param("record-manifest", None, id="record-manifest-absent"),
+])
+def test_a_damage_that_leaves_a_valid_artifact_is_processed(
+    artifact, damage, pipeline, tmp_path, capsys
+):
+    src = tmp_path / "in"
+    src.mkdir()
+    argv, damaged = _damaged_artifact(artifact, damage or (lambda text: text), pipeline, src)
+    if damage is None:
+        damaged.unlink()
+    code, _, stderr = run(capsys, *argv)
+    assert code == 0 and "error" not in stderr
+    if argv[0] == "evaluate":  # a sidecar without dataset_name falls back to the CSV stem
+        dataset = "data" if artifact == "data-manifest" else "corpus"
+        assert read_report(tmp_path / "out").dataset == dataset
 
 
 # --- xobf -----------------------------------------------------------------------------
