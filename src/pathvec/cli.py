@@ -323,8 +323,8 @@ def cmd_evaluate(args) -> int:
     print(f"mean_accuracy={report.mean_accuracy:.6f}")
     if report.unconverged_fits:
         logger.warning(
-            "%d classifier fits hit the L-BFGS iteration limit (most iterations of a fit: %d)",
-            report.unconverged_fits, report.lbfgs_max_iterations,
+            "%d classifier fits hit the iteration limit (most iterations of a fit: %d)",
+            report.unconverged_fits, report.max_fit_iterations,
         )
     write_report(report, args.out)
     RunManifest(
@@ -338,7 +338,7 @@ def cmd_evaluate(args) -> int:
         counts={
             "rows": len(dataset.y),
             "labels": len(dataset.labels),
-            "lbfgs_max_iterations": report.lbfgs_max_iterations,
+            "max_fit_iterations": report.max_fit_iterations,
             "unconverged_fits": report.unconverged_fits,
         },
         partition_fingerprint=report.partition_fingerprint,
@@ -357,7 +357,7 @@ def cmd_compare(args) -> int:
         unconverged = manifest_value(path, manifest, "counts", "unconverged_fits", int, 0)
         if unconverged > 0:
             logger.warning(
-                "record %s (%s): %d classifier fits hit the L-BFGS iteration limit",
+                "record %s (%s): %d classifier fits hit the iteration limit",
                 side, record_path, unconverged,
             )
     result = paired_ttest(
@@ -538,8 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--c", dest="classifier_c", type=float, help="regularization parameter C")
-    p.add_argument("--tol", dest="classifier_tol", type=float)
-    p.add_argument("--max-iter", dest="max_iterations", type=int)
+    p.add_argument("--tol", dest="classifier_tol", type=float, help="stop at tol*1e-6 of |grad0|")
+    p.add_argument("--max-iter", dest="max_iterations", type=int, help="Newton steps per fit")
     p.add_argument("--dataset-name")
     p.add_argument("--agg-name")
     add_config(p)

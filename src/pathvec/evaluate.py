@@ -1,11 +1,11 @@
 """Embedding quality measurement.
 
 A one-vs-rest linear classifier (L2-regularized squared hinge loss,
-C = 1 by default) is scored with Cohen's kappa under repeated stratified
-k-fold cross-validation; systems are compared with a paired two-tailed
-t-test over the per-fold kappas at the 0.05 level; aggregation functions
-are rank-scored 5..1 per dataset. Subtoken F1 scores method-name
-predictions.
+C = 1 by default, fit by finite Newton steps in numpy) is scored with
+Cohen's kappa under repeated stratified k-fold cross-validation; systems
+are compared with a paired two-tailed t-test over the per-fold kappas at
+the 0.05 level; aggregation functions are rank-scored 5..1 per dataset.
+Subtoken F1 scores method-name predictions.
 """
 
 from __future__ import annotations
@@ -23,17 +23,9 @@ from .pathctx import split_target
 from .util import atomic_open, derive_seed
 
 
-# scipy is imported on first call, not with this module: only evaluate and
-# compare need it, and loading scipy.optimize would cost every other command
-# about 40 MB of resident memory and half a second. Both stay module-level
-# names, looked up when a fit or a test runs, so a caller can replace them.
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize."""
-    from scipy.optimize import minimize
-
-    return minimize(*args, **kwargs)
-
-
+# scipy.special is imported on first call, not with this module: only compare
+# needs it. stdtr stays a module-level name, looked up when a test runs, so a
+# caller can replace it.
 def stdtr(df, t):
     """scipy.special.stdtr: Student's t distribution function."""
     from scipy.special import stdtr
@@ -103,8 +95,8 @@ class EvalReport:
     seed: int
     dataset: str = ""
     aggregation: str = ""
-    # L-BFGS convergence over every fit; not part of the record format
-    lbfgs_max_iterations: int = 0
+    # classifier convergence over every fit; not part of the record format
+    max_fit_iterations: int = 0
     unconverged_fits: int = 0
 
 
@@ -129,8 +121,8 @@ class LinearModel:
     classes: list[str]
     weights: np.ndarray  # (n_classes, n_features)
     biases: np.ndarray  # (n_classes,)
-    lbfgs_max_iterations: int = 0  # over the fits that made it
-    unconverged_fits: int = 0  # fits stopped by the iteration or evaluation limit
+    max_fit_iterations: int = 0  # Newton steps, over the fits that made it
+    unconverged_fits: int = 0  # fits stopped by the iteration limit
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         return X @ self.weights.T + self.biases
@@ -140,32 +132,61 @@ class LinearModel:
         return [self.classes[i] for i in np.argmax(scores, axis=1)]
 
 
+def _gram(X: np.ndarray) -> np.ndarray:
+    """X'X, or XX' when X has more columns than rows: the smaller one, in
+    whose space _fit_squared_hinge solves its Newton steps."""
+    return X @ X.T if X.shape[1] > X.shape[0] else X.T @ X
+
+
 def _fit_squared_hinge(
-    X: np.ndarray, ybin: np.ndarray, c: float, tol: float, max_iter: int
+    X: np.ndarray, ybin: np.ndarray, config: ClassifierConfig, gram: np.ndarray
 ) -> tuple[np.ndarray, int, bool]:
-    """(w, L-BFGS iterations, whether L-BFGS stopped at its iteration or
-    evaluation limit). Other stops, such as an abnormal line search at the
-    precision floor near the optimum, do not count as unconverged."""
-    # objective: 0.5 |w|^2 + (C/n) sum max(0, 1 - y w.x)^2
-    # The mean-scaled data term keeps the boundary invariant under row
-    # duplication, as the contract requires.
-    n = X.shape[0]
+    """(w, Newton steps, whether the fit stopped at config.max_iterations
+    before it settled) for 0.5 |w|^2 + (C/n) sum max(0, 1 - y w.x)^2, whose
+    mean-scaled data term keeps the boundary invariant under row
+    duplication. `gram` is _gram(X). Each finite Newton step heads for the
+    minimum over the rows A inside the margin, s (I + s X_A'X_A)^-1 X_A'y_A
+    with s = 2C/n, or s X_A'(I + s X_A X_A')^-1 y_A in row space, and
+    backtracks (Armijo). A full step that leaves A unchanged lands on the
+    exact optimum (Keerthi & DeCoste, JMLR 2005). Where rounding keeps rows
+    on the margin from settling, a fit stops once |gradient| falls to
+    tol * 1e-6 of its start, or when no step lowers the objective."""
+    n, s = X.shape[0], 2.0 * config.c / X.shape[0]
 
-    def fg(w: np.ndarray) -> tuple[float, np.ndarray]:
-        margins = X @ w
-        viol = np.maximum(0.0, 1.0 - ybin * margins)
-        f = 0.5 * float(w @ w) + (c / n) * float(viol @ viol)
-        g = w - (2.0 * c / n) * (X.T @ (ybin * viol))
-        return f, g
+    def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
+        viol = np.maximum(0.0, 1.0 - ybin * (X @ w))
+        return 0.5 * float(w @ w) + 0.5 * s * float(viol @ viol), viol
 
-    res = minimize(
-        fg,
-        np.zeros(X.shape[1]),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iter, "ftol": tol * 1e-6, "gtol": 1e-9},
-    )
-    return res.x, int(res.nit), res.status == 1
+    w = np.zeros(X.shape[1])
+    f, viol = objective(w)
+    for step in range(1, config.max_iterations + 1):
+        g = w - s * (X.T @ (ybin * viol))
+        g_norm = float(np.linalg.norm(g))
+        if step == 1:
+            g_stop = config.tol * 1e-6 * g_norm
+        if g_norm <= g_stop:
+            return w, step - 1, False
+        active = viol > 0.0
+        if gram.shape[0] == X.shape[1]:  # X'X, less the rows outside the margin
+            out = X[~active]
+            M = s * (gram - out.T @ out)
+            M.flat[:: len(M) + 1] += 1.0
+            newton = np.linalg.solve(M, s * (X.T @ (ybin * active)))
+        else:  # XX' over the rows inside it
+            M = s * gram[active][:, active]
+            M.flat[:: len(M) + 1] += 1.0
+            u = np.zeros(n)
+            u[active] = np.linalg.solve(M, ybin[active])
+            newton = s * (X.T @ u)
+        t, slope = 1.0, float(g @ (newton - w))
+        while (trial := objective((1.0 - t) * w + t * newton))[0] > f + 1e-4 * t * slope:
+            t *= 0.5
+        if trial[0] >= f:  # the objective cannot fall further in floating point
+            return w, step - 1, False
+        w, (f, viol) = (1.0 - t) * w + t * newton, trial
+        if t == 1.0 and np.array_equal(viol > 0.0, active):
+            return w, step, False
+    return w, config.max_iterations, True
 
 
 def train_linear(
@@ -173,18 +194,24 @@ def train_linear(
     y: Sequence[str],
     config: ClassifierConfig = ClassifierConfig(),
     classes: list[str] | None = None,
+    gram: np.ndarray | None = None,
+    bias_column: bool = False,
 ) -> LinearModel:
     """One-vs-rest L2-regularized squared-hinge linear models, one per
-    class (by default the labels of y, in order of first appearance)."""
+    class (by default the labels of y, in order of first appearance). The
+    bias is the weight of a constant feature 1, regularized like the others.
+    cross_validate builds X with that column (`bias_column`) and its _gram
+    once for all folds, and passes each fold its part."""
     X = np.asarray(X, dtype=float)
     if classes is None:
         classes = list(dict.fromkeys(y))
     if len(classes) < 2:
         raise DegenerateData("need at least two distinct labels")
     y_arr = np.asarray(list(y))
-    X_fit = np.hstack([X, np.ones((X.shape[0], 1))])
+    X_fit = X if bias_column else np.hstack([X, np.ones((X.shape[0], 1))])
+    gram = _gram(X_fit) if gram is None else gram
 
-    weights = np.zeros((len(classes), X.shape[1]))
+    weights = np.zeros((len(classes), X_fit.shape[1] - 1))
     biases = np.zeros(len(classes))
     max_iterations = unconverged = 0
     # With two classes and no other label in y, class 1's targets are the
@@ -193,9 +220,7 @@ def train_linear(
     binary = len(classes) == 2 and bool(np.isin(y_arr, classes).all())
     for i, cls in enumerate(classes[:1] if binary else classes):
         ybin = np.where(y_arr == cls, 1.0, -1.0)
-        w, iterations, hit_limit = _fit_squared_hinge(
-            X_fit, ybin, config.c, config.tol, config.max_iterations
-        )
+        w, iterations, hit_limit = _fit_squared_hinge(X_fit, ybin, config, gram)
         weights[i] = w[:-1]
         biases[i] = w[-1]
         max_iterations = max(max_iterations, iterations)
@@ -206,7 +231,7 @@ def train_linear(
         classes=list(classes),
         weights=weights,
         biases=biases,
-        lbfgs_max_iterations=max_iterations,
+        max_fit_iterations=max_iterations,
         unconverged_fits=unconverged,
     )
 
@@ -278,19 +303,25 @@ def cross_validate(
     confusion_total = np.zeros((n_labels, n_labels), dtype=np.int64)
     fingerprint = hashlib.sha256()
     max_iterations = unconverged = 0
+    X_fit = np.hstack([X, np.ones((X.shape[0], 1))])
+    gram = _gram(X_fit)  # each fold takes its part
+    by_rows = gram.shape[0] != X_fit.shape[1]
 
     for run in range(plan.runs):
         assign = stratified_fold_assignment(y, plan.folds, plan.seed, run)
         fingerprint.update(assign.astype("<i8").tobytes())
         for fold in range(plan.folds):
             test_mask = assign == fold
+            train, held_out = np.flatnonzero(~test_mask), X_fit[test_mask]
             model = train_linear(
-                X[~test_mask],
-                [y[i] for i in np.flatnonzero(~test_mask)],
+                X_fit[train],
+                [y[i] for i in train],
                 clf_config,
                 classes=label_order,
+                gram=gram[train][:, train] if by_rows else gram - held_out.T @ held_out,
+                bias_column=True,
             )
-            max_iterations = max(max_iterations, model.lbfgs_max_iterations)
+            max_iterations = max(max_iterations, model.max_fit_iterations)
             unconverged += model.unconverged_fits
             pred = model.predict(X[test_mask])
             confusion = np.zeros((n_labels, n_labels), dtype=np.int64)
@@ -311,7 +342,7 @@ def cross_validate(
         runs=plan.runs,
         folds=plan.folds,
         seed=plan.seed,
-        lbfgs_max_iterations=max_iterations,
+        max_fit_iterations=max_iterations,
         unconverged_fits=unconverged,
     )
 

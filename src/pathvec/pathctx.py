@@ -347,20 +347,24 @@ def write_context_dump(samples: Iterable[MethodSample], path: str | Path) -> Non
 
 def _dump_records(path: str | Path) -> Iterator[tuple[int, str, list[list[str]]]]:
     """(line number, target, [start, path, end] of each context) per
-    non-blank line of a dump. A malformed line raises ValueError naming it."""
+    non-blank line of a dump. A malformed line or non-UTF-8 bytes raise a
+    ValueError naming the dump."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            target, *chunks = line.split(" ")
-            contexts = [chunk.split(",") for chunk in chunks]
-            for chunk, fields in zip(chunks, contexts):
-                if len(fields) != 3:
-                    raise ValueError(f"{path}:{lineno}: malformed context {chunk!r}")
-            if not contexts:
-                raise ValueError(f"{path}:{lineno}: method with no contexts")
-            yield lineno, target, contexts
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                target, *chunks = line.split(" ")
+                contexts = [chunk.split(",") for chunk in chunks]
+                for chunk, fields in zip(chunks, contexts):
+                    if len(fields) != 3:
+                        raise ValueError(f"{path}:{lineno}: malformed context {chunk!r}")
+                if not contexts:
+                    raise ValueError(f"{path}:{lineno}: method with no contexts")
+                yield lineno, target, contexts
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def read_context_dump(path: str | Path) -> list[MethodSample]:
@@ -407,7 +411,7 @@ def read_indexed_dump(
             ids.append(token_id(end, len(tokens)))
         bounds.append(len(ids) // 3)
     if not names:
-        raise ValueError("cannot build a vocabulary from zero samples")
+        raise ValueError(f"{path}: cannot build a vocabulary from zero samples")
 
     table = np.frombuffer(ids, dtype=np.int64).reshape(-1, 3)
     provisional_targets = np.frombuffer(target_ids, dtype=np.int64)

@@ -218,6 +218,33 @@ def scalar_aggregate(vectors, functions):
     return np.array(out)
 
 
+# --- the linear classifier ---------------------------------------------------
+
+
+def squared_hinge_objective(X, ybin, c, w):
+    """(objective, gradient) of 0.5 |w|^2 + (C/n) sum max(0, 1 - y w.x)^2."""
+    n = X.shape[0]
+    viol = np.maximum(0.0, 1.0 - ybin * (X @ w))
+    return 0.5 * float(w @ w) + (c / n) * float(viol @ viol), w - (2.0 * c / n) * (X.T @ (ybin * viol))
+
+
+def fit_squared_hinge_lbfgs(X, ybin, config, gram=None):
+    """The L-BFGS-B fit that evaluate ran before its finite Newton solver:
+    (w, iterations, whether it stopped at its iteration or evaluation
+    limit). It takes and ignores `gram`, so it can stand in for
+    evaluate._fit_squared_hinge."""
+    from scipy.optimize import minimize
+
+    res = minimize(
+        lambda w: squared_hinge_objective(X, ybin, config.c, w),
+        np.zeros(X.shape[1]),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": config.max_iterations, "ftol": config.tol * 1e-6, "gtol": 1e-9},
+    )
+    return res.x, int(res.nit), res.status == 1
+
+
 def numeric_gradients(params, batch, loss_fn, h=1e-6):
     """Central finite differences of loss_fn over every entry of params."""
     grads = {}

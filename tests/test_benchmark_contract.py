@@ -110,7 +110,6 @@ TRACED_NAMES = [
     ("pathvec.cli", "read_dataset_csv"),
     ("pathvec.cli", "cross_validate"),
     ("pathvec.evaluate", "train_linear"),
-    ("pathvec.evaluate", "minimize"),
 ]
 
 

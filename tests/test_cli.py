@@ -783,16 +783,17 @@ def test_cli_evaluate_manifest_counts_unconverged_fits(tmp_path, capsys, caplog)
         )
         assert code == 0
         counts[max_iter] = read_manifest(manifest_path_for(record))["counts"]
-        warned = [r for r in caplog.records if "L-BFGS" in r.getMessage()]
+        warned = [r for r in caplog.records if "iteration limit" in r.getMessage()]
         assert bool(warned) == (counts[max_iter]["unconverged_fits"] > 0)
         # the evaluation record format does not carry the convergence counts
         keys = [line.split("=")[0] for line in record.read_text().splitlines() if "=" in line]
         assert keys == ["format", "dataset", "aggregation", "runs", "folds", "seed",
                         "labels", "partition_fingerprint", "mean_kappa", "mean_accuracy"]
-    assert counts["1"]["unconverged_fits"] == 2 * 5  # one fit per binary fold
-    assert counts["1"]["lbfgs_max_iterations"] == 1
+    # each binary fold is one fit, which takes three Newton steps here
+    assert counts["1"]["unconverged_fits"] == 2 * 5
+    assert counts["1"]["max_fit_iterations"] == 1
     assert counts["1000"]["unconverged_fits"] == 0
-    assert 1 < counts["1000"]["lbfgs_max_iterations"] <= 1000
+    assert counts["1000"]["max_fit_iterations"] == 3
 
 
 def test_cli_evaluate_refuses_a_non_finite_field(tmp_path, capsys):
@@ -1028,7 +1029,7 @@ def _damaged_artifact(artifact, damage, pipeline, src):
     """(argv, damaged file) for the command that reads `artifact`, copied
     into `src` and damaged there; argv writes to `--out` in src's parent.
     A damage maps the artifact's text (a checkpoint's JSON header) to new
-    text."""
+    text, or to bytes."""
     out = src.parent / "out"
     if artifact == "checkpoint":
         ckpt = src / "model.ckpt"
@@ -1036,11 +1037,13 @@ def _damaged_artifact(artifact, damage, pipeline, src):
         rewrite_checkpoint_header(ckpt, lambda header: json.loads(damage(json.dumps(header))))
         argv = ["embed", "--corpus", str(pipeline["corpus"]), "--model", str(ckpt), "--agg", "mean"]
         return [*argv, "--out", str(out)], ckpt
-    if artifact == "dump-manifest":
+    if artifact in ("dump", "dump-manifest"):
         dump = src / "contexts.txt"
         dump.write_bytes(pipeline["dump"].read_bytes())
-        damaged = manifest_path_for(dump)
-        damaged.write_text(damage(manifest_path_for(pipeline["dump"]).read_text("utf-8")), "utf-8")
+        manifest_path_for(dump).write_bytes(manifest_path_for(pipeline["dump"]).read_bytes())
+        damaged = dump if artifact == "dump" else manifest_path_for(dump)
+        text = damage(damaged.read_text("utf-8"))
+        damaged.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         argv = ["train", "--contexts", str(dump), "--d-emb", "4", "--epochs", "1"]
         return [*argv, "--out", str(out)], damaged
     if artifact in ("data", "data-manifest"):
@@ -1065,6 +1068,9 @@ _EXTRACTION = ("max_len", "max_width", "max_contexts", "seed")
 
 
 @pytest.mark.parametrize("artifact, damage", [
+    # a dump, read by train
+    pytest.param("dump", lambda _: "", id="dump-empty"),
+    pytest.param("dump", lambda text: b"\xff\xfe" + text.encode("utf-8"), id="dump-not-utf-8"),
     # the extract manifest next to a dump, read by train
     *(pytest.param("dump-manifest", _set("config", key, value), id=f"dump-manifest-{key}-{kind}")
       for key in _EXTRACTION for kind, value in _NOT_INTEGERS.items()),

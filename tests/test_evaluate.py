@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import ZeroVector, vector_similarity
+import synth
+from oracles import ZeroVector, fit_squared_hinge_lbfgs, squared_hinge_objective, vector_similarity
 from pathvec import evaluate
-from pathvec.aggregate import LabeledDataset
+from pathvec.aggregate import LabeledDataset, read_dataset_csv
+from pathvec.cli import main
 from pathvec.evaluate import (
     ClassifierConfig,
     CvPlan,
@@ -14,6 +16,7 @@ from pathvec.evaluate import (
     MismatchedFolds,
     TooFewRows,
     _fit_squared_hinge,
+    _gram,
     cross_validate,
     kappa,
     name_prediction_f1,
@@ -39,7 +42,7 @@ def test_classifier_config_refuses_non_finite_values(field, value):
 
 @pytest.mark.parametrize("value", [0, -1])
 def test_classifier_config_refuses_fewer_than_one_iteration(value):
-    # scipy would still run one iteration, so 0 would silently act as 1
+    # a fit of 0 steps would silently return w = 0
     with pytest.raises(ValueError, match="max_iterations must be >= 1"):
         ClassifierConfig(max_iterations=value)
 
@@ -90,8 +93,7 @@ def _per_class_fits(X, y, classes, config=ClassifierConfig()):
     X_fit = np.hstack([X, np.ones((X.shape[0], 1))])
     y_arr = np.asarray(y)
     return [
-        _fit_squared_hinge(X_fit, np.where(y_arr == cls, 1.0, -1.0),
-                           config.c, config.tol, config.max_iterations)[0]
+        _fit_squared_hinge(X_fit, np.where(y_arr == cls, 1.0, -1.0), config, _gram(X_fit))[0]
         for cls in classes
     ]
 
@@ -135,33 +137,119 @@ def test_label_outside_two_classes_fits_each_class(monkeypatch):
     assert not np.array_equal(model.weights[1], -model.weights[0])
 
 
-# Eleven rows on which L-BFGS-B stops after 5 iterations with an abnormal
-# line search: the gradient is already at its precision floor.
-_LINE_SEARCH_STOP_X = [
+_FEW_ROWS_X = [
     [-0.3, 0.7], [0.7, -0.8], [0.5, 0.4], [0.1, 0.2], [-1.3, -0.1], [-0.2, 1.6],
     [0.1, -2.5], [1.2, 1.7], [-0.0, 1.7], [0.9, 0.1], [-1.6, -1.1],
 ]
-_LINE_SEARCH_STOP_Y = ["a", "b", "b", "b", "a", "a", "b", "a", "a", "a", "a"]
+_FEW_ROWS_Y = ["a", "b", "b", "b", "a", "a", "b", "a", "a", "a", "a"]
 
 
-def test_a_line_search_stop_at_the_optimum_is_not_an_unconverged_fit(monkeypatch):
-    results = []
+def test_a_fit_is_unconverged_only_when_the_iteration_cap_stops_it():
+    X = 3.0 * np.array(_FEW_ROWS_X)  # one binary fit of three Newton steps
+    settled = train_linear(X, _FEW_ROWS_Y)
+    assert (settled.max_fit_iterations, settled.unconverged_fits) == (3, 0)
+    for cap in (1, 2):
+        capped = train_linear(X, _FEW_ROWS_Y, ClassifierConfig(max_iterations=cap))
+        assert (capped.max_fit_iterations, capped.unconverged_fits) == (cap, 1)
+    at_cap = train_linear(X, _FEW_ROWS_Y, ClassifierConfig(max_iterations=3))
+    assert (at_cap.max_fit_iterations, at_cap.unconverged_fits) == (3, 0)
+    assert np.array_equal(at_cap.weights, settled.weights)
 
-    def recording_minimize(*args, **kwargs):
-        results.append(evaluate_minimize(*args, **kwargs))
-        return results[-1]
 
-    evaluate_minimize = evaluate.minimize
-    monkeypatch.setattr(evaluate, "minimize", recording_minimize)
-    model = train_linear(np.array(_LINE_SEARCH_STOP_X), _LINE_SEARCH_STOP_Y)
-    [res] = results
-    assert not res.success and res.status == 2 and res.nit <= 5  # the stop reproduces
-    assert model.unconverged_fits == 0
-    assert model.lbfgs_max_iterations == res.nit
-    truncated = train_linear(
-        np.array(_LINE_SEARCH_STOP_X), _LINE_SEARCH_STOP_Y, ClassifierConfig(max_iterations=1)
-    )
-    assert truncated.unconverged_fits == 1
+def test_tol_stops_a_fit_once_its_gradient_has_shrunk_by_tol_times_1e6():
+    X = 3.0 * np.array(_FEW_ROWS_X)
+    X_fit = np.hstack([X, np.ones((len(X), 1))])
+    ybin = np.where(np.array(_FEW_ROWS_Y) == "a", 1.0, -1.0)
+    g0 = np.linalg.norm(squared_hinge_objective(X_fit, ybin, 1.0, np.zeros(3))[1])
+    settled = train_linear(X, _FEW_ROWS_Y)
+    loose = train_linear(X, _FEW_ROWS_Y, ClassifierConfig(tol=1e5))
+    assert (loose.max_fit_iterations, loose.unconverged_fits) == (1, 0)
+    assert not np.array_equal(loose.weights, settled.weights)
+    w = np.append(loose.weights[0], loose.biases[0])
+    assert np.linalg.norm(squared_hinge_objective(X_fit, ybin, 1.0, w)[1]) <= 0.1 * g0
+    # at or above 1e6 the starting gradient already meets it
+    unfit = train_linear(X, _FEW_ROWS_Y, ClassifierConfig(tol=1e6))
+    assert unfit.max_fit_iterations == 0 and not unfit.weights.any() and not unfit.biases.any()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_fit_stops_where_rounding_keeps_rows_on_the_margin(seed):
+    # Each row twice, its two labels drawn apart, at a feature scale of 1e4:
+    # I + (2C/n) XX' has a condition number near 1e10, and the steps stop
+    # lowering the objective before the rows inside the margin settle.
+    rng = np.random.default_rng(seed)
+    X = np.tile(rng.normal(size=(7, 39)) * 1e4, (2, 1))
+    y = list(np.where(rng.random(14) < 0.5, "a", "b"))
+    model = train_linear(X, y, ClassifierConfig(max_iterations=100))
+    assert model.unconverged_fits == 0 and model.max_fit_iterations <= 3
+    X_fit = np.hstack([X, np.ones((14, 1))])
+    ybin = np.where(np.array(y) == model.classes[0], 1.0, -1.0)
+    f, _ = squared_hinge_objective(X_fit, ybin, 1.0, np.append(model.weights[0], model.biases[0]))
+    oracle = fit_squared_hinge_lbfgs(X_fit, ybin, ClassifierConfig())[0]
+    assert f <= squared_hinge_objective(X_fit, ybin, 1.0, oracle)[0] + 1e-12
+
+
+def _oracle_problem(n_labels, rows, cols, scale, separated, seed=0):
+    """Rows drawn around one center per label: centers 3 apart (separated)
+    or 0.3 apart (overlapping), unit noise, all times `scale`."""
+    rng = np.random.default_rng(seed)
+    labels = [f"c{i}" for i in range(n_labels)]
+    y = [labels[i % n_labels] for i in range(rows)]
+    centers = rng.normal(size=(n_labels, cols)) * (3.0 if separated else 0.3)
+    X = (centers[[i % n_labels for i in range(rows)]] + rng.normal(size=(rows, cols))) * scale
+    return X, y, labels
+
+
+@pytest.mark.parametrize("rows, cols", [(24, 6), (12, 30)], ids=["more-rows", "more-columns"])
+@pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
+@pytest.mark.parametrize("separated", [True, False], ids=["separable", "overlapping"])
+@pytest.mark.parametrize("n_labels", [2, 3, 4])
+def test_each_fit_reaches_the_optimum_the_lbfgs_oracle_approaches(
+    n_labels, separated, scale, rows, cols
+):
+    X, y, labels = _oracle_problem(n_labels, rows, cols, scale, separated)
+    config = ClassifierConfig()
+    model = train_linear(X, y, config)
+    assert model.classes == labels and model.unconverged_fits == 0
+    X_fit = np.hstack([X, np.ones((rows, 1))])
+    for i, label in enumerate(labels):
+        ybin = np.where(np.array(y) == label, 1.0, -1.0)
+        w = np.append(model.weights[i], model.biases[i])
+        f, g = squared_hinge_objective(X_fit, ybin, config.c, w)
+        oracle_f, _ = squared_hinge_objective(
+            X_fit, ybin, config.c, fit_squared_hinge_lbfgs(X_fit, ybin, config)[0]
+        )
+        g0 = squared_hinge_objective(X_fit, ybin, config.c, np.zeros_like(w))[1]
+        assert f <= oracle_f + 1e-12 * max(1.0, abs(oracle_f))
+        assert np.linalg.norm(g) <= 1e-8 * (1.0 + np.linalg.norm(g0))
+
+
+@pytest.fixture(scope="module")
+def suite_csvs(tmp_path_factory):
+    """The mean and the widest suite CSV of a small synthetic pipeline."""
+    root = tmp_path_factory.mktemp("suite")
+    corpus, dump, ckpt = root / "corpus", root / "contexts.txt", root / "model.ckpt"
+    synth.generate_corpus(corpus, files_per_class=10, seed=3, typo_fraction=0.5)
+    for argv in (
+        ["extract", "--corpus", corpus, "--out", dump, "--seed", 1],
+        ["train", "--contexts", dump, "--out", ckpt, "--d-emb", 8, "--epochs", 2, "--seed", 1],
+        ["embed", "--corpus", corpus, "--model", ckpt, "--out", root / "suite.csv",
+         "--suite", "--seed", 1],
+    ):
+        assert main([str(a) for a in argv]) == 0
+    return [root / "suite.mean.csv", root / "suite.minMaxSumMeanMedStd.csv"]
+
+
+def test_cross_validate_records_equal_the_lbfgs_oracles(suite_csvs, tmp_path, monkeypatch):
+    plan = CvPlan(runs=3, folds=5, seed=2)
+    for csv_path in suite_csvs:
+        dataset = read_dataset_csv(csv_path)
+        newton, oracle = tmp_path / "newton.txt", tmp_path / "oracle.txt"
+        write_report(cross_validate(dataset, plan=plan), newton)
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluate, "_fit_squared_hinge", fit_squared_hinge_lbfgs)
+            write_report(cross_validate(dataset, plan=plan), oracle)
+        assert newton.read_bytes() == oracle.read_bytes(), csv_path.name
 
 
 # --- stratified folds ------------------------------------------------------------

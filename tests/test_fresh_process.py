@@ -1,10 +1,10 @@
-"""Only evaluate and compare load scipy.
+"""Only compare loads scipy.
 
 Each command runs as `python -X importtime -m pathvec ...` in a fresh
 interpreter, whose stderr then names every module it imported. The other
-commands must finish without scipy.optimize or scipy.special; evaluate and
-compare must load what they use and give the same results as scipy called
-directly.
+commands must finish without scipy.optimize or scipy.special, and evaluate,
+whose classifier is fit with numpy alone, without any scipy module; compare
+must load scipy.special and give the same p-value as scipy called directly.
 """
 
 import json
@@ -85,10 +85,11 @@ def test_a_command_without_a_classifier_or_test_does_not_load_scipy(fresh_runs, 
     assert not modules & SCIPY
 
 
-def test_evaluate_loads_scipy_optimize_and_matches_an_in_process_run(fresh_runs, tmp_path):
+def test_evaluate_loads_no_scipy_and_matches_an_in_process_run(fresh_runs, tmp_path):
     root, runs = fresh_runs
     _, modules = runs["evaluate"]
-    assert "scipy.optimize" in modules
+    assert "pathvec.evaluate" in modules
+    assert not {m for m in modules if m == "scipy" or m.startswith("scipy.")}
     record = tmp_path / "eval.txt"
     assert main(["evaluate", "--data", str(root / "mean.csv"), "--out", str(record),
                  "--runs", "2", "--folds", "2"]) == 0
@@ -108,18 +109,13 @@ def test_compare_loads_scipy_special_and_gives_scipys_p_value(fresh_runs):
 
 def test_fits_and_tests_call_the_module_level_scipy_names(monkeypatch):
     calls = []
+    real = evaluate.stdtr
 
-    def recording(name):
-        real = getattr(evaluate, name)
+    def recording(*args, **kwargs):
+        calls.append("stdtr")
+        return real(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(evaluate, name, wrapper)
-
-    recording("minimize")
-    recording("stdtr")
+    monkeypatch.setattr(evaluate, "stdtr", recording)
     train_linear(np.array([[0.0, 1.0], [1.0, 0.0], [0.2, 0.9], [0.9, 0.1]]), list("abab"))
     paired_ttest([0.5, 0.6, 0.7], [0.4, 0.6, 0.5])
-    assert calls == ["minimize", "stdtr"]
+    assert calls == ["stdtr"]  # the fit calls no scipy name

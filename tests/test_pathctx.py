@@ -573,6 +573,8 @@ _bad_dump_line = st.sampled_from(
 
 def _parse_then_index(path, min_count):
     samples = read_context_dump(path)
+    if not samples:  # read_indexed_dump names the dump
+        raise ValueError(f"{path}: cannot build a vocabulary from zero samples")
     vocab = build_vocabulary(samples, min_count)
     return [vocab.index_sample(s) for s in samples], vocab
 
