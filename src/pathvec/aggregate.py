@@ -50,14 +50,6 @@ _COLUMN_FN = {
 SELECTION_MODES = ("all", "topk", "randomk")
 
 
-class NoMethods(Exception):
-    """File yields zero embeddable methods; callers skip it with a warning."""
-
-
-class EmptyClass(Exception):
-    """A label directory, or a whole pair manifest, produced no dataset rows."""
-
-
 @dataclass(frozen=True)
 class AggregationSpec:
     functions: tuple[str, ...]
@@ -181,7 +173,7 @@ def method_vectors(unit: SourceUnit, model: TrainedModel) -> list[tuple[np.ndarr
     """(embedding, line count, name) per embeddable method, declaration order."""
     samples = extract_unit_samples(unit, model.extraction)
     if not samples:
-        raise NoMethods(f"{unit.path}: no embeddable methods")
+        return []
     return [(v, s.line_count, s.target_name) for v, s in zip(model.embed(samples), samples)]
 
 
@@ -238,39 +230,36 @@ def build_dataset_suite(
     union = union_spec(aggregations)
     stats = BuildStats()
     per_label: dict[str, list[tuple[str, np.ndarray]]] = {}  # (source, row)
-    file_rows: dict[str, np.ndarray | NoMethods] = {}
+    file_rows: dict[str, np.ndarray | None] = {}  # None: no embeddable method
 
-    def file_row(unit: SourceUnit) -> np.ndarray:
+    def file_row(unit: SourceUnit) -> np.ndarray | None:
         if unit.path not in file_rows:
-            try:
-                vectors = method_vectors(unit, model)
-            except NoMethods as exc:
-                file_rows[unit.path] = exc
-            else:
+            vectors = method_vectors(unit, model)
+            file_rows[unit.path] = None
+            if vectors:
                 if methods is not None:
                     methods[unit.path] = [(name, v) for v, _, name in vectors]
                 file_rows[unit.path] = aggregate_vectors(
                     select_methods(vectors, selection, salt=unit.path), union
                 )
-        row = file_rows[unit.path]
-        if isinstance(row, NoMethods):
-            raise row
-        return row
+        return file_rows[unit.path]
 
     for label, units in items:
         stats.files += 1
         if any(unit is None for unit in units):
             stats.skipped_parse += 1
             continue
-        try:
-            blocks = [file_row(unit) for unit in units]
-        except NoMethods as exc:
-            logger.warning("skipping %s", exc)
-            stats.skipped_empty += 1
-            continue
-        values = blocks[0] if len(blocks) == 1 else blocks[0] - blocks[1]
-        source = "|".join(unit.path for unit in units)
-        per_label.setdefault(label, []).append((source, values))
+        blocks = []
+        for unit in units:  # a pair's second file is not embedded if its first has no method
+            blocks.append(file_row(unit))
+            if blocks[-1] is None:
+                logger.warning("skipping %s: no embeddable methods", unit.path)
+                stats.skipped_empty += 1
+                break
+        else:
+            values = blocks[0] if len(blocks) == 1 else blocks[0] - blocks[1]
+            source = "|".join(unit.path for unit in units)
+            per_label.setdefault(label, []).append((source, values))
 
     rows: list[np.ndarray] = []
     y: list[str] = []

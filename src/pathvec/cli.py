@@ -22,8 +22,6 @@ import numpy as np
 
 from . import __version__
 from .aggregate import (
-    EmptyClass,
-    NoMethods,
     SelectionSpec,
     build_dataset_suite,
     parse_aggregation_name,
@@ -36,10 +34,7 @@ from .config import RunManifest, manifest_path_for, manifest_value, read_manifes
 from .evaluate import (
     ClassifierConfig,
     CvPlan,
-    DegenerateData,
-    MismatchedFolds,
     NotARecord,
-    TooFewRows,
     cross_validate,
     name_prediction_f1,
     paired_ttest,
@@ -47,7 +42,7 @@ from .evaluate import (
     read_report,
     write_report,
 )
-from .java import ParseError, SourceUnit, java_files, parse_file, read_sources
+from .java import SourceUnit, java_files, parse_file, read_sources
 from .model import (
     ModelConfig,
     TrainedModel,
@@ -56,7 +51,7 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .obfuscate import ObfuscationError, ObfuscationScheme, obfuscate_tree, obfuscate_unit
+from .obfuscate import ObfuscationScheme, obfuscate_tree, obfuscate_unit
 from .pathctx import (
     PAD_TOKEN,
     UNK_TOKEN,
@@ -70,17 +65,6 @@ from .pathctx import (
 from .util import atomic_open, sha256_file
 
 logger = logging.getLogger(__name__)
-
-_FATAL = (
-    OSError,
-    ValueError,  # also ConfigError and NotARecord
-    ObfuscationError,
-    EmptyClass,
-    NoMethods,
-    DegenerateData,
-    TooFewRows,
-    MismatchedFolds,
-)
 
 
 def _read_pair_manifest(path: str) -> list[tuple[str, str, str]]:
@@ -149,7 +133,7 @@ def cmd_extract(args) -> int:
                 paths.update(mids)
                 yield sample
         if not methods["dumped"]:  # raised inside the write: the old dump stays
-            raise EmptyClass(f"{args.corpus}: no extractable methods")
+            raise ValueError(f"{args.corpus}: no extractable methods")
 
     write_context_dump(samples(), args.out)
 
@@ -249,7 +233,7 @@ def cmd_embed(args) -> int:
             raise FileNotFoundError(f"corpus directory not found: {corpus}")
         labels = sorted(d.name for d in corpus.iterdir() if d.is_dir())
         if not labels:
-            raise EmptyClass(f"{corpus}: no label subdirectories")
+            raise ValueError(f"{corpus}: no label subdirectories")
         rels = [rel for label in labels for rel in java_files(corpus, label)]
         items = (
             (rel.split("/", 1)[0], (unit,)) for rel, unit in read_sources(corpus, rels, skipped)
@@ -261,9 +245,9 @@ def cmd_embed(args) -> int:
     )
     for label in labels:
         if label not in stats.rows_per_label:
-            raise EmptyClass(f"label {label!r} yielded zero embeddable files")
+            raise ValueError(f"label {label!r} yielded zero embeddable files")
     if args.pairs and not dataset.y:
-        raise EmptyClass("pair manifest yielded zero usable pairs")
+        raise ValueError("pair manifest yielded zero usable pairs")
     outs = [
         _suite_csv_path(args.out, agg.name) if use_suite else Path(args.out)
         for agg in aggregations
@@ -442,9 +426,9 @@ def cmd_xobf(args) -> int:
         plain.extend(predicted(before))
         obfuscated.extend(predicted(after))
     if not parsed:
-        raise EmptyClass(f"{args.corpus}: no parseable files")
+        raise ValueError(f"{args.corpus}: no parseable files")
     if not plain or not obfuscated:
-        raise EmptyClass(f"{args.corpus}: no extractable methods")
+        raise ValueError(f"{args.corpus}: no extractable methods")
 
     f1_plain = name_prediction_f1(plain).f1
     f1_obf = name_prediction_f1(obfuscated).f1
@@ -576,11 +560,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.settings = settle(args)
         return args.func(args)
-    except _FATAL as exc:
+    except (OSError, ValueError) as exc:  # every refusal of input is one of these
         print(f"pathvec: error: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        print(f"pathvec: parse error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -4,7 +4,8 @@ A one-vs-rest linear classifier (L2-regularized squared hinge loss,
 C = 1 by default, fit by finite Newton steps in numpy) is scored with
 Cohen's kappa under repeated stratified k-fold cross-validation; systems
 are compared with a paired two-tailed t-test over the per-fold kappas at
-the 0.05 level; aggregation functions are rank-scored 5..1 per dataset.
+the 0.05 level; aggregation functions are rank-scored 5..1 per dataset,
+names with equal kappa sharing the points of the places they hold.
 Subtoken F1 scores method-name predictions.
 """
 
@@ -14,6 +15,7 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -33,24 +35,8 @@ def stdtr(df, t):
     return stdtr(df, t)
 
 
-class DegenerateData(Exception):
-    """All rows share one label; nothing to separate."""
-
-
-class TooFewRows(Exception):
-    """Some label has fewer rows than folds."""
-
-
-class MismatchedFolds(Exception):
-    """Paired comparison over different fold partitions."""
-
-
 class NotARecord(ValueError):
-    """A file without an evaluation record's format line."""
-
-
-class EmptyMatrix(Exception):
-    """Confusion matrix with zero total count."""
+    """A file without an evaluation record's format line. rank skips it."""
 
 
 @dataclass(frozen=True)
@@ -206,7 +192,7 @@ def train_linear(
     if classes is None:
         classes = list(dict.fromkeys(y))
     if len(classes) < 2:
-        raise DegenerateData("need at least two distinct labels")
+        raise ValueError("need at least two distinct labels")
     y_arr = np.asarray(list(y))
     X_fit = X if bias_column else np.hstack([X, np.ones((X.shape[0], 1))])
     gram = _gram(X_fit) if gram is None else gram
@@ -255,12 +241,12 @@ def kappa(confusion) -> float:
     """Cohen's kappa of a square count matrix."""
     m = np.asarray(confusion, dtype=np.int64)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-        raise EmptyMatrix("confusion matrix must be square and nonempty")
+        raise ValueError("confusion matrix must be square and nonempty")
     if (m < 0).any():
         raise ValueError("negative counts")
     total = int(m.sum())
     if total == 0:
-        raise EmptyMatrix("confusion matrix has zero total")
+        raise ValueError("confusion matrix has zero total")
     trace = int(np.trace(m))
     row = m.sum(axis=1)
     col = m.sum(axis=0)
@@ -287,10 +273,10 @@ def cross_validate(
     label_order = dataset.labels
     counts = Counter(y)
     if len(counts) < 2:
-        raise DegenerateData("need at least two distinct labels")
+        raise ValueError("need at least two distinct labels")
     shortest = min(counts.values())
     if shortest < plan.folds:
-        raise TooFewRows(
+        raise ValueError(
             f"label with {shortest} rows cannot be split into {plan.folds} folds"
         )
 
@@ -372,7 +358,7 @@ def paired_ttest(
     """Classical paired two-tailed t-test on per-fold kappa differences."""
     if fingerprint_a is not None and fingerprint_b is not None:
         if fingerprint_a != fingerprint_b:
-            raise MismatchedFolds("fold partitions differ between the two reports")
+            raise ValueError("fold partitions differ between the two reports")
     a = np.asarray(kappa_a, dtype=float).ravel()
     b = np.asarray(kappa_b, dtype=float).ravel()
     if a.shape != b.shape:
@@ -406,29 +392,29 @@ def paired_ttest(
     )
 
 
-def rank_aggregations(per_dataset: dict[str, dict[str, float]]) -> dict[str, int]:
-    """Score aggregation names 5..1 by per-dataset kappa rank, summed, in
+def rank_aggregations(per_dataset: dict[str, dict[str, float]]) -> dict[str, Fraction]:
+    """Score aggregation names by per-dataset kappa rank, summed exactly, in
     rank order: highest total first.
 
-    Ties, of kappas and of totals alike, break by canonical suite-name
-    order (unknown names sort after, alphabetically) so scoring and its
-    order are deterministic.
+    In each dataset the places 1, 2, 3, 4, 5 earn 5, 4, 3, 2, 1 points and
+    later places 0. Names with equal kappa share the points of the places
+    they hold: two names tied at the top get 9/2 each. Equal totals are
+    listed in canonical suite-name order (unknown names after, alphabetically).
     """
     from .aggregate import suite_name_order
 
     rank_of = {name: i for i, name in enumerate(suite_name_order())}
-
-    def by_score(kv: tuple[str, float]):
-        return (-kv[1], rank_of.get(kv[0], len(rank_of)), kv[0])
-
-    totals: dict[str, int] = {}
+    totals: dict[str, Fraction] = {}
     for dataset in sorted(per_dataset):
         scores = per_dataset[dataset]
-        for name in scores:
-            totals.setdefault(name, 0)
-        for pos, (name, _) in enumerate(sorted(scores.items(), key=by_score)[:5]):
-            totals[name] += 5 - pos
-    return dict(sorted(totals.items(), key=by_score))
+        ranked = sorted(scores.values(), reverse=True)
+        for name, value in scores.items():
+            first, tied = ranked.index(value), ranked.count(value)
+            points = sum(max(5 - place, 0) for place in range(first, first + tied))
+            totals[name] = totals.get(name, Fraction(0)) + Fraction(points, tied)
+    return dict(
+        sorted(totals.items(), key=lambda kv: (-kv[1], rank_of.get(kv[0], len(rank_of)), kv[0]))
+    )
 
 
 # --- report records ------------------------------------------------------------

@@ -11,7 +11,7 @@ import re
 from typing import NamedTuple
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """Unsupported or malformed syntax. Batch callers skip the file."""
 
     def __init__(self, line: int, message: str):

@@ -44,14 +44,6 @@ logger = logging.getLogger(__name__)
 CHECKPOINT_MAGIC = b"PVECCKP1"
 
 
-class ConfigError(ValueError):
-    pass
-
-
-class EmptyBag(Exception):
-    """A sample with zero contexts reached the network."""
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     d_emb: int = 128  # token/path embedding width; code width is 3x this
@@ -72,19 +64,19 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         if self.d_emb < 1:
-            raise ConfigError("d_emb must be >= 1")
+            raise ValueError("d_emb must be >= 1")
         if self.max_contexts < 1:
-            raise ConfigError("max_contexts must be >= 1")
+            raise ValueError("max_contexts must be >= 1")
         if not 0.0 < self.learning_rate < math.inf:
-            raise ConfigError("learning_rate must be positive and finite")
+            raise ValueError("learning_rate must be positive and finite")
         if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+            raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
+            raise ValueError("epochs must be >= 0")
         if not (0.0 <= self.val_fraction < 1.0):
-            raise ConfigError("val_fraction must be in [0, 1)")
+            raise ValueError("val_fraction must be in [0, 1)")
         if not (0.0 <= self.dropout_rate < 1.0):
-            raise ConfigError("dropout_rate must be in [0, 1)")
+            raise ValueError("dropout_rate must be in [0, 1)")
 
 
 @dataclass
@@ -165,7 +157,7 @@ def _runs(batch: list[IndexedSample]) -> list[list[IndexedSample]]:
     for sample in batch:
         n = len(sample)
         if n == 0:
-            raise EmptyBag("sample has no contexts")
+            raise ValueError("sample has no contexts")
         if not runs or size + n > RUN_CONTEXTS:
             runs.append([])
             size = 0
@@ -491,9 +483,9 @@ def train(
     params. A validation method whose name is <unk> counts as a top-1 miss.
     """
     if not indexed:
-        raise ConfigError("no training samples")
+        raise ValueError("no training samples")
     if config.patience < 1:  # here, not in ModelConfig: a checkpoint may record 0
-        raise ConfigError("patience must be >= 1")
+        raise ValueError("patience must be >= 1")
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(indexed))
     n_val = 0  # with no held-out sample, validation reads the training samples

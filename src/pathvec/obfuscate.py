@@ -27,8 +27,8 @@ logger = logging.getLogger(__name__)
 MODES = ("type", "random")
 
 
-class ObfuscationError(Exception):
-    pass
+class ObfuscationError(ValueError):
+    """A rename that cannot be applied. obfuscate_tree skips the file."""
 
 
 @dataclass(frozen=True)

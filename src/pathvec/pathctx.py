@@ -21,7 +21,6 @@ checkpoint stores them, with lookup dicts built from them.
 
 from __future__ import annotations
 
-import logging
 import re
 import sys
 from array import array
@@ -34,8 +33,6 @@ import numpy as np
 from .java.ast import AstNode, MethodDecl, SourceUnit
 from .util import atomic_open, derive_seed
 
-logger = logging.getLogger(__name__)
-
 UP = "↑"  # toward the root
 DOWN = "↓"  # toward the leaves
 
@@ -45,10 +42,6 @@ UNK_ID = 0  # the id of <unk> in every vocabulary table; <pad> is 1
 
 _SUBTOKEN_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+|[0-9]+")
 _SANITIZE_RE = re.compile(r"[,\s]")
-
-
-class EmptyMethod(Exception):
-    """Method body has fewer than two leaves; nothing to extract."""
 
 
 class PathContext(NamedTuple):
@@ -62,7 +55,6 @@ class MethodSample:
     target_name: str
     contexts: list[PathContext]
     line_count: int
-    source_path: str
 
 
 @dataclass(frozen=True)
@@ -129,7 +121,7 @@ def _context_pairs(
         stack.extend(reversed(node.children))
     leaf_index = {id(n): i for i, n in enumerate(n for n in order if not n.children)}
     if len(leaf_index) < 2:
-        raise EmptyMethod(f"method {method.name!r} has {len(leaf_index)} leaves")
+        return []
     # A path has at most len(order) - 1 edges, so len(order) stands in for "no limit".
     max_len = len(order) if max_len is None else max_len
     max_width = len(order) if max_width is None else max_width
@@ -195,11 +187,7 @@ def extract_unit_samples(unit: SourceUnit, cfg: ExtractionConfig) -> list[Method
     for cls in unit.classes:
         for method in cls.methods:
             ordinal += 1
-            try:
-                pairs = _context_pairs(method, cfg.max_len, cfg.max_width)
-            except EmptyMethod:
-                logger.debug("skipping empty method %s in %s", method.name, unit.path)
-                continue
+            pairs = _context_pairs(method, cfg.max_len, cfg.max_width)
             if not pairs:
                 continue
             # Only a method over the cap draws, so only it needs its stream.
@@ -213,7 +201,6 @@ def extract_unit_samples(unit: SourceUnit, cfg: ExtractionConfig) -> list[Method
                     target_name=method.name,
                     contexts=_build_contexts(cap_contexts(pairs, cfg.max_contexts, rng)),
                     line_count=method.line_count,
-                    source_path=unit.path,
                 )
             )
     return samples
@@ -374,9 +361,8 @@ def read_context_dump(path: str | Path) -> list[MethodSample]:
             target_name=target,
             contexts=[PathContext(*map(intern, fields)) for fields in contexts],
             line_count=1,
-            source_path=f"{path}:{lineno}",
         )
-        for lineno, target, contexts in _dump_records(path)
+        for _, target, contexts in _dump_records(path)
     ]
 
 

@@ -61,7 +61,7 @@ def random_samples(rng: np.random.Generator, n_samples=8, n_tokens=5, n_paths=4,
             for _ in range(int(rng.integers(1, n_contexts + 1)))
         ]
         name = targets[i % len(targets)]
-        samples.append(MethodSample(name, contexts, 3, "mem.java"))
+        samples.append(MethodSample(name, contexts, 3))
     return samples
 
 

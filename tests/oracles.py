@@ -13,7 +13,6 @@ from pathvec.java.ast import UNK_TYPE, AstNode
 from pathvec.java.bindings import _Resolver
 from pathvec.java.lexer import BINARY_PRECEDENCE, KEYWORDS, PUNCTUATION, ParseError, Token
 from pathvec.model import (
-    EmptyBag,
     EpochStats,
     ModelParams,
     TrainResult,
@@ -488,7 +487,7 @@ def forward_reference(params, sample):
     alone: the single-sample forward pass that model.forward's stacked runs
     replaced."""
     if len(sample) == 0:
-        raise EmptyBag("sample has no contexts")
+        raise ValueError("sample has no contexts")
     E = np.concatenate(
         [
             params.token_emb[sample.starts],
@@ -516,7 +515,7 @@ def loss_and_grads_reference(params, batch, dropout_rate=0.0, rng=None):
 
     for sample in batch:
         if len(sample) == 0:
-            raise EmptyBag("sample has no contexts")
+            raise ValueError("sample has no contexts")
         E = np.concatenate(
             [
                 params.token_emb[sample.starts],

@@ -16,7 +16,6 @@ from oracles import (
 )
 from pathvec.aggregate import (
     AggregationSpec,
-    NoMethods,
     SelectionSpec,
     aggregate_vectors,
     build_dataset_suite,
@@ -279,8 +278,7 @@ def test_embed_file_order_free_with_select_all():
 def test_embed_file_no_methods():
     model = _toy_model(MODEL_SOURCES)
     unit = parse_file("class A { }", "a.java")
-    with pytest.raises(NoMethods):
-        method_vectors(unit, model)
+    assert method_vectors(unit, model) == []
     dataset, stats = _build([("x", (unit,))], model)
     assert dataset.X.shape == (0, model.config.d_code)
     assert dataset.y == [] and dataset.labels == []

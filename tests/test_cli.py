@@ -1,7 +1,10 @@
 import contextlib
+import importlib
 import io
 import json
+import pkgutil
 import re
+import shutil
 import tempfile
 import weakref
 from collections import Counter
@@ -16,6 +19,7 @@ import fixtures_java as fx
 import synth
 from conftest import call_at_depth, rewrite_checkpoint_header
 from oracles import build_vocabulary, count_distinct, csv_module_dataset_bytes
+import pathvec
 from pathvec import aggregate, cli
 from pathvec.aggregate import read_dataset_csv
 from pathvec.cli import main
@@ -742,6 +746,21 @@ def test_cli_embed_methods_csv_lists_only_embedded_files(pipeline, tmp_path):
     assert listed == [rel for rel in labelled for _ in range(2)]
 
 
+def test_cli_embed_pair_whose_first_file_has_no_method_does_not_embed_its_second(
+    pipeline, tmp_path, caplog
+):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    (corpus / "Empty.java").write_text("class E { void m() { } }", encoding="utf-8")
+    files = sorted(pipeline["corpus"].rglob("*.java"))
+    a, b, c = (f.relative_to(pipeline["corpus"]).as_posix() for f in files[3:6])
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text(f"x\tEmpty.java\t{a}\ny\t{b}\t{c}\n", encoding="utf-8")
+    rows = _methods_csv_rows(pipeline, tmp_path, corpus, "--pairs", str(pairs))
+    assert [row.split(",", 1)[0] for row in rows] == [b, b, c, c]  # a is never embedded
+    assert "skipping Empty.java: no embeddable methods" in caplog.messages
+
+
 # --- evaluate / compare / rank ------------------------------------------------------
 
 
@@ -831,9 +850,9 @@ def test_cli_compare_and_mismatch(tmp_path, capsys):
         "--runs", "2", "--folds", "5", "--seed", "2",
     ]) == 0
     capsys.readouterr()
-    code, _, stderr = run(capsys, "compare", str(rec_a), str(rec_c))
-    assert code != 0
-    assert "partition" in stderr
+    code, stdout, stderr = run(capsys, "compare", str(rec_a), str(rec_c))
+    assert code == 1 and stdout == ""
+    assert stderr == "pathvec: error: fold partitions differ between the two reports\n"
 
 
 def _record(path, kappas):
@@ -962,6 +981,9 @@ def test_cli_compare_writes_strict_json_for_a_constant_difference(tmp_path, caps
         ("extract", "--max-width", "-1", "max_width must be >= 0"),
         ("train", "--min-count", "0", "min_count must be >= 1"),
         ("train", "--min-count", "-5", "min_count must be >= 1"),
+        ("train", "--d-emb", "0", "d_emb must be >= 1"),
+        ("train", "--batch-size", "0", "batch_size must be >= 1"),
+        ("train", "--epochs", "-1", "epochs must be >= 0"),
     ],
 )
 def test_a_setting_below_its_least_value_is_refused(
@@ -977,6 +999,64 @@ def test_a_setting_below_its_least_value_is_refused(
     assert code == 1
     assert stderr == f"pathvec: error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def _refused_input(case, pipeline, tmp_path):
+    """(argv, error message) of a command whose input is refused."""
+    data, out = tmp_path / "data.csv", tmp_path / "out"
+    if case == "evaluate-one-label":
+        data.write_text("f0,label\n" + "".join(f"{i}.0,only\n" for i in range(6)), "utf-8")
+        return ["evaluate", "--data", str(data), "--out", str(out)], (
+            "need at least two distinct labels"
+        )
+    if case == "evaluate-fewer-rows-than-folds":
+        _write_separable_csv(data, n=3)
+        return ["evaluate", "--data", str(data), "--out", str(out), "--folds", "5"], (
+            "label with 3 rows cannot be split into 5 folds"
+        )
+    if case == "embed-no-label-directories":
+        corpus = tmp_path / "flat"
+        corpus.mkdir()
+        (corpus / "Fig1.java").write_text(fx.FIG1_FACTORIAL, encoding="utf-8")
+        return ["embed", "--corpus", str(corpus), "--model", str(pipeline["ckpt"]),
+                "--out", str(out)], f"{corpus}: no label subdirectories"
+    flag, value, message = {
+        "train-val-fraction-1": ("--val-fraction", "1", "val_fraction must be in [0, 1)"),
+        "train-dropout-rate-1": ("--dropout-rate", "1", "dropout_rate must be in [0, 1)"),
+    }[case]
+    return ["train", "--contexts", str(pipeline["dump"]), "--out", str(out), flag, value], message
+
+
+@pytest.mark.parametrize("case", [
+    "evaluate-one-label",
+    "evaluate-fewer-rows-than-folds",
+    "embed-no-label-directories",
+    "train-val-fraction-1",
+    "train-dropout-rate-1",
+])
+def test_a_refused_input_is_one_error_line(case, pipeline, tmp_path, capsys):
+    argv, message = _refused_input(case, pipeline, tmp_path)
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert stderr == f"pathvec: error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_exception_class_of_pathvec_is_a_value_error():
+    """cli.main turns an OSError or a ValueError into one error line and
+    catches nothing else, so every exception pathvec defines is a ValueError."""
+    defined = {}
+    for info in pkgutil.walk_packages(pathvec.__path__, "pathvec."):
+        if info.name == "pathvec.__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(info.name)
+        defined.update(
+            (obj.__name__, obj) for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == info.name
+        )
+    assert sorted(defined) == ["NotARecord", "ObfuscationError", "ParseError"]
+    assert all(issubclass(cls, ValueError) for cls in defined.values())
 
 
 @pytest.mark.parametrize("command", ["extract", "embed", "evaluate"])

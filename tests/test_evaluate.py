@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +12,7 @@ from pathvec.cli import main
 from pathvec.evaluate import (
     ClassifierConfig,
     CvPlan,
-    DegenerateData,
-    EmptyMatrix,
     EvalReport,
-    MismatchedFolds,
-    TooFewRows,
     _fit_squared_hinge,
     _gram,
     cross_validate,
@@ -77,7 +75,7 @@ def test_zero_features_predicts_majority():
 
 
 def test_single_label_degenerate():
-    with pytest.raises(DegenerateData):
+    with pytest.raises(ValueError, match="need at least two distinct labels"):
         train_linear(np.ones((4, 2)), ["same"] * 4)
 
 
@@ -329,7 +327,7 @@ def test_cross_validate_label_symmetry():
 
 def test_cross_validate_too_few_rows():
     dataset = _separable_dataset(n_per_class=5)
-    with pytest.raises(TooFewRows):
+    with pytest.raises(ValueError, match="label with 5 rows cannot be split into 10 folds"):
         cross_validate(dataset, plan=CvPlan(runs=1, folds=10, seed=0))
 
 
@@ -359,11 +357,11 @@ def test_kappa_p_e_one_edge():
 
 
 def test_kappa_rejects_bad_input():
-    with pytest.raises(EmptyMatrix):
+    with pytest.raises(ValueError, match="confusion matrix has zero total"):
         kappa([[0, 0], [0, 0]])
-    with pytest.raises(EmptyMatrix):
+    with pytest.raises(ValueError, match="confusion matrix must be square and nonempty"):
         kappa(np.zeros((0, 0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative counts"):
         kappa([[1, -1], [0, 1]])
 
 
@@ -467,7 +465,7 @@ def test_ttest_constant_nonzero_diff():
 
 
 def test_ttest_fingerprint_mismatch():
-    with pytest.raises(MismatchedFolds):
+    with pytest.raises(ValueError, match="fold partitions differ between the two reports"):
         paired_ttest([0.1, 0.2], [0.1, 0.3], "aaa", "bbb")
 
 
@@ -517,8 +515,23 @@ def test_rank_additivity_across_datasets():
 
 def test_rank_tie_broken_by_canonical_order():
     totals = rank_aggregations({"d": {"max": 0.5, "min": 0.5}})
-    assert totals["min"] == 5  # min precedes max canonically
-    assert totals["max"] == 4
+    assert totals["min"] == totals["max"] == 4.5  # places 1 and 2 share 5 + 4
+    assert list(totals) == ["min", "max"]  # min precedes max canonically
+
+
+def test_rank_three_way_tie_at_the_top_shares_places_1_to_3():
+    totals = rank_aggregations({"d": {"mean": 0.9, "max": 0.9, "min": 0.9, "sum": 0.5}})
+    assert totals == {"min": 4, "max": 4, "mean": 4, "sum": 2}  # (5 + 4 + 3) / 3
+    assert list(totals) == ["min", "max", "mean", "sum"]
+
+
+def test_rank_tie_across_fifth_place_shares_its_point():
+    column = {"a1": 0.9, "a2": 0.8, "a3": 0.7, "a4": 0.6, "b1": 0.5, "b2": 0.5, "b3": 0.5}
+    totals = rank_aggregations({"d1": column, "d2": {"a1": 0.1, "b1": 0.2}})
+    # d1: places 5, 6 and 7 share 1 + 0 + 0; d2: b1 first (5), a1 second (4)
+    assert totals == {"a1": 9, "b1": Fraction(16, 3), "a2": 4, "a3": 3, "a4": 2,
+                      "b2": Fraction(1, 3), "b3": Fraction(1, 3)}
+    assert list(totals) == ["a1", "b1", "a2", "a3", "a4", "b2", "b3"]
 
 
 # --- similarity ----------------------------------------------------------------------

@@ -27,7 +27,6 @@ from pathvec.pathctx import (
     UNK_ID,
     UNK_TOKEN,
     UP,
-    EmptyMethod,
     ExtractionConfig,
     MethodSample,
     PathContext,
@@ -60,10 +59,9 @@ def test_two_leaves_give_one_context():
     assert len(extract_contexts(method, None, None)) == 1
 
 
-def test_empty_method_raises():
+def test_empty_method_has_no_contexts():
     method = _first_method("class A { void m() { } }")
-    with pytest.raises(EmptyMethod):
-        extract_contexts(method, None, None)
+    assert extract_contexts(method, None, None) == []
 
 
 def test_count_law_and_oracle_agreement_on_fixture_methods():
@@ -83,10 +81,7 @@ def test_count_law_and_oracle_agreement_on_fixture_methods():
 def test_filtered_extraction_matches_oracle(max_len, max_width):
     unit = parse_file(fx.FIXTURE_METHODS)
     for method in unit_methods(unit):
-        try:
-            contexts = extract_contexts(method, max_len, max_width)
-        except EmptyMethod:
-            continue
+        contexts = extract_contexts(method, max_len, max_width)  # [] for < 2 leaves, as the oracle
         expected = brute_force_contexts(method.body, max_len, max_width)
         got = [(c.start_token, c.path, c.end_token) for c in contexts]
         assert got == expected
@@ -146,8 +141,7 @@ def test_extraction_equals_oracle_in_order_on_random_trees(body):
     for max_len, max_width in product((None, 0, 1, 2, 3, 8), (None, 0, 1, 2, 3)):
         expected = brute_force_contexts(body, max_len, max_width)
         if n_leaves < 2:
-            with pytest.raises(EmptyMethod):
-                extract_contexts(method, max_len, max_width)
+            assert extract_contexts(method, max_len, max_width) == [] == expected
             continue
         got = extract_contexts(method, max_len, max_width)
         assert [(c.start_token, c.path, c.end_token) for c in got] == expected
@@ -358,8 +352,8 @@ def test_vocab_contains_everything_at_min_count_one():
 
 def test_vocab_threshold_excludes_rare():
     samples = [
-        MethodSample("one", [PathContext("a", "p", "b")], 1, "x"),
-        MethodSample("two", [PathContext("a", "p", "c")], 1, "y"),
+        MethodSample("one", [PathContext("a", "p", "b")], 1),
+        MethodSample("two", [PathContext("a", "p", "c")], 1),
     ]
     vocab = build_vocabulary(samples, min_count=2)
     assert vocab.token_to_id["a"] >= 2  # appears twice
@@ -420,7 +414,6 @@ def test_count_distinct_matches_vocabulary_sizes():
                     for _ in range(int(rng.integers(1, 6)))
                 ],
                 1,
-                "x",
             )
             for _ in range(int(rng.integers(1, 8)))
         ]
@@ -463,7 +456,7 @@ _dump_field = st.text(alphabet=st.sampled_from("ab_, \t\n\r\xa0\u2028"), max_siz
     st.lists(st.tuples(_dump_field, _dump_field, _dump_field), max_size=4),
 )
 def test_dump_line_matches_field_by_field_writer(target, fields):
-    sample = MethodSample(target, [PathContext(*f) for f in fields], 1, "x")
+    sample = MethodSample(target, [PathContext(*f) for f in fields], 1)
     assert format_dump_line(sample) == format_dump_line_reference(sample)
 
 
@@ -473,7 +466,7 @@ def test_dump_line_sanitizes_one_bad_field_anywhere():
         for i, defect in product(range(len(clean)), defects):
             fields = clean[:i] + [defect] + clean[i + 1 :]
             contexts = [PathContext(*fields[j : j + 3]) for j in range(1, len(fields), 3)]
-            sample = MethodSample(fields[0], contexts, 1, "x")
+            sample = MethodSample(fields[0], contexts, 1)
             assert format_dump_line(sample) == format_dump_line_reference(sample), fields
 
 
