@@ -331,11 +331,12 @@ def _csv_floats(values: np.ndarray) -> str:
 @lru_cache(maxsize=4096)
 def _csv_field(text: str) -> str:
     """`text` as a field of a row of two or more, quoted as csv.writer
-    quotes it. Rows repeat their labels, paths and names, so each is
-    quoted once."""
+    quotes it under the RFC-4180 CRLF terminator: a field holding a CR or
+    an LF is quoted, so it reads back whole. Rows repeat their labels,
+    paths and names, so each is quoted once."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(["", text])
-    return buf.getvalue()[1:-1]
+    csv.writer(buf, lineterminator="\r\n").writerow(["", text])
+    return buf.getvalue()[1:-2]
 
 
 def read_dataset_csv(path: str | Path) -> LabeledDataset:

@@ -300,6 +300,7 @@ def cmd_evaluate(args) -> int:
     report = cross_validate(dataset, clf_config, plan)
     report.dataset = dataset_name or Path(args.data).stem
     report.aggregation = agg_name or ""
+    write_report(report, args.out)
 
     for run in range(report.runs):
         print(f"run {run}: kappa={report.per_fold_kappa[run].mean():.6f}")
@@ -310,7 +311,6 @@ def cmd_evaluate(args) -> int:
             "%d classifier fits hit the iteration limit (most iterations of a fit: %d)",
             report.unconverged_fits, report.max_fit_iterations,
         )
-    write_report(report, args.out)
     RunManifest(
         stage="evaluate",
         config={

@@ -421,7 +421,17 @@ def rank_aggregations(per_dataset: dict[str, dict[str, float]]) -> dict[str, Fra
 
 
 def write_report(report: EvalReport, path: str | Path) -> None:
-    """Line-oriented text record for one cross-validation run."""
+    """Line-oriented text record for one cross-validation run. A label,
+    dataset name or aggregation holding a tab or a line break, which
+    read_report would split, raises ValueError before anything is written."""
+    texts = [("dataset name", report.dataset), ("aggregation", report.aggregation)]
+    for what, text in texts + [("label", label) for label in report.labels]:
+        # text + "." splits into two lines iff text holds a break of str.splitlines
+        if "\t" in text or len(f"{text}.".splitlines()) > 1:
+            raise ValueError(
+                f"{what} {text!r} holds a tab or a line break,"
+                " which an evaluation record cannot hold"
+            )
     lines = [
         "format=pathvec-eval-v1",
         f"dataset={report.dataset}",

@@ -25,9 +25,6 @@ class AstNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def op(self) -> str:
-        return (self.meta or {})["op"]
-
     def __repr__(self) -> str:  # keep pytest diffs readable
         if self.is_leaf():
             return f"{self.kind}({self.token!r})"

@@ -155,12 +155,17 @@ def obfuscate_tree(
     file that read_sources skips, or whose names cannot be replaced
     ("obfuscation_error"), is counted under its reason and copied byte for
     byte if it can be read at all; other files are copied untouched. Every
-    output file replaces its path whole or not at all.
+    output file replaces its path whole or not at all. An output_dir
+    strictly inside input_dir raises ValueError before anything is
+    written; output_dir may be input_dir itself.
     """
     input_dir = Path(input_dir)
     output_dir = Path(output_dir)
     if not input_dir.is_dir():
         raise FileNotFoundError(f"input directory not found: {input_dir}")
+    # The copy walk over input_dir would meet the files written below it.
+    if input_dir.resolve() in output_dir.resolve().parents:
+        raise ValueError(f"output directory {output_dir} lies inside input directory {input_dir}")
     rels = java_files(input_dir)
     skipped: Counter = Counter()
     processed = 0

@@ -9,8 +9,16 @@ enumerates only those pairs, apex by apex, so its work grows with the
 contexts kept rather than with the square of the leaf count. A method's
 pairs are recorded as plain tuples and sampled down to max_contexts
 before any PathContext is built, so contexts past the cap are never
-built. Leaf tokens are sanitized for the dump format when they are
-extracted, so the dump, train, embed and xobf see the same tokens.
+built.
+
+Every field extraction makes is clean for the dump format: never empty,
+and free of commas and whitespace. Leaf tokens are made so in
+_context_pairs, where each has its commas and whitespace replaced by '_'
+and an empty one becomes '_'; targets are lexer identifiers
+([A-Za-z_$][A-Za-z0-9_$]*); paths are parser node kinds joined by UP and
+DOWN. So the dump writer only joins fields, and the dump, train, embed
+and xobf see the same tokens.
+
 Tokens and paths are interned where they are made, by extraction or by
 the dump reader, so equal strings are one object however many contexts
 hold them. Training reads a dump straight into id arrays and their
@@ -30,7 +38,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 import numpy as np
 
-from .java.ast import AstNode, MethodDecl, SourceUnit
+from .java.ast import MethodDecl, SourceUnit
 from .util import atomic_open, derive_seed
 
 UP = "↑"  # toward the root
@@ -97,6 +105,12 @@ def split_target(name: str) -> list[str]:
     return parts or [name.lower()]
 
 
+def _sanitize_token(token: str) -> str:
+    """The token as a dump field: commas and whitespace become '_', and an
+    empty token is '_'."""
+    return _SANITIZE_RE.sub("_", token) or "_"
+
+
 def _context_pairs(
     method: MethodDecl, max_len: int | None, max_width: int | None
 ) -> list[tuple[str, str, str, str]]:
@@ -133,7 +147,7 @@ def _context_pairs(
     entries: dict[int, list[tuple]] = {}
     for node in reversed(order):  # every node after all of its descendants
         if not node.children:
-            token = sys.intern(sanitize_token(node.token or ""))
+            token = sys.intern(_sanitize_token(node.token or ""))
             entries[id(node)] = [(leaf_index[id(node)], 0, node.kind, "", token)]
             continue
         below = [entries.pop(id(child)) for child in node.children]
@@ -285,42 +299,9 @@ def vocabulary_from_counts(
 # --- dump interchange format -------------------------------------------------
 #
 # One method per line: "targetName ctx ctx ..." with ctx =
-# "startToken,pathString,endToken". Commas and whitespace inside tokens
-# become '_': _context_pairs does it to every leaf token, so in-memory
-# samples match what the dump reads back, and the writer sanitizes any line
-# that is not already clean, so that no sample can break the format.
-
-
-def sanitize_token(token: str) -> str:
-    return _SANITIZE_RE.sub("_", token) or "_"
-
-
-def format_dump_line(sample: MethodSample) -> str:
-    contexts = sample.contexts
-    line = " ".join([sample.target_name, *map(",".join, contexts)])
-    # Extracted and read-back samples are already clean, so the joined line is
-    # the answer unless a field holds a separator or other whitespace, or is
-    # empty; only then sanitize field by field. The separators are the line's
-    # only spaces and commas when the counts hold, and isprintable() rejects
-    # every whitespace character but the space (and some that need no
-    # sanitizing, which only costs the slow path).
-    if (
-        line.count(" ") == len(contexts)
-        and line.count(",") == 2 * len(contexts)
-        and line.isprintable()
-        and line[:1] not in ("", " ")
-        and line[-1] != ","
-        and " ," not in line
-        and ",," not in line
-        and ", " not in line
-    ):
-        return line
-    parts = [sanitize_token(sample.target_name)]
-    for ctx in contexts:
-        parts.append(
-            f"{sanitize_token(ctx.start_token)},{sanitize_token(ctx.path)},{sanitize_token(ctx.end_token)}"
-        )
-    return " ".join(parts)
+# "startToken,pathString,endToken". No field is empty or holds a comma or
+# whitespace: extraction makes every field so (see the module docstring),
+# so the writer joins the fields as they are.
 
 
 def write_context_dump(samples: Iterable[MethodSample], path: str | Path) -> None:
@@ -328,7 +309,7 @@ def write_context_dump(samples: Iterable[MethodSample], path: str | Path) -> Non
     be a generator, and an exception it raises leaves the previous file."""
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for sample in samples:
-            fh.write(format_dump_line(sample))
+            fh.write(" ".join([sample.target_name, *map(",".join, sample.contexts)]))
             fh.write("\n")
 
 

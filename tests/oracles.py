@@ -25,7 +25,6 @@ from pathvec.pathctx import (
     UNK_TOKEN,
     _build_contexts,
     _context_pairs,
-    sanitize_token,
     vocabulary_from_counts,
 )
 
@@ -128,17 +127,6 @@ def resolve_bindings_reference(unit):
 def dump_token(token):
     """A leaf token as the dump writes it: commas and whitespace become '_'."""
     return "".join("_" if ch == "," or ch.isspace() else ch for ch in token) or "_"
-
-
-def format_dump_line_reference(sample):
-    """A sample's dump line, sanitizing every field: the writer that
-    format_dump_line's clean-line shortcut must agree with."""
-    parts = [sanitize_token(sample.target_name)]
-    for ctx in sample.contexts:
-        parts.append(
-            f"{sanitize_token(ctx.start_token)},{sanitize_token(ctx.path)},{sanitize_token(ctx.end_token)}"
-        )
-    return " ".join(parts)
 
 
 def root_to_leaf_paths(node, prefix=()):
@@ -304,24 +292,30 @@ def csv_module_embedding_bytes(rows):
     """A per-method embedding CSV written row by row through csv.writer:
     header sourcePath,methodName,v0..v{d-1}, then the path, the name and
     repr(float) of every value."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    table = [[path, name, *[repr(float(x)) for x in vec]] for path, name, vec in rows]
     if rows:
-        writer.writerow(["sourcePath", "methodName", *[f"v{i}" for i in range(len(rows[0][2]))]])
-    for source_path, name, vec in rows:
-        writer.writerow([source_path, name, *[repr(float(x)) for x in vec]])
-    return buf.getvalue().encode("utf-8")
+        table.insert(0, ["sourcePath", "methodName", *[f"v{i}" for i in range(len(rows[0][2]))]])
+    return _csv_module_bytes(table)
 
 
 def csv_module_dataset_bytes(dataset):
     """A dataset written row by row through csv.writer: header
     f0..f{w-1},label, repr(float) of every value, then the label."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"f{i}" for i in range(dataset.X.shape[1])] + ["label"])
+    table = [[f"f{i}" for i in range(dataset.X.shape[1])] + ["label"]]
     for values, label in zip(dataset.X, dataset.y):
-        writer.writerow([repr(float(x)) for x in values] + [label])
-    return buf.getvalue().encode("utf-8")
+        table.append([repr(float(x)) for x in values] + [label])
+    return _csv_module_bytes(table)
+
+
+def _csv_module_bytes(rows):
+    """Rows as csv.writer writes them with the RFC-4180 CRLF terminator,
+    which quotes every field holding a CR or LF, each row then ended by LF."""
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines).encode("utf-8")
 
 
 def startswith_punct(text, i):
@@ -686,7 +680,7 @@ def _prec(node: AstNode) -> int:
     if kind == "ConditionalExpr":
         return _PREC_TERNARY
     if kind == "BinaryExpr":
-        return BINARY_PRECEDENCE[node.op()]
+        return BINARY_PRECEDENCE[node.meta["op"]]
     if kind == "UnaryExpr":
         return _PREC_POSTFIX if (node.meta or {}).get("postfix") else _PREC_UNARY
     if kind in ("MethodCallExpr", "FieldAccessExpr"):
@@ -852,7 +846,7 @@ def _emit(node: AstNode, out: list[str]) -> None:
 
     if kind == "AssignExpr":
         _emit_expr(node.children[0], out, _PREC_POSTFIX)
-        out.append(node.op())
+        out.append(meta["op"])
         _emit_expr(node.children[1], out, _PREC_ASSIGN)
         return
     if kind == "ConditionalExpr":
@@ -863,17 +857,17 @@ def _emit(node: AstNode, out: list[str]) -> None:
         _emit_expr(node.children[2], out, _PREC_TERNARY)
         return
     if kind == "BinaryExpr":
-        prec = BINARY_PRECEDENCE[node.op()]
+        prec = BINARY_PRECEDENCE[meta["op"]]
         _emit_expr(node.children[0], out, prec)
-        out.append(node.op())
+        out.append(meta["op"])
         _emit_expr(node.children[1], out, prec + 1)
         return
     if kind == "UnaryExpr":
         if meta.get("postfix"):
             _emit_expr(node.children[0], out, _PREC_POSTFIX)
-            out.append(node.op())
+            out.append(meta["op"])
         else:
-            out.append(node.op())
+            out.append(meta["op"])
             _emit_expr(node.children[0], out, _PREC_UNARY)
         return
     if kind == "MethodCallExpr":

@@ -517,7 +517,8 @@ def test_suite_csvs_match_per_spec_datasets(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "label", ['odd,"label"', "comma,only", 'quote"only', "line\nbreak", "tab\tand space ", ""]
+    "label",
+    ['odd,"label"', "comma,only", 'quote"only', "line\nbreak", "cr\rend", "tab\tand space ", ""],
 )
 def test_dataset_csv_matches_csv_module(tmp_path, label):
     from pathvec.aggregate import LabeledDataset
@@ -560,11 +561,13 @@ def test_dataset_csv_rejects_paths_specs_mismatch(tmp_path):
         write_dataset_csv(dataset, tmp_path / "a.csv", specs=standard_agg_suite()[:2])
 
 
-def test_dataset_csv_quotes_labels_with_commas(tmp_path):
+@pytest.mark.parametrize("label", ['odd,"label"', "cr\rend", "\r", "crlf\r\n", "lo\rops,\"q\""])
+def test_dataset_csv_quotes_labels_so_each_reads_back(tmp_path, label):
     from pathvec.aggregate import LabeledDataset
 
-    dataset = LabeledDataset(np.array([[1.0]]), ['odd,"label"'])
+    dataset = LabeledDataset(np.array([[1.0], [2.0]]), [label, "plain"])
     path = tmp_path / "quoted.csv"
     write_dataset_csv(dataset, path)
     loaded = read_dataset_csv(path)
-    assert loaded.y[0] == 'odd,"label"'
+    assert loaded.y == [label, "plain"]
+    assert np.array_equal(loaded.X, dataset.X)

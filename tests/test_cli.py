@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import importlib
 import io
 import json
@@ -142,6 +143,27 @@ def test_cli_obfuscate_reads_config_file(tmp_path, capsys):
     run(capsys, "obfuscate", "--in", str(src), "--out", str(out_flag),
         "--mode", "random", "--seed", "7", "--len", "6")
     assert (out_conf / "A.java").read_bytes() == (out_flag / "A.java").read_bytes()
+
+
+def test_cli_obfuscate_refuses_an_output_directory_inside_its_input(tmp_path, capsys):
+    src = tmp_path / "c"
+    (src / "a").mkdir(parents=True)
+    (src / "a" / "A.java").write_text(fx.FIG4_ORIGINAL, encoding="utf-8")
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    for out in (src / "obf", src / "a" / "deeper" / "obf"):
+        code, stdout, stderr = run(capsys, "obfuscate", "--in", str(src), "--out", str(out),
+                                   "--mode", "type")
+        assert code == 1 and stdout == ""
+        assert stderr == (
+            f"pathvec: error: output directory {out} lies inside input directory {src}\n"
+        )
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+    sibling = tmp_path / "c-obf"  # shares the input's name as a prefix, not as a parent
+    for out in (sibling, src):  # in place is allowed too
+        code, stdout, _ = run(capsys, "obfuscate", "--in", str(src), "--out", str(out),
+                              "--mode", "type")
+        assert code == 0 and json.loads(stdout)["processed"] == 1
+    assert sorted(p.relative_to(src).as_posix() for p in src.rglob("*.java")) == ["a/A.java"]
 
 
 @pytest.mark.parametrize("key", ["corpus", "work_dir", "checkpoint", "obfuscation", "jobs"])
@@ -1040,6 +1062,37 @@ def test_a_refused_input_is_one_error_line(case, pipeline, tmp_path, capsys):
     assert code == 1 and stdout == ""
     assert stderr == f"pathvec: error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("char", ["\r", "\t", "\n"])
+def test_cli_a_label_the_evaluation_record_cannot_hold_is_refused_at_the_record(
+    char, pipeline, tmp_path, capsys
+):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    label = f"lo{char}ops"
+    (corpus / "loops").rename(corpus / label)
+    data, methods = tmp_path / "data.csv", tmp_path / "methods.csv"
+    code, _, _ = run(capsys, "embed", "--corpus", str(corpus), "--model", str(pipeline["ckpt"]),
+                     "--out", str(data), "--agg", "mean", "--methods-csv", str(methods))
+    assert code == 0
+    assert sorted(read_dataset_csv(data).labels) == ["chains", label]
+    with open(methods, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert {len(row) for row in rows} == {2 + load_checkpoint(pipeline["ckpt"]).config.d_code}
+    assert sum(row[0].startswith(f"{label}/") for row in rows) == 12  # two methods, six files
+
+    record = tmp_path / "record.txt"
+    code, stdout, stderr = run(capsys, "evaluate", "--data", str(data), "--out", str(record),
+                               "--folds", "3", "--runs", "1")
+    assert code == 1 and stdout == ""
+    assert stderr == (
+        f"pathvec: error: label {label!r} holds a tab or a line break,"
+        " which an evaluation record cannot hold\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "corpus", "data.csv", "data.csv.manifest.json", "methods.csv"
+    ]
 
 
 def test_every_exception_class_of_pathvec_is_a_value_error():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -594,3 +595,19 @@ def test_report_rejects_foreign_file(tmp_path):
     path.write_text("hello\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_report(path)
+
+
+@pytest.mark.parametrize("char", ["\t", "\r", "\n", "\u2028"])
+@pytest.mark.parametrize("field", ["labels", "dataset", "aggregation"])
+def test_write_report_refuses_a_tab_or_line_break_it_cannot_read_back(tmp_path, field, char):
+    dataset = _separable_dataset()
+    report = cross_validate(dataset, plan=CvPlan(runs=1, folds=2, seed=3))
+    text = f"two{char}words"
+    if field == "labels":
+        report.labels = [report.labels[0], text]
+    else:
+        setattr(report, field, text)
+    path = tmp_path / "report.txt"
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        write_report(report, path)
+    assert list(tmp_path.iterdir()) == []

@@ -14,13 +14,12 @@ from oracles import (
     build_vocabulary,
     count_distinct,
     extract_contexts,
-    format_dump_line_reference,
     leaves,
     unit_methods,
 )
 from pathvec.java import parse_file, read_sources
 from pathvec.java.ast import AstNode, MethodDecl
-from pathvec.java.lexer import tokenize
+from pathvec.java.lexer import KEYWORDS, tokenize
 from pathvec.pathctx import (
     DOWN,
     PAD_TOKEN,
@@ -32,7 +31,6 @@ from pathvec.pathctx import (
     PathContext,
     cap_contexts,
     extract_unit_samples,
-    format_dump_line,
     read_context_dump,
     read_indexed_dump,
     split_target,
@@ -426,10 +424,9 @@ def test_count_distinct_matches_vocabulary_sizes():
 
 def test_dump_format_and_round_trip(tmp_path):
     samples = _samples_from(fx.ASSIGN_X7, max_len=None, max_width=None)
-    line = format_dump_line(samples[0])
-    assert line == f"m x,NameExpr{UP}AssignExpr{DOWN}IntegerLiteralExpr,7"
     out = tmp_path / "dump.txt"
     write_context_dump(samples, out)
+    assert out.read_bytes() == f"m x,NameExpr{UP}AssignExpr{DOWN}IntegerLiteralExpr,7\n".encode()
     loaded = read_context_dump(out)
     assert len(loaded) == 1
     assert loaded[0].target_name == "m"
@@ -439,35 +436,63 @@ def test_dump_format_and_round_trip(tmp_path):
 def test_dump_sanitizes_commas_and_spaces(tmp_path):
     source = 'class A { String m() { return "a, b c" + tail; } }'
     samples = _samples_from(source, max_len=None, max_width=None)
-    line = format_dump_line(samples[0])
-    assert '"a__b_c"' in line
     out = tmp_path / "dump.txt"
     write_context_dump(samples, out)
+    (line,) = out.read_text(encoding="utf-8").splitlines()
+    assert '"a__b_c"' in line
+    assert line.count(" ") == len(samples[0].contexts)
     loaded = read_context_dump(out)
     assert len(loaded[0].contexts) == len(samples[0].contexts)
 
 
-_dump_field = st.text(alphabet=st.sampled_from("ab_, \t\n\r\xa0\u2028"), max_size=4)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    _dump_field,
-    st.lists(st.tuples(_dump_field, _dump_field, _dump_field), max_size=4),
+_LITERAL_TEXT = st.text(alphabet=st.sampled_from("a_, \t\xa0\u2028"), max_size=4)
+_JAVA_NAME = st.from_regex(r"[A-Za-z_$][A-Za-z0-9_$]{0,6}", fullmatch=True).filter(
+    lambda name: name not in KEYWORDS
 )
-def test_dump_line_matches_field_by_field_writer(target, fields):
-    sample = MethodSample(target, [PathContext(*f) for f in fields], 1)
-    assert format_dump_line(sample) == format_dump_line_reference(sample)
+_STATEMENTS = (
+    'String s{i} = "{text}";',
+    'put("{text}", s{i});',
+    'char c{i} = \'{char}\';',
+    'tail = "{text}" + tail;',
+)
+_METHODS = st.lists(
+    st.tuples(
+        _JAVA_NAME,
+        st.lists(st.tuples(st.sampled_from(_STATEMENTS), _LITERAL_TEXT), min_size=1, max_size=4),
+    ),
+    min_size=1,
+    max_size=3,
+)
 
 
-def test_dump_line_sanitizes_one_bad_field_anywhere():
-    defects = ["", ",", " ", "a,b", "a b", "\t", "a\nb", "a\xa0b", "\u2028"]
-    for clean in (["t"], ["t", "s1", "p1", "e1"], ["t", "s1", "p1", "e1", "s2", "p2", "e2"]):
-        for i, defect in product(range(len(clean)), defects):
-            fields = clean[:i] + [defect] + clean[i + 1 :]
-            contexts = [PathContext(*fields[j : j + 3]) for j in range(1, len(fields), 3)]
-            sample = MethodSample(fields[0], contexts, 1)
-            assert format_dump_line(sample) == format_dump_line_reference(sample), fields
+@settings(max_examples=150, deadline=None)
+@given(_METHODS)
+def test_every_extracted_field_is_clean_and_the_dump_reads_back_as_extracted(
+    tmp_path_factory, methods
+):
+    """Extraction is where dump fields are made clean: string and char literals
+    holding commas, spaces, tabs, no-break or line separators, or nothing, give
+    fields that are never empty and hold no comma or whitespace, so the joined
+    dump reads back as the samples it was written from."""
+    body = []
+    for name, statements in methods:
+        lines = [
+            template.format(i=i, text=text, char=text[:1])
+            for i, (template, text) in enumerate(statements)
+        ]
+        body.append(f"String {name}(String tail) {{ {' '.join(lines)} return tail; }}")
+    unit = parse_file(f"class A {{ {' '.join(body)} }}", "A.java")
+    samples = extract_unit_samples(unit, ExtractionConfig(max_len=None, max_width=None))
+    assert [s.target_name for s in samples] == [name for name, _ in methods]
+    for sample in samples:
+        for field in [sample.target_name, *(f for ctx in sample.contexts for f in ctx)]:
+            assert field and "," not in field and not any(ch.isspace() for ch in field), field
+    out = tmp_path_factory.mktemp("dump") / "dump.txt"
+    write_context_dump(samples, out)
+    loaded = read_context_dump(out)
+    assert [(s.target_name, s.contexts) for s in loaded] == [
+        (s.target_name, s.contexts) for s in samples
+    ]
 
 
 def test_dump_tokens_equal_in_memory_tokens(tmp_path):
