@@ -96,21 +96,23 @@ def _error(line: int, text: str, start: int) -> ParseError:
 def tokenize(text: str) -> list[Token]:
     """Lex Java source into tokens, raising ParseError on malformed input."""
     tokens: list[Token] = []
+    append = tokens.append
+    new = tuple.__new__  # Token(...) without NamedTuple's keyword handling
     line = 1
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        start, end = m.span()
-        if kind == "space" or kind == "comment":
-            # Java ends a line with LF, CRLF or a lone CR.
-            ends = text.count("\n", start, end) + text.count("\r", start, end)
-            if ends:
-                line += ends - text.count("\r\n", start, end)
-            continue
-        if kind == "open" or kind == "bad":
-            raise _error(line, text, start)
         word = m.group()
-        if kind == "ident" and word in KEYWORDS:
-            kind = "keyword"
-        tokens.append(Token(kind, word, line, start, end))
+        if kind == "space" or kind == "comment":
+            if "\n" in word or "\r" in word:
+                # Java ends a line with LF, CRLF or a lone CR.
+                line += word.count("\n") + word.count("\r") - word.count("\r\n")
+            continue
+        start = m.start()
+        if kind == "ident":
+            if word in KEYWORDS:
+                kind = "keyword"
+        elif kind == "open" or kind == "bad":
+            raise _error(line, text, start)
+        append(new(Token, (kind, word, line, start, start + len(word))))
     tokens.append(Token("eof", "", line, len(text), len(text)))
     return tokens

@@ -47,12 +47,18 @@ _UNSUPPORTED_STMT = frozenset(
 # about 530, whoever calls the parser.
 MAX_NESTING = 64
 
+# The texts that continue a postfix expression; `[` and `->` only to refuse it.
+_POSTFIX = frozenset({".", "++", "--", "[", "->"})
+_PREFIX = frozenset({"+", "-", "!", "~", "++", "--"})
+
 _LITERAL_KINDS = {
     "int": "IntegerLiteralExpr",
     "float": "DoubleLiteralExpr",
     "string": "StringLiteralExpr",
     "char": "CharLiteralExpr",
 }
+_KEYWORD_LITERALS = {"true": "BooleanLiteralExpr", "false": "BooleanLiteralExpr",
+                     "null": "NullLiteralExpr", "this": "ThisExpr"}
 
 
 def parse_file(text: str, path: str = "<memory>") -> SourceUnit:
@@ -66,10 +72,13 @@ def parse_file(text: str, path: str = "<memory>") -> SourceUnit:
 
 
 def java_files(root: Path, sub: str = "") -> list[str]:
-    """Paths, relative to root, of the .java files under root/sub, sorted."""
+    """Paths, relative to root, of the .java files under root/sub, sorted.
+    A directory named *.java is not one; a dangling link is, and reads as
+    unreadable."""
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")
-    return sorted(p.relative_to(root).as_posix() for p in (root / sub).rglob("*.java"))
+    found = (root / sub).rglob("*.java")
+    return sorted(p.relative_to(root).as_posix() for p in found if not p.is_dir())
 
 
 def read_sources(
@@ -105,6 +114,10 @@ def _skip(rel: str, exc: Exception, reason: str, skipped: Counter) -> None:
 class _Parser:
     def __init__(self, tokens: list[Token], text: str, path: str):
         self.tokens = tokens
+        # Every decision reads token texts, so they are kept apart. Only punct
+        # tokens spell operators, and no caller asks for the eof token's "",
+        # so a token that at(), accept() or expect() matches is never eof.
+        self.texts = [tok.text for tok in tokens]
         self.text = text
         self.path = path
         self.pos = 0
@@ -116,8 +129,7 @@ class _Parser:
         return self.tokens[self.pos]
 
     def at(self, text: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.text == text and tok.kind != "eof"
+        return self.texts[self.pos] == text
 
     def at_kind(self, kind: str) -> bool:
         return self.tokens[self.pos].kind == kind
@@ -132,16 +144,17 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def accept(self, text: str) -> Token | None:
-        if self.at(text):
-            return self.advance()
-        return None
+    def accept(self, text: str) -> bool:
+        if self.texts[self.pos] == text:
+            self.pos += 1
+            return True
+        return False
 
-    def expect(self, text: str, what: str = "") -> Token:
-        if not self.at(text):
+    def expect(self, text: str, what: str = "") -> None:
+        if self.texts[self.pos] != text:
             want = what or f"'{text}'"
             raise self.error(f"expected {want}, found {self._describe()}")
-        return self.advance()
+        self.pos += 1
 
     def _nested(self, parse, *args):
         """parse(*args) one nesting level deeper; past MAX_NESTING the
@@ -161,18 +174,16 @@ class _Parser:
         return "end of file" if tok.kind == "eof" else f"'{tok.text}'"
 
     def _leaf(self, kind: str, idx: int) -> AstNode:
-        return AstNode(kind, token=self.tokens[idx].text, token_index=idx)
+        return AstNode(kind, token=self.texts[idx], token_index=idx)
 
     # -- compilation unit ------------------------------------------------
 
     def parse_unit(self) -> SourceUnit:
         meta: dict = {"package": None, "imports": []}
-        if self.at("package"):
-            self.advance()
+        if self.accept("package"):
             meta["package"] = self._qualified_name()
             self.expect(";")
-        while self.at("import"):
-            self.advance()
+        while self.accept("import"):
             name = self._qualified_name()
             if self.accept("."):
                 self.expect("*")
@@ -249,7 +260,7 @@ class _Parser:
         mods = self._modifiers()
         if self.at("@"):
             raise self.error("annotations are not supported")
-        if self.at("class") or self.at("interface") or self.at("enum"):
+        if self.texts[self.pos] in ("class", "interface", "enum"):
             raise self.error("inner classes are not supported")
         type_text, type_leaf = self._type(allow_void=True)
         if self.at("("):
@@ -367,13 +378,12 @@ class _Parser:
         """Parse one statement; empty statements (bare ';') yield None."""
         if self.accept(";"):
             return None
-        if self.at("{"):
+        word = self.texts[self.pos]
+        if word == "{":
             return self._nested(self._block)
         if self._at_local_decl():
             return self._local_decl_stmt()
-        tok = self.cur()
-        if tok.kind == "keyword":
-            word = tok.text
+        if self.cur().kind == "keyword":
             if word == "if":
                 return self._if_stmt()
             if word == "while":
@@ -389,7 +399,7 @@ class _Parser:
             if word in ("this", "true", "false", "null", "new"):
                 return self._expression_stmt()
             raise self.error(f"unsupported statement starting with '{word}'")
-        if tok.kind == "punct" and tok.text == "@":
+        if word == "@":
             raise self.error("annotations are not supported")
         return self._expression_stmt()
 
@@ -533,7 +543,7 @@ class _Parser:
 
     def _expression(self) -> AstNode:
         left = self._ternary()
-        if self.cur().kind == "punct" and self.cur().text in _ASSIGN_OPS:
+        if self.texts[self.pos] in _ASSIGN_OPS:
             op = self.advance().text
             right = self._nested(self._expression)
             return AstNode("AssignExpr", children=[left, right], meta={"op": op})
@@ -541,9 +551,8 @@ class _Parser:
 
     def _ternary(self) -> AstNode:
         cond = self._binary(0)
-        if not self.at("?"):
+        if not self.accept("?"):
             return cond
-        self.advance()
         then = self._nested(self._expression)
         self.expect(":")
         other = self._nested(self._ternary)
@@ -552,19 +561,16 @@ class _Parser:
     def _binary(self, min_prec: int) -> AstNode:
         left = self._unary()
         while True:
-            tok = self.cur()
-            if tok.kind != "punct":
+            op = self.texts[self.pos]
+            prec = BINARY_PRECEDENCE.get(op, -1)
+            if prec < min_prec:  # min_prec >= 0, so also when op is no operator
                 return left
-            prec = BINARY_PRECEDENCE.get(tok.text, -1)
-            if prec < min_prec or prec < 0:
-                return left
-            op = self.advance().text
+            self.pos += 1
             right = self._nested(self._binary, prec + 1)
             left = AstNode("BinaryExpr", children=[left, right], meta={"op": op})
 
     def _unary(self) -> AstNode:
-        tok = self.cur()
-        if tok.kind == "punct" and tok.text in ("+", "-", "!", "~", "++", "--"):
+        if self.texts[self.pos] in _PREFIX:
             op = self.advance().text
             operand = self._nested(self._unary)
             return AstNode("UnaryExpr", children=[operand], meta={"op": op, "postfix": False})
@@ -573,7 +579,10 @@ class _Parser:
     def _postfix(self) -> AstNode:
         node = self._primary()
         while True:
-            if self.at("."):
+            text = self.texts[self.pos]
+            if text not in _POSTFIX:
+                return node
+            if text == ".":
                 if self.peek().kind != "ident":
                     raise self.error("expected member name after '.'")
                 self.advance()
@@ -588,16 +597,13 @@ class _Parser:
                     )
                 else:
                     node = AstNode("FieldAccessExpr", children=[node, name_leaf])
-                continue
-            if self.at("++") or self.at("--"):
-                op = self.advance().text
-                node = AstNode("UnaryExpr", children=[node], meta={"op": op, "postfix": True})
-                continue
-            if self.at("["):
+            elif text == "[":
                 raise self.error("array access expressions are not supported")
-            if self.at("->"):
+            elif text == "->":
                 raise self.error("lambda expressions are not supported")
-            return node
+            else:
+                self.advance()
+                node = AstNode("UnaryExpr", children=[node], meta={"op": text, "postfix": True})
 
     def _arguments(self) -> list[AstNode]:
         self.expect("(")
@@ -611,42 +617,37 @@ class _Parser:
         return args
 
     def _primary(self) -> AstNode:
-        tok = self.cur()
-        if tok.kind == "punct" and tok.text == "(":
-            if self.peek().text == ")":
-                raise self.error("lambda expressions are not supported")
-            self.advance()
-            expr = self._nested(self._expression)
-            self.expect(")")
-            return expr
-        if tok.kind in _LITERAL_KINDS:
-            idx = self.pos
-            self.advance()
-            return self._leaf(_LITERAL_KINDS[tok.kind], idx)
-        if tok.kind == "keyword":
-            idx = self.pos
-            if tok.text in ("true", "false"):
-                self.advance()
-                return self._leaf("BooleanLiteralExpr", idx)
-            if tok.text == "null":
-                self.advance()
-                return self._leaf("NullLiteralExpr", idx)
-            if tok.text == "this":
-                self.advance()
-                return self._leaf("ThisExpr", idx)
-            if tok.text == "new":
-                raise self.error("object creation expressions are not supported")
-            raise self.error(f"unexpected keyword '{tok.text}' in expression")
-        if tok.kind == "ident":
-            idx = self.pos
-            self.advance()
-            name_leaf = self._leaf("NameExpr", idx)
-            if self.at("->"):
-                raise self.error("lambda expressions are not supported")
-            if self.at("("):
+        pos = self.pos
+        tok = self.tokens[pos]
+        kind = tok.kind
+        if kind == "ident":
+            self.pos = pos + 1
+            name_leaf = AstNode("NameExpr", token=tok.text, token_index=pos)
+            following = self.texts[pos + 1]
+            if following == "(":
                 args = self._arguments()
                 return AstNode(
                     "MethodCallExpr", children=[name_leaf, *args], meta={"has_scope": False}
                 )
+            if following == "->":
+                raise self.error("lambda expressions are not supported")
             return name_leaf
+        if kind == "keyword":
+            if tok.text == "new":
+                raise self.error("object creation expressions are not supported")
+            leaf_kind = _KEYWORD_LITERALS.get(tok.text)
+            if leaf_kind is None:
+                raise self.error(f"unexpected keyword '{tok.text}' in expression")
+        else:
+            leaf_kind = _LITERAL_KINDS.get(kind)
+        if leaf_kind is not None:
+            self.pos = pos + 1
+            return AstNode(leaf_kind, token=tok.text, token_index=pos)
+        if tok.text == "(":
+            if self.texts[pos + 1] == ")":
+                raise self.error("lambda expressions are not supported")
+            self.pos = pos + 1
+            expr = self._nested(self._expression)
+            self.expect(")")
+            return expr
         raise self.error(f"unexpected token {self._describe()} in expression")

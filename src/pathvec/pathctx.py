@@ -13,8 +13,9 @@ built.
 
 Every field extraction makes is clean for the dump format: never empty,
 and free of commas and whitespace. Leaf tokens are made so in
-_context_pairs, where each has its commas and whitespace replaced by '_'
-and an empty one becomes '_'; targets are lexer identifiers
+_context_pairs, where each has its commas and whitespace replaced by
+'_'; none is empty, as the lexer makes no empty token and the parser
+gives every leaf one. Targets are lexer identifiers
 ([A-Za-z_$][A-Za-z0-9_$]*); paths are parser node kinds joined by UP and
 DOWN. So the dump writer only joins fields, and the dump, train, embed
 and xobf see the same tokens.
@@ -105,12 +106,6 @@ def split_target(name: str) -> list[str]:
     return parts or [name.lower()]
 
 
-def _sanitize_token(token: str) -> str:
-    """The token as a dump field: commas and whitespace become '_', and an
-    empty token is '_'."""
-    return _SANITIZE_RE.sub("_", token) or "_"
-
-
 def _context_pairs(
     method: MethodDecl, max_len: int | None, max_width: int | None
 ) -> list[tuple[str, str, str, str]]:
@@ -129,12 +124,15 @@ def _context_pairs(
     body = method.body
     order = []  # pre-order, so leaves appear in source order
     stack = [body]
+    n_leaves = 0
     while stack:
         node = stack.pop()
         order.append(node)
-        stack.extend(reversed(node.children))
-    leaf_index = {id(n): i for i, n in enumerate(n for n in order if not n.children)}
-    if len(leaf_index) < 2:
+        if node.children:
+            stack.extend(reversed(node.children))
+        else:
+            n_leaves += 1
+    if n_leaves < 2:
         return []
     # A path has at most len(order) - 1 edges, so len(order) stands in for "no limit".
     max_len = len(order) if max_len is None else max_len
@@ -143,18 +141,31 @@ def _context_pairs(
     # Pairs by their earlier leaf. Apexes above a leaf are met bottom-up,
     # and each pairs it with later leaves in source order, so each list is
     # already ordered by the later leaf.
-    by_first: list[list[tuple]] = [[] for _ in leaf_index]
-    entries: dict[int, list[tuple]] = {}
-    for node in reversed(order):  # every node after all of its descendants
-        if not node.children:
-            token = sys.intern(_sanitize_token(node.token or ""))
-            entries[id(node)] = [(leaf_index[id(node)], 0, node.kind, "", token)]
+    by_first: list[list[tuple]] = [[] for _ in range(n_leaves)]
+    # The walk meets every node after all of its descendants, and the last
+    # child first; so a node's children's entry lists are the last
+    # len(children) on `done`, the first child's on top.
+    done: list[list[tuple]] = []
+    leaf = n_leaves
+    clean: dict[str, str] = {}  # each distinct token, sanitized and interned
+    for node in reversed(order):
+        children = node.children
+        if not children:
+            leaf -= 1
+            token = clean.get(node.token)
+            if token is None:
+                token = clean[node.token] = sys.intern(_SANITIZE_RE.sub("_", node.token))
+            done.append([(leaf, 0, node.kind, "", token)])
             continue
-        below = [entries.pop(id(child)) for child in node.children]
+        k = len(children)
+        below = done[: -k - 1 : -1]
+        del done[-k:]
+        step_up = UP + node.kind
+        downs = [DOWN + child.kind for child in children]
         for p, left in enumerate(below):
-            for q in range(p + 1, min(len(below), p + max_width + 1)):
+            for q in range(p + 1, min(k, p + max_width + 1)):
                 right = below[q]
-                middle = UP + node.kind + DOWN + node.children[q].kind
+                middle = step_up + downs[q]
                 for i, depth_a, up, _, start in left:
                     room = max_len - 2 - depth_a
                     head = up + middle
@@ -163,13 +174,12 @@ def _context_pairs(
                         if depth_b <= room:
                             out.append((start, head, down, end))
         if node is not body:
-            step_up = UP + node.kind
-            entries[id(node)] = [
-                (i, depth + 1, up + step_up, DOWN + child.kind + down, token)
-                for child, items in zip(node.children, below)
+            done.append([
+                (i, depth + 1, up + step_up, step_down + down, token)
+                for step_down, items in zip(downs, below)
                 for i, depth, up, down, token in items
                 if depth + 3 <= max_len  # can still pair at an ancestor
-            ]
+            ])
     return [pair for pairs in by_first for pair in pairs]
 
 

@@ -142,9 +142,26 @@ def test_name_multiset_invariant(fixture_unit):
     assert name_leaves == attributed
 
 
-def test_every_leaf_iff_token(fixture_unit):
-    for node in walk(fixture_unit.root):
-        assert (not node.children) == (node.token is not None)
+def _leaf_token_sources(tmp_path):
+    yield "Mixed.java", fx.FIXTURE_METHODS
+    for name in ("EDGE_CASES", "LONG_SUM", "FIG1_FACTORIAL", "ASSIGN_X7"):
+        yield name, getattr(fx, name)
+    yield "Empty.java", "class Empty { void m() { return; } void n() { } }"
+    yield "Bare.java", "class Bare { }"
+    yield "Blank.java", ""
+    for path in synth.generate_corpus(tmp_path, files_per_class=3, seed=2, typo_fraction=0.5):
+        yield path.name, path.read_text(encoding="utf-8")
+
+
+def test_every_leaf_iff_token(tmp_path):
+    """A leaf's token is a non-empty string and an inner node has none, so
+    extraction never sees an empty token."""
+    for name, source in _leaf_token_sources(tmp_path):
+        for node in walk(parse_file(source, name).root):
+            if node.children:
+                assert node.token is None, (name, node)
+            else:
+                assert isinstance(node.token, str) and node.token, (name, node)
 
 
 def test_occurrences_are_name_leaves(fixture_unit):

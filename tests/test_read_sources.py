@@ -137,6 +137,27 @@ def test_every_command_counts_the_same_skip_reasons(tmp_path, checkpoint, capsys
     assert not (tmp_path / "obf" / "a" / "Missing.java").exists()
 
 
+def test_a_directory_named_dot_java_is_not_a_file(tmp_path, checkpoint, capsys, caplog):
+    corpus = tmp_path / "corpus"
+    (corpus / "a" / "odd.java").mkdir(parents=True)
+    (corpus / "b").mkdir()
+    (corpus / "a" / "odd.java" / "A.java").write_text(fx.FIG1_FACTORIAL, encoding="utf-8")
+    (corpus / "b" / "B.java").write_text(fx.FIG4_ORIGINAL, encoding="utf-8")
+    assert parser.java_files(corpus) == ["a/odd.java/A.java", "b/B.java"]
+    commands = _commands(corpus, tmp_path, checkpoint)
+    counts = {}
+    for command in ("obfuscate", "extract", "embed"):
+        caplog.clear()
+        summary = _run(capsys, commands[command])
+        counts[command] = summary.get("counts", summary)
+        assert counts[command]["skip_reasons"] == {}, command
+        assert not caplog.records, command
+    assert counts["obfuscate"]["processed"] == 2
+    assert counts["extract"]["files"] == 2
+    assert counts["embed"]["skipped_parse"] == 0
+    assert (tmp_path / "obf" / "a" / "odd.java" / "A.java").is_file()
+
+
 def test_each_command_reads_every_java_file_once_through_the_reader(
     tmp_path, checkpoint, monkeypatch, capsys
 ):
