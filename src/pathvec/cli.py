@@ -42,7 +42,7 @@ from .evaluate import (
     read_report,
     write_report,
 )
-from .java import SourceUnit, java_files, parse_file, read_sources
+from .java import SourceUnit, java_files, read_sources
 from .model import (
     ModelConfig,
     TrainedModel,
@@ -51,7 +51,7 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .obfuscate import ObfuscationScheme, obfuscate_tree, obfuscate_unit
+from .obfuscate import ObfuscationScheme, build_rename_map, obfuscate_tree
 from .pathctx import (
     PAD_TOKEN,
     UNK_TOKEN,
@@ -407,7 +407,7 @@ def cmd_xobf(args) -> int:
         top = predict_name(model.params, samples, 1, model.vocab)
         return [(s.target_name, t[0][0]) for s, t in zip(samples, top)]
 
-    # One file at a time: its plain and obfuscated trees go before the next is read.
+    # One file at a time: its tree goes before the next is read.
     parsed = changed = 0
     plain: list[tuple[str, str]] = []
     obfuscated: list[tuple[str, str]] = []
@@ -416,8 +416,12 @@ def cmd_xobf(args) -> int:
         if unit is None:
             continue
         parsed += 1
-        rewritten, _ = obfuscate_unit(unit, scheme)
-        before, after = indexed(unit), indexed(parse_file(rewritten, path=unit.path))
+        before = indexed(unit)
+        # obfuscate_unit's text would parse to this tree with these leaves renamed.
+        for binding, name in build_rename_map(unit, scheme).items():
+            for leaf in binding.occurrences:
+                leaf.token = name
+        after = indexed(unit)
         # The rename reached the model where a start or end token's id changed.
         changed += sum(
             not (np.array_equal(a.starts, b.starts) and np.array_equal(a.ends, b.ends))

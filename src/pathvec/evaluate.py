@@ -2,11 +2,14 @@
 
 A one-vs-rest linear classifier (L2-regularized squared hinge loss,
 C = 1 by default, fit by finite Newton steps in numpy) is scored with
-Cohen's kappa under repeated stratified k-fold cross-validation; systems
-are compared with a paired two-tailed t-test over the per-fold kappas at
-the 0.05 level; aggregation functions are rank-scored 5..1 per dataset,
-names with equal kappa sharing the points of the places they hold.
-Subtoken F1 scores method-name predictions.
+Cohen's kappa under repeated stratified k-fold cross-validation; each
+row's label stays an index into the dataset's labels from the fit to the
+confusion matrix. A record's mean kappa and accuracy are the means of its
+per-fold rows, and read_report refuses a record where they are not.
+Systems are compared with a paired two-tailed t-test over the per-fold
+kappas at the 0.05 level; aggregation functions are rank-scored 5..1 per
+dataset, names with equal kappa sharing the points of the places they
+hold. Subtoken F1 scores method-name predictions.
 """
 
 from __future__ import annotations
@@ -71,19 +74,31 @@ class CvPlan:
 class EvalReport:
     per_fold_kappa: np.ndarray  # (runs, folds)
     per_fold_accuracy: np.ndarray
-    mean_kappa: float
-    mean_accuracy: float
     confusion_total: np.ndarray
     labels: list[str]
     partition_fingerprint: str
-    runs: int
-    folds: int
     seed: int
     dataset: str = ""
     aggregation: str = ""
     # classifier convergence over every fit; not part of the record format
     max_fit_iterations: int = 0
     unconverged_fits: int = 0
+
+    @property
+    def runs(self) -> int:
+        return self.per_fold_kappa.shape[0]
+
+    @property
+    def folds(self) -> int:
+        return self.per_fold_kappa.shape[1]
+
+    @property
+    def mean_kappa(self) -> float:
+        return float(self.per_fold_kappa.mean())
+
+    @property
+    def mean_accuracy(self) -> float:
+        return float(self.per_fold_accuracy.mean())
 
 
 @dataclass
@@ -100,22 +115,6 @@ class PredictionMetrics:
     precision: float
     recall: float
     f1: float
-
-
-@dataclass
-class LinearModel:
-    classes: list[str]
-    weights: np.ndarray  # (n_classes, n_features)
-    biases: np.ndarray  # (n_classes,)
-    max_fit_iterations: int = 0  # Newton steps, over the fits that made it
-    unconverged_fits: int = 0  # fits stopped by the iteration limit
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.weights.T + self.biases
-
-    def predict(self, X: np.ndarray) -> list[str]:
-        scores = self.decision_function(X)
-        return [self.classes[i] for i in np.argmax(scores, axis=1)]
 
 
 def _gram(X: np.ndarray) -> np.ndarray:
@@ -176,50 +175,29 @@ def _fit_squared_hinge(
 
 
 def train_linear(
-    X: np.ndarray,
-    y: Sequence[str],
-    config: ClassifierConfig = ClassifierConfig(),
-    classes: list[str] | None = None,
-    gram: np.ndarray | None = None,
-    bias_column: bool = False,
-) -> LinearModel:
-    """One-vs-rest L2-regularized squared-hinge linear models, one per
-    class (by default the labels of y, in order of first appearance). The
-    bias is the weight of a constant feature 1, regularized like the others.
-    cross_validate builds X with that column (`bias_column`) and its _gram
-    once for all folds, and passes each fold its part."""
-    X = np.asarray(X, dtype=float)
-    if classes is None:
-        classes = list(dict.fromkeys(y))
-    if len(classes) < 2:
-        raise ValueError("need at least two distinct labels")
-    y_arr = np.asarray(list(y))
-    X_fit = X if bias_column else np.hstack([X, np.ones((X.shape[0], 1))])
-    gram = _gram(X_fit) if gram is None else gram
-
-    weights = np.zeros((len(classes), X_fit.shape[1] - 1))
-    biases = np.zeros(len(classes))
+    X_fit: np.ndarray, y: np.ndarray, n_classes: int, config: ClassifierConfig, gram: np.ndarray
+) -> tuple[np.ndarray, int, int]:
+    """One-vs-rest L2-regularized squared-hinge linear models, one per class
+    index 0 .. n_classes - 1 of y. X_fit ends in a constant column 1, whose
+    weight is the bias, regularized like the others, and `gram` is its
+    _gram. Returns the weight rows (n_classes, X_fit columns), the most
+    Newton steps of any fit, and the number of fits the iteration limit
+    stopped."""
+    weights = np.zeros((n_classes, X_fit.shape[1]))
     max_iterations = unconverged = 0
-    # With two classes and no other label in y, class 1's targets are the
-    # negation of class 0's; the objective is symmetric under y -> -y,
-    # w -> -w, so its fit is exactly the negated first one.
-    binary = len(classes) == 2 and bool(np.isin(y_arr, classes).all())
-    for i, cls in enumerate(classes[:1] if binary else classes):
-        ybin = np.where(y_arr == cls, 1.0, -1.0)
-        w, iterations, hit_limit = _fit_squared_hinge(X_fit, ybin, config, gram)
-        weights[i] = w[:-1]
-        biases[i] = w[-1]
+    # With two classes, class 1's targets are the negation of class 0's; the
+    # objective is symmetric under y -> -y, w -> -w, so its fit is exactly
+    # the negated first one.
+    binary = n_classes == 2
+    for i in range(1 if binary else n_classes):
+        weights[i], iterations, hit_limit = _fit_squared_hinge(
+            X_fit, np.where(y == i, 1.0, -1.0), config, gram
+        )
         max_iterations = max(max_iterations, iterations)
         unconverged += hit_limit
     if binary:
-        weights[1], biases[1] = -weights[0], -biases[0]
-    return LinearModel(
-        classes=list(classes),
-        weights=weights,
-        biases=biases,
-        max_fit_iterations=max_iterations,
-        unconverged_fits=unconverged,
-    )
+        weights[1] = -weights[0]
+    return weights, max_iterations, unconverged
 
 
 def stratified_fold_assignment(
@@ -269,24 +247,21 @@ def cross_validate(
     the same corpus evaluated with the same plan share fold partitions
     and their per-fold kappas can be compared pairwise.
     """
-    X, y = dataset.X, dataset.y
-    label_order = dataset.labels
-    counts = Counter(y)
-    if len(counts) < 2:
+    X, y, labels = dataset.X, dataset.y, dataset.labels
+    n = len(labels)
+    if n < 2:
         raise ValueError("need at least two distinct labels")
-    shortest = min(counts.values())
+    idx_of = {label: i for i, label in enumerate(labels)}
+    y_idx = np.array([idx_of[label] for label in y])
+    shortest = int(np.bincount(y_idx).min())
     if shortest < plan.folds:
         raise ValueError(
             f"label with {shortest} rows cannot be split into {plan.folds} folds"
         )
 
-    idx_of = {label: i for i, label in enumerate(label_order)}
-    y_idx = np.array([idx_of[label] for label in y])
-    n_labels = len(label_order)
-
     kappas = np.zeros((plan.runs, plan.folds))
     accuracies = np.zeros((plan.runs, plan.folds))
-    confusion_total = np.zeros((n_labels, n_labels), dtype=np.int64)
+    confusion_total = np.zeros((n, n), dtype=np.int64)
     fingerprint = hashlib.sha256()
     max_iterations = unconverged = 0
     X_fit = np.hstack([X, np.ones((X.shape[0], 1))])
@@ -297,22 +272,22 @@ def cross_validate(
         assign = stratified_fold_assignment(y, plan.folds, plan.seed, run)
         fingerprint.update(assign.astype("<i8").tobytes())
         for fold in range(plan.folds):
-            test_mask = assign == fold
-            train, held_out = np.flatnonzero(~test_mask), X_fit[test_mask]
-            model = train_linear(
+            test = assign == fold
+            train, held_out = np.flatnonzero(~test), X_fit[test]
+            weights, iterations, hit_limit = train_linear(
                 X_fit[train],
-                [y[i] for i in train],
+                y_idx[train],
+                n,
                 clf_config,
-                classes=label_order,
-                gram=gram[train][:, train] if by_rows else gram - held_out.T @ held_out,
-                bias_column=True,
+                gram[train][:, train] if by_rows else gram - held_out.T @ held_out,
             )
-            max_iterations = max(max_iterations, model.max_fit_iterations)
-            unconverged += model.unconverged_fits
-            pred = model.predict(X[test_mask])
-            confusion = np.zeros((n_labels, n_labels), dtype=np.int64)
-            for true_i, pred_label in zip(y_idx[test_mask], pred):
-                confusion[true_i, idx_of[pred_label]] += 1
+            max_iterations = max(max_iterations, iterations)
+            unconverged += hit_limit
+            # The bias is added after the product, not folded into it as
+            # X_fit's constant column: that sums in another order, and an
+            # argmax could flip.
+            pred = np.argmax(X[test] @ weights[:, :-1].T + weights[:, -1], axis=1)
+            confusion = np.bincount(y_idx[test] * n + pred, minlength=n * n).reshape(n, n)
             confusion_total += confusion
             kappas[run, fold] = kappa(confusion)
             accuracies[run, fold] = np.trace(confusion) / confusion.sum()
@@ -320,13 +295,9 @@ def cross_validate(
     return EvalReport(
         per_fold_kappa=kappas,
         per_fold_accuracy=accuracies,
-        mean_kappa=float(kappas.mean()),
-        mean_accuracy=float(accuracies.mean()),
         confusion_total=confusion_total,
-        labels=label_order,
+        labels=labels,
         partition_fingerprint=fingerprint.hexdigest(),
-        runs=plan.runs,
-        folds=plan.folds,
         seed=plan.seed,
         max_fit_iterations=max_iterations,
         unconverged_fits=unconverged,
@@ -461,7 +432,8 @@ def read_report(path: str | Path) -> EvalReport:
     """Read a record written by write_report. A file without the record's
     format line raises NotARecord. A record that lacks a field or a row,
     holds a line that does not parse, a kappa outside [-1, 1], an accuracy
-    outside [0, 1], or a kappa or accuracy row without `folds` values
+    outside [0, 1], a kappa or accuracy row without `folds` values, or a
+    mean_kappa or mean_accuracy that is not exactly the mean of its rows
     raises ValueError naming the file, and the line where one is at fault."""
     raw = Path(path).read_bytes()
     if b"format=pathvec-eval-v1" not in raw.splitlines():
@@ -485,13 +457,15 @@ def read_report(path: str | Path) -> EvalReport:
         scores = {}
         for tag, least in (("kappa", -1.0), ("accuracy", 0.0)):
             table = [rows[tag][run] for run in range(plan.runs)]
-            scores[f"mean_{tag}"] = mean = float(meta[f"mean_{tag}"])
             if any(len(row) != plan.folds for row in table):
                 raise ValueError(f"a {tag} row does not hold {plan.folds} values")
-            outside = [v for v in [mean, *sum(table, [])] if not least <= v <= 1.0]
+            outside = [v for v in sum(table, []) if not least <= v <= 1.0]
             if outside:
                 raise ValueError(f"{tag} {outside[0]!r} lies outside [{least:g}, 1]")
-            scores[f"per_fold_{tag}"] = np.array(table)
+            scores[f"per_fold_{tag}"] = values = np.array(table)
+            stated, mean = float(meta[f"mean_{tag}"]), float(values.mean())
+            if stated != mean:
+                raise ValueError(f"mean_{tag}={stated!r} is not the mean of its rows, {mean!r}")
         labels = meta["labels"].split("\t") if meta.get("labels") else []
         confusion = np.array(
             [rows["confusion"][i] for i in range(len(labels))], dtype=np.int64
@@ -501,8 +475,6 @@ def read_report(path: str | Path) -> EvalReport:
             confusion_total=confusion,
             labels=labels,
             partition_fingerprint=meta["partition_fingerprint"],
-            runs=plan.runs,
-            folds=plan.folds,
             seed=plan.seed,
             dataset=meta.get("dataset", ""),
             aggregation=meta.get("aggregation", ""),

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import re
 from collections import Counter
 
 import numpy as np
 
+from pathvec.evaluate import _fit_squared_hinge, _gram, kappa, stratified_fold_assignment
 from pathvec.java.ast import UNK_TYPE, AstNode
 from pathvec.java.bindings import _Resolver
 from pathvec.java.lexer import BINARY_PRECEDENCE, KEYWORDS, PUNCTUATION, ParseError, Token
@@ -230,6 +232,62 @@ def fit_squared_hinge_lbfgs(X, ybin, config, gram=None):
         options={"maxiter": config.max_iterations, "ftol": config.tol * 1e-6, "gtol": 1e-9},
     )
     return res.x, int(res.nit), res.status == 1
+
+
+def cross_validate_reference(dataset, clf_config, plan):
+    """evaluate.cross_validate as its fold loop ran with string labels:
+    each fold fits one model per class name (with two classes, the second
+    is the negated first), predicts class names by the argmax of
+    X w + b, and counts the confusion matrix one test row at a time. Returns
+    the fields of the report it would make, by name."""
+    X, y, labels = dataset.X, dataset.y, dataset.labels
+    idx_of = {label: i for i, label in enumerate(labels)}
+    n_labels = len(labels)
+    kappas = np.zeros((plan.runs, plan.folds))
+    accuracies = np.zeros((plan.runs, plan.folds))
+    confusion_total = np.zeros((n_labels, n_labels), dtype=np.int64)
+    fingerprint = hashlib.sha256()
+    max_iterations = unconverged = 0
+    X_fit = np.hstack([X, np.ones((X.shape[0], 1))])
+    gram = _gram(X_fit)
+    by_rows = gram.shape[0] != X_fit.shape[1]
+    binary = n_labels == 2
+    for run in range(plan.runs):
+        assign = stratified_fold_assignment(y, plan.folds, plan.seed, run)
+        fingerprint.update(assign.astype("<i8").tobytes())
+        for fold in range(plan.folds):
+            test_mask = assign == fold
+            train, held_out = np.flatnonzero(~test_mask), X_fit[test_mask]
+            fold_gram = gram[train][:, train] if by_rows else gram - held_out.T @ held_out
+            y_train = np.asarray([y[i] for i in train])
+            weights = np.zeros((n_labels, X.shape[1]))
+            biases = np.zeros(n_labels)
+            for i, cls in enumerate(labels[:1] if binary else labels):
+                ybin = np.where(y_train == cls, 1.0, -1.0)
+                w, iterations, hit_limit = _fit_squared_hinge(
+                    X_fit[train], ybin, clf_config, fold_gram
+                )
+                weights[i], biases[i] = w[:-1], w[-1]
+                max_iterations = max(max_iterations, iterations)
+                unconverged += hit_limit
+            if binary:
+                weights[1], biases[1] = -weights[0], -biases[0]
+            scores = X[test_mask] @ weights.T + biases
+            pred = [labels[i] for i in np.argmax(scores, axis=1)]
+            confusion = np.zeros((n_labels, n_labels), dtype=np.int64)
+            for true_label, pred_label in zip([y[i] for i in np.flatnonzero(test_mask)], pred):
+                confusion[idx_of[true_label], idx_of[pred_label]] += 1
+            confusion_total += confusion
+            kappas[run, fold] = kappa(confusion)
+            accuracies[run, fold] = np.trace(confusion) / confusion.sum()
+    return {
+        "per_fold_kappa": kappas,
+        "per_fold_accuracy": accuracies,
+        "confusion_total": confusion_total,
+        "partition_fingerprint": fingerprint.hexdigest(),
+        "max_fit_iterations": max_iterations,
+        "unconverged_fits": unconverged,
+    }
 
 
 def numeric_gradients(params, batch, loss_fn, h=1e-6):

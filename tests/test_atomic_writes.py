@@ -74,13 +74,9 @@ def _report():
     return EvalReport(
         per_fold_kappa=np.full((1, 2), 0.5),
         per_fold_accuracy=np.full((1, 2), 0.75),
-        mean_kappa=0.5,
-        mean_accuracy=0.75,
         confusion_total=np.ones((2, 2), dtype=np.int64),
         labels=["a", "b"],
         partition_fingerprint="f" * 64,
-        runs=1,
-        folds=2,
         seed=0,
         dataset="d",
         aggregation="mean",

@@ -90,7 +90,6 @@ def test_benchmark_reads_what_the_pipeline_writes(tmp_path, capsys):
 # adds to trace.missing_wrappers. These are the ones that resolve today.
 TRACED_NAMES = [
     ("pathvec.java.parser", "tokenize"),
-    ("pathvec.cli", "parse_file"),
     ("pathvec.java.bindings", "resolve_bindings"),
     ("pathvec.cli", "obfuscate_tree"),
     ("pathvec.obfuscate", "obfuscate_unit"),

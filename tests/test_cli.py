@@ -882,9 +882,8 @@ def _record(path, kappas):
 
     kappas = np.asarray(kappas, dtype=float).reshape(1, -1)
     write_report(EvalReport(
-        per_fold_kappa=kappas, per_fold_accuracy=kappas, mean_kappa=float(kappas.mean()),
-        mean_accuracy=float(kappas.mean()), confusion_total=np.eye(2, dtype=np.int64),
-        labels=["a", "b"], partition_fingerprint="fp", runs=1, folds=kappas.size, seed=0,
+        per_fold_kappa=kappas, per_fold_accuracy=kappas, confusion_total=np.eye(2, dtype=np.int64),
+        labels=["a", "b"], partition_fingerprint="fp", seed=0,
         dataset="algos", aggregation=path.stem,
     ), path)
 
@@ -935,13 +934,9 @@ def test_cli_rank_from_records(tmp_path, capsys):
         report = EvalReport(
             per_fold_kappa=np.full((1, 2), value),
             per_fold_accuracy=np.full((1, 2), value),
-            mean_kappa=value,
-            mean_accuracy=value,
             confusion_total=np.eye(2, dtype=np.int64),
             labels=["a", "b"],
             partition_fingerprint="fp",
-            runs=1,
-            folds=2,
             seed=0,
             dataset="algos",
             aggregation=agg,
@@ -1234,6 +1229,10 @@ _EXTRACTION = ("max_len", "max_width", "max_contexts", "seed")
                  id="record-short-kappa-row"),
     pytest.param("record", _replace("runs=1", "runs=abc"), id="record-runs-abc"),
     pytest.param("record", _replace("mean_kappa=0.5", "mean_kappa=abc"), id="record-mean-kappa-abc"),
+    pytest.param("record", _replace("mean_kappa=0.5\n", "mean_kappa=0.99\n"),
+                 id="record-mean-kappa-not-the-mean"),
+    pytest.param("record", _replace("mean_accuracy=0.5\n", "mean_accuracy=0.5000000000000001\n"),
+                 id="record-mean-accuracy-not-the-mean"),
     pytest.param("record", _replace("runs=1\n", ""), id="record-without-runs"),
     # the manifest next to an evaluation record, read by compare
     pytest.param("record-manifest", lambda _: "[]", id="record-manifest-a-list"),
@@ -1317,7 +1316,7 @@ def _xobf_all_units_first(checkpoint, corpus, seed):
     skipped = Counter()
     units = [u for _, u in parser.read_sources(corpus, rels, skipped) if u is not None]
     scheme = ObfuscationScheme(mode="random", random_length=8, seed=seed)
-    obfuscated = [cli.parse_file(obfuscate_unit(u, scheme)[0], path=u.path) for u in units]
+    obfuscated = [parser.parse_file(obfuscate_unit(u, scheme)[0], path=u.path) for u in units]
 
     def indexed(variants):
         return [model.vocab.index_sample(s)
@@ -1346,15 +1345,14 @@ def test_cli_xobf_holds_one_file_at_a_time_and_scores_as_before(pipeline, monkey
         parsed.append(weakref.ref(unit))
         return unit
 
-    monkeypatch.setattr(parser, "parse_file", counting_parse)  # the files read
-    monkeypatch.setattr(cli, "parse_file", counting_parse)  # their obfuscated text
+    monkeypatch.setattr(parser, "parse_file", counting_parse)
     code, stdout, _ = run(
         capsys, "xobf", "--model", str(pipeline["ckpt"]), "--corpus", str(pipeline["corpus"]),
         "--seed", "11",
     )
     assert code == 0
-    assert len(live_at_parse) == 2 * 12  # each file parsed plain, then obfuscated
-    assert max(live_at_parse) <= 2  # parsed trees do not pile up across the corpus
+    assert len(live_at_parse) == 12  # each file parsed once, and renamed in its tree
+    assert max(live_at_parse) <= 1  # parsed trees do not pile up across the corpus
     monkeypatch.undo()
     expected = _xobf_all_units_first(pipeline["ckpt"], pipeline["corpus"], seed=11)
     assert stdout == json.dumps(expected, sort_keys=True) + "\n"

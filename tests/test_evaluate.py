@@ -6,14 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import synth
-from oracles import ZeroVector, fit_squared_hinge_lbfgs, squared_hinge_objective, vector_similarity
+from oracles import (
+    ZeroVector,
+    cross_validate_reference,
+    fit_squared_hinge_lbfgs,
+    squared_hinge_objective,
+    vector_similarity,
+)
 from pathvec import evaluate
 from pathvec.aggregate import LabeledDataset, read_dataset_csv
 from pathvec.cli import main
 from pathvec.evaluate import (
     ClassifierConfig,
     CvPlan,
-    EvalReport,
     _fit_squared_hinge,
     _gram,
     cross_validate,
@@ -49,42 +54,52 @@ def test_classifier_config_refuses_fewer_than_one_iteration(value):
 # --- linear classifier ----------------------------------------------------------
 
 
+def _train(X, y, config=ClassifierConfig()):
+    """train_linear as cross_validate calls it, with the labels of y as
+    indices in order of first appearance: (weight rows, bias last; most
+    Newton steps of a fit; fits the iteration limit stopped)."""
+    labels = list(dict.fromkeys(y))
+    X_fit = np.hstack([np.asarray(X, dtype=float), np.ones((len(y), 1))])
+    y_idx = np.array([labels.index(label) for label in y])
+    return train_linear(X_fit, y_idx, len(labels), config, _gram(X_fit))
+
+
+def _predict(weights, X):
+    """The label index cross_validate predicts for each row of X."""
+    return np.argmax(X @ weights[:, :-1].T + weights[:, -1], axis=1).tolist()
+
+
 def test_separable_singletons():
     X = np.array([[-1.0], [1.0]])
-    y = ["neg", "pos"]
-    model = train_linear(X, y)
-    assert model.predict(X) == ["neg", "pos"]
+    weights, _, _ = _train(X, ["neg", "pos"])
+    assert _predict(weights, X) == [0, 1]
 
 
 def test_duplicate_rows_keep_boundary():
     rng = np.random.default_rng(3)
     X = np.vstack([rng.normal(-1, 0.3, size=(20, 2)), rng.normal(1, 0.3, size=(20, 2))])
     y = ["a"] * 20 + ["b"] * 20
-    model_single = train_linear(X, y)
-    model_double = train_linear(np.vstack([X, X]), y + y)
-    for w1, w2 in zip(model_single.weights, model_double.weights):
-        assert np.allclose(w1, w2, rtol=1e-4, atol=1e-6)
-    assert np.allclose(model_single.biases, model_double.biases, rtol=1e-4, atol=1e-6)
+    single, _, _ = _train(X, y)
+    double, _, _ = _train(np.vstack([X, X]), y + y)
+    assert np.allclose(single, double, rtol=1e-4, atol=1e-6)
 
 
 def test_zero_features_predicts_majority():
     X = np.zeros((10, 3))
     y = ["big"] * 7 + ["small"] * 3
-    model = train_linear(X, y)
-    predictions = model.predict(X)
-    assert predictions == ["big"] * 10
+    weights, _, _ = _train(X, y)
+    assert _predict(weights, X) == [0] * 10
 
 
 def test_single_label_degenerate():
     with pytest.raises(ValueError, match="need at least two distinct labels"):
-        train_linear(np.ones((4, 2)), ["same"] * 4)
+        cross_validate(_dataset(np.ones((4, 2)), ["same"] * 4), plan=CvPlan(runs=1, folds=2))
 
 
 def test_multiclass_separable():
     X = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1]] * 5, dtype=float)
-    y = ["a", "b", "c"] * 5
-    model = train_linear(X, y)
-    assert model.predict(X) == y
+    weights, _, _ = _train(X, ["a", "b", "c"] * 5)
+    assert _predict(weights, X) == [0, 1, 2] * 5
 
 
 def _per_class_fits(X, y, classes, config=ClassifierConfig()):
@@ -115,25 +130,9 @@ def test_binary_fit_equals_per_class_loop_bit_for_bit(width, monkeypatch):
                    rng.normal(0.5, 1.0, size=(25, width))])
     y = ["a"] * 30 + ["b"] * 25
     calls = _counting_fits(monkeypatch)
-    model = train_linear(X, y, classes=["a", "b"])
+    weights, _, _ = _train(X, y)
     assert len(calls) == 1
-    fits = _per_class_fits(X, y, ["a", "b"])
-    assert np.array_equal(model.weights, np.stack([w[:-1] for w in fits]))
-    assert np.array_equal(model.biases, np.array([w[-1] for w in fits]))
-
-
-def test_label_outside_two_classes_fits_each_class(monkeypatch):
-    rng = np.random.default_rng(5)
-    X = rng.normal(size=(30, 4))
-    y = ["a"] * 10 + ["b"] * 10 + ["other"] * 10
-    calls = _counting_fits(monkeypatch)
-    model = train_linear(X, y, classes=["a", "b"])
-    assert len(calls) == 2
-    fits = _per_class_fits(X, y, ["a", "b"])
-    assert np.array_equal(model.weights, np.stack([w[:-1] for w in fits]))
-    assert np.array_equal(model.biases, np.array([w[-1] for w in fits]))
-    # both fits see "other" as negative, so they are not each other's negation
-    assert not np.array_equal(model.weights[1], -model.weights[0])
+    assert np.array_equal(weights, np.stack(_per_class_fits(X, y, ["a", "b"])))
 
 
 _FEW_ROWS_X = [
@@ -145,14 +144,13 @@ _FEW_ROWS_Y = ["a", "b", "b", "b", "a", "a", "b", "a", "a", "a", "a"]
 
 def test_a_fit_is_unconverged_only_when_the_iteration_cap_stops_it():
     X = 3.0 * np.array(_FEW_ROWS_X)  # one binary fit of three Newton steps
-    settled = train_linear(X, _FEW_ROWS_Y)
-    assert (settled.max_fit_iterations, settled.unconverged_fits) == (3, 0)
+    settled = _train(X, _FEW_ROWS_Y)
+    assert settled[1:] == (3, 0)
     for cap in (1, 2):
-        capped = train_linear(X, _FEW_ROWS_Y, ClassifierConfig(max_iterations=cap))
-        assert (capped.max_fit_iterations, capped.unconverged_fits) == (cap, 1)
-    at_cap = train_linear(X, _FEW_ROWS_Y, ClassifierConfig(max_iterations=3))
-    assert (at_cap.max_fit_iterations, at_cap.unconverged_fits) == (3, 0)
-    assert np.array_equal(at_cap.weights, settled.weights)
+        assert _train(X, _FEW_ROWS_Y, ClassifierConfig(max_iterations=cap))[1:] == (cap, 1)
+    at_cap = _train(X, _FEW_ROWS_Y, ClassifierConfig(max_iterations=3))
+    assert at_cap[1:] == (3, 0)
+    assert np.array_equal(at_cap[0], settled[0])
 
 
 def test_tol_stops_a_fit_once_its_gradient_has_shrunk_by_tol_times_1e6():
@@ -160,15 +158,14 @@ def test_tol_stops_a_fit_once_its_gradient_has_shrunk_by_tol_times_1e6():
     X_fit = np.hstack([X, np.ones((len(X), 1))])
     ybin = np.where(np.array(_FEW_ROWS_Y) == "a", 1.0, -1.0)
     g0 = np.linalg.norm(squared_hinge_objective(X_fit, ybin, 1.0, np.zeros(3))[1])
-    settled = train_linear(X, _FEW_ROWS_Y)
-    loose = train_linear(X, _FEW_ROWS_Y, ClassifierConfig(tol=1e5))
-    assert (loose.max_fit_iterations, loose.unconverged_fits) == (1, 0)
-    assert not np.array_equal(loose.weights, settled.weights)
-    w = np.append(loose.weights[0], loose.biases[0])
-    assert np.linalg.norm(squared_hinge_objective(X_fit, ybin, 1.0, w)[1]) <= 0.1 * g0
+    settled, _, _ = _train(X, _FEW_ROWS_Y)
+    loose, *counts = _train(X, _FEW_ROWS_Y, ClassifierConfig(tol=1e5))
+    assert counts == [1, 0]
+    assert not np.array_equal(loose, settled)
+    assert np.linalg.norm(squared_hinge_objective(X_fit, ybin, 1.0, loose[0])[1]) <= 0.1 * g0
     # at or above 1e6 the starting gradient already meets it
-    unfit = train_linear(X, _FEW_ROWS_Y, ClassifierConfig(tol=1e6))
-    assert unfit.max_fit_iterations == 0 and not unfit.weights.any() and not unfit.biases.any()
+    unfit, steps, _ = _train(X, _FEW_ROWS_Y, ClassifierConfig(tol=1e6))
+    assert steps == 0 and not unfit.any()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -179,11 +176,11 @@ def test_a_fit_stops_where_rounding_keeps_rows_on_the_margin(seed):
     rng = np.random.default_rng(seed)
     X = np.tile(rng.normal(size=(7, 39)) * 1e4, (2, 1))
     y = list(np.where(rng.random(14) < 0.5, "a", "b"))
-    model = train_linear(X, y, ClassifierConfig(max_iterations=100))
-    assert model.unconverged_fits == 0 and model.max_fit_iterations <= 3
+    weights, steps, unconverged = _train(X, y, ClassifierConfig(max_iterations=100))
+    assert unconverged == 0 and steps <= 3
     X_fit = np.hstack([X, np.ones((14, 1))])
-    ybin = np.where(np.array(y) == model.classes[0], 1.0, -1.0)
-    f, _ = squared_hinge_objective(X_fit, ybin, 1.0, np.append(model.weights[0], model.biases[0]))
+    ybin = np.where(np.array(y) == y[0], 1.0, -1.0)  # class 0 is the first label of y
+    f, _ = squared_hinge_objective(X_fit, ybin, 1.0, weights[0])
     oracle = fit_squared_hinge_lbfgs(X_fit, ybin, ClassifierConfig())[0]
     assert f <= squared_hinge_objective(X_fit, ybin, 1.0, oracle)[0] + 1e-12
 
@@ -208,12 +205,12 @@ def test_each_fit_reaches_the_optimum_the_lbfgs_oracle_approaches(
 ):
     X, y, labels = _oracle_problem(n_labels, rows, cols, scale, separated)
     config = ClassifierConfig()
-    model = train_linear(X, y, config)
-    assert model.classes == labels and model.unconverged_fits == 0
+    weights, _, unconverged = _train(X, y, config)
+    assert unconverged == 0
     X_fit = np.hstack([X, np.ones((rows, 1))])
-    for i, label in enumerate(labels):
+    for i, label in enumerate(labels):  # labels are in y's order of first appearance
         ybin = np.where(np.array(y) == label, 1.0, -1.0)
-        w = np.append(model.weights[i], model.biases[i])
+        w = weights[i]
         f, g = squared_hinge_objective(X_fit, ybin, config.c, w)
         oracle_f, _ = squared_hinge_objective(
             X_fit, ybin, config.c, fit_squared_hinge_lbfgs(X_fit, ybin, config)[0]
@@ -249,6 +246,21 @@ def test_cross_validate_records_equal_the_lbfgs_oracles(suite_csvs, tmp_path, mo
             patch.setattr(evaluate, "_fit_squared_hinge", fit_squared_hinge_lbfgs)
             write_report(cross_validate(dataset, plan=plan), oracle)
         assert newton.read_bytes() == oracle.read_bytes(), csv_path.name
+
+
+@pytest.mark.parametrize("max_iterations", [1, 2, 1000])
+@pytest.mark.parametrize("rows, cols", [(48, 6), (24, 40)], ids=["more-rows", "more-columns"])
+@pytest.mark.parametrize("n_labels", [2, 3, 4])
+def test_cross_validate_equals_the_string_label_fold_loop(n_labels, rows, cols, max_iterations):
+    # more-rows fits in feature space (32 training rows, 7 columns with the
+    # bias), more-columns in row space (16 rows, 41 columns)
+    X, y, _ = _oracle_problem(n_labels, rows, cols, 1.0, separated=False, seed=n_labels)
+    dataset = _dataset(X, y)
+    config = ClassifierConfig(max_iterations=max_iterations)
+    plan = CvPlan(runs=2, folds=3, seed=5)
+    report = cross_validate(dataset, config, plan)
+    for field, expected in cross_validate_reference(dataset, config, plan).items():
+        assert np.array_equal(getattr(report, field), expected), field
 
 
 # --- stratified folds ------------------------------------------------------------

@@ -47,9 +47,8 @@ def pathvec_fresh(*argv):
 def _record(path, aggregation, kappas):
     kappas = np.asarray(kappas, dtype=float).reshape(1, -1)
     write_report(EvalReport(
-        per_fold_kappa=kappas, per_fold_accuracy=kappas, mean_kappa=float(kappas.mean()),
-        mean_accuracy=float(kappas.mean()), confusion_total=np.eye(2, dtype=np.int64),
-        labels=["a", "b"], partition_fingerprint="fp", runs=1, folds=kappas.size, seed=0,
+        per_fold_kappa=kappas, per_fold_accuracy=kappas, confusion_total=np.eye(2, dtype=np.int64),
+        labels=["a", "b"], partition_fingerprint="fp", seed=0,
         dataset="algos", aggregation=aggregation,
     ), path)
 
@@ -116,6 +115,8 @@ def test_fits_and_tests_call_the_module_level_scipy_names(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(evaluate, "stdtr", recording)
-    train_linear(np.array([[0.0, 1.0], [1.0, 0.0], [0.2, 0.9], [0.9, 0.1]]), list("abab"))
+    X_fit = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.2, 0.9, 1.0], [0.9, 0.1, 1.0]])
+    config, gram = evaluate.ClassifierConfig(), evaluate._gram(X_fit)
+    train_linear(X_fit, np.array([0, 1, 0, 1]), 2, config, gram)
     paired_ttest([0.5, 0.6, 0.7], [0.4, 0.6, 0.5])
     assert calls == ["stdtr"]  # the fit calls no scipy name

@@ -1,13 +1,17 @@
-import json
+import importlib.util
+import random
 import re
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fixtures_java as fx
+import synth
 from conftest import call_at_depth
 from oracles import isomorphic_up_to_leaf_tokens
-from pathvec.java import parse_file, tokenize
+from pathvec.java import ParseError, java_files, parse_file, read_sources, tokenize
 from pathvec.java.ast import UNK_TYPE, VariableBinding
 from pathvec.obfuscate import (
     ObfuscationScheme,
@@ -20,6 +24,15 @@ from pathvec.obfuscate import (
 )
 
 RANDOM8 = re.compile(r"^[A-Z]{8}$")
+
+
+def _load_longgen():
+    """perfbench/longgen.py, the generator of the long-methods corpus."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "longgen.py"
+    spec = importlib.util.spec_from_file_location("pathvec_longgen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tokens(text):
@@ -160,6 +173,74 @@ def test_build_rename_map_injective_on_fixture(fixture_unit):
     rename = build_rename_map(fixture_unit, ObfuscationScheme("type"))
     values = list(rename.values())
     assert len(values) == len(set(values))
+
+
+# --- the occurrence invariant obfuscate_unit and xobf rely on ------------------
+
+
+def _assert_occurrences_own_their_tokens(unit):
+    """Every occurrence of a binding is a NameExpr leaf whose token, and the
+    token it indexes, are the binding's name; no token is two occurrences."""
+    seen = set()
+    for binding in unit.bindings:
+        for leaf in binding.occurrences:
+            assert leaf.kind == "NameExpr" and leaf.is_leaf(), unit.path
+            assert leaf.token == unit.tokens[leaf.token_index].text == binding.name, unit.path
+            assert leaf.token_index not in seen, unit.path
+            seen.add(leaf.token_index)
+
+
+def _fixture_texts():
+    return [text for name, text in vars(fx).items() if name.isupper() and isinstance(text, str)]
+
+
+def _parsed(texts):
+    units = []
+    for i, text in enumerate(texts):
+        try:
+            units.append(parse_file(text, path=f"text{i}"))
+        except ParseError:
+            pass
+    return units
+
+
+def _mutants(texts, count, seed):
+    """Copies of texts with one token deleted, duplicated, or (an
+    identifier) swapped for another identifier of the text, so that names
+    shadow, go undeclared or move between scopes."""
+    rng = random.Random(seed)
+    sources = [(text, tokenize(text)[:-1]) for text in texts]
+    sources = [(text, toks) for text, toks in sources if toks]
+    out = []
+    for _ in range(count):
+        text, toks = rng.choice(sources)
+        tok = rng.choice(toks)
+        idents = [t.text for t in toks if t.kind == "ident"]
+        op = rng.randrange(3)
+        if op == 0:
+            new = ""
+        elif op == 1:
+            new = f"{tok.text} {tok.text}"
+        else:
+            new = rng.choice(idents) if tok.kind == "ident" else tok.text
+        out.append(text[: tok.start] + new + text[tok.end :])
+    return out
+
+
+def test_each_occurrence_owns_one_token_named_as_its_binding(tmp_path):
+    synth.generate_corpus(tmp_path / "synth", files_per_class=400, seed=5, typo_fraction=0.5)
+    longgen = _load_longgen()
+    longgen.generate_long_corpus(tmp_path / "long", files=60, methods_per_file=1, seed=1)
+    units = _parsed(_fixture_texts())
+    for root in (tmp_path / "synth", tmp_path / "long"):
+        skipped = Counter()
+        units += [u for _, u in read_sources(root, java_files(root), skipped) if u is not None]
+    # the two depth fixtures are left unmutated: their mutants take seconds to parse
+    shallow = [text for text in _fixture_texts() if text not in (fx.LONG_SUM, fx.DEEP_PARENS)]
+    mutants = _parsed(_mutants(shallow, 2000, seed=0))
+    assert len(units) > 850 and len(mutants) > 300
+    for unit in units + mutants:
+        _assert_occurrences_own_their_tokens(unit)
 
 
 # --- directory walking -------------------------------------------------------
